@@ -256,9 +256,6 @@ def main(argv=None) -> int:
     except MissionAborted as e:
         print(f"watchdog abort: {e}", file=sys.stderr)
         return EXIT_WATCHDOG
-    except FileNotFoundError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_IO
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -9,19 +9,21 @@ failures surface as InvalidScenario with the offending key in the message.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import yaml
 
-from .control import PidGains
+from .control import D_ENGAGE, PidGains
 from .errors import InvalidScenario
-from .estimation import KalmanConfig, diag3
+from .estimation import P0_DIAG, Q_DIAG, KalmanConfig, diag3
 from .perception import ClassifierSpec
 from .sensors import SensorParams
 from .planner import PlanParams
 from .vehicle import VehicleParams
 from .world import (
+    SCAN_N_BINS,
+    SCAN_RANGE_MAX,
     BuildingSpec,
     CameraModel,
     FaultDecal,
@@ -38,7 +40,7 @@ class MissionParams:
     watchdog_s: float = 120.0         # per-waypoint time limit
     capture_interval_s: float = 10.0
     merge_radius: float = 2.0
-    d_engage: float = 3.0
+    d_engage: float = D_ENGAGE
     kp_yaw: float = 1.0
 
     def __post_init__(self) -> None:
@@ -67,14 +69,14 @@ class ScenarioConfig:
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     mission: MissionParams = field(default_factory=MissionParams)
     alpha: float = 0.98
-    kalman_q_diag: tuple[float, float, float] = (1e-6, 1e-4, 1e-2)
+    kalman_q_diag: tuple[float, float, float] = Q_DIAG
     kalman_r_std: float | None = None   # None: use sensors.accel_noise_std
-    kalman_p0_diag: tuple[float, float, float] = (1e-4, 1e-4, 1e-2)
+    kalman_p0_diag: tuple[float, float, float] = P0_DIAG
     camera_hfov_deg: float = 90.0
     camera_vfov_deg: float = 60.0
     camera_max_range: float = 15.0
-    scan_n_bins: int = 271
-    scan_range_max: float = 20.0
+    scan_n_bins: int = SCAN_N_BINS
+    scan_range_max: float = SCAN_RANGE_MAX
 
     def scene(self) -> Scene:
         return Scene(building=self.building, decals=self.decals,
@@ -89,10 +91,9 @@ class ScenarioConfig:
         r_std = self.kalman_r_std
         if r_std is None:
             r_std = self.sensors.accel_noise_std
-        return KalmanConfig(Q=diag3(*self.kalman_q_diag),
-                            R=((max(r_std, 1e-6) ** 2, 0.0),
-                               (0.0, max(r_std, 1e-6) ** 2)),
-                            P0=diag3(*self.kalman_p0_diag))
+        return replace(KalmanConfig.for_accel_noise(r_std),
+                       Q=diag3(*self.kalman_q_diag),
+                       P0=diag3(*self.kalman_p0_diag))
 
     def validate(self) -> None:
         scene = self.scene()

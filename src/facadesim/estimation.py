@@ -1,16 +1,21 @@
 """Position estimation from two IMUs, no external position fix.
 
-Each world axis runs an independent 3-state Kalman filter over
+Each world axis runs a constant-acceleration Kalman filter over
 [position, velocity, acceleration].  Both IMUs measure only the acceleration
 component (H rows [0,0,1]), so position is observable solely through the
 kinematic coupling in F: drift is bounded by the filter but not eliminated.
+
+The three axes share one covariance: they have identical Q, R, P0 and H,
+and the covariance recursion never reads a measurement, so three separate
+P matrices would be equal at every step.  Only the [p, v, a] states differ.
+
 A naive dead-reckoning pipeline (raw gyro attitude, double-integrated
 acceleration) is kept alongside as the uncorrected baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .attitude import AttitudeEstimate, ComplementaryGain, complementary_step
 from .errors import InvalidScenario
@@ -26,6 +31,9 @@ from .sensors import ImuSample
 from .vehicle import G_VEC
 
 Mat3 = tuple[Vec3, Vec3, Vec3]
+
+Q_DIAG = (1e-6, 1e-4, 1e-2)    # default process noise on [p, v, a]
+P0_DIAG = (1e-4, 1e-4, 1e-2)   # default initial covariance
 
 
 def diag3(a: float, b: float, c: float) -> Mat3:
@@ -48,11 +56,11 @@ def _check_symmetric(m, name: str, tol: float = 1e-9) -> None:
 class KalmanConfig:
     """Per-axis filter tuning; shared by all three world axes."""
 
-    Q: Mat3 = field(default_factory=lambda: diag3(1e-6, 1e-4, 1e-2))
+    Q: Mat3 = diag3(*Q_DIAG)
     R: tuple[tuple[float, float], tuple[float, float]] = ((0.0025, 0.0),
                                                           (0.0, 0.0025))
     x0: Vec3 = (0.0, 0.0, 0.0)
-    P0: Mat3 = field(default_factory=lambda: diag3(1e-4, 1e-4, 1e-2))
+    P0: Mat3 = diag3(*P0_DIAG)
 
     def __post_init__(self) -> None:
         _check_symmetric(self.Q, "Q")
@@ -78,37 +86,26 @@ def world_accel(imu: ImuSample, att: AttitudeEstimate) -> Vec3:
     return (ax + G_VEC[0], ay + G_VEC[1], az + G_VEC[2])
 
 
-def kalman_predict(state: KalmanState, cfg: KalmanConfig,
-                   dt: float) -> KalmanState:
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    d = dt
-    h = 0.5 * dt * dt
-    x0, x1, x2 = state.x
-    x = (x0 + d * x1 + h * x2, x1 + d * x2, x2)
+def _predict_state(x: Vec3, d: float, h: float) -> Vec3:
+    return (x[0] + d * x[1] + h * x[2], x[1] + d * x[2], x[2])
 
-    r0, r1, r2 = state.P
+
+def _predict_covariance(p: Mat3, q: Mat3, d: float, h: float) -> Mat3:
+    r0, r1, r2 = p
     # A = F P, then P' = A F^T + Q, expanded for F = [[1,d,h],[0,1,d],[0,0,1]]
     a0 = (r0[0] + d * r1[0] + h * r2[0],
           r0[1] + d * r1[1] + h * r2[1],
           r0[2] + d * r1[2] + h * r2[2])
     a1 = (r1[0] + d * r2[0], r1[1] + d * r2[1], r1[2] + d * r2[2])
-    a2 = r2
-    q0, q1, q2 = cfg.Q
-    p = tuple(
-        (a[0] + d * a[1] + h * a[2] + q[0],
-         a[1] + d * a[2] + q[1],
-         a[2] + q[2])
-        for a, q in ((a0, q0), (a1, q1), (a2, q2)))
-    return KalmanState(x=x, P=p, time=state.time + dt)
+    return tuple(
+        (a[0] + d * a[1] + h * a[2] + qi[0], a[1] + d * a[2] + qi[1],
+         a[2] + qi[2])
+        for a, qi in zip((a0, a1, r2), q))
 
 
-def kalman_update(state: KalmanState, z: tuple[float, float],
-                  cfg: KalmanConfig) -> KalmanState:
-    """Fuse the two accelerometer readings for this axis."""
-    p = state.P
+def _update_covariance(p: Mat3, r) -> tuple[tuple, Mat3]:
+    """Gain (P[:,2], c0, c1), K[i][j] = P[i][2] * c[j], and posterior P."""
     p22 = p[2][2]
-    r = cfg.R
     s00 = p22 + r[0][0]
     s01 = p22 + r[0][1]
     s10 = p22 + r[1][0]
@@ -117,29 +114,44 @@ def kalman_update(state: KalmanState, z: tuple[float, float],
     if abs(det) < 1e-30:
         raise InvalidScenario("measurement covariance is singular; "
                               "R must make H P H^T + R invertible")
-    # column sums of S^-1; K[i][j] = P[i][2] * c[j]
+    # column sums of S^-1
     c0 = (s11 - s10) / det
     c1 = (s00 - s01) / det
-
-    x0, x1, x2 = state.x
-    y0 = z[0] - x2
-    y1 = z[1] - x2
-    u = c0 * y0 + c1 * y1
-    x = (x0 + p[0][2] * u, x1 + p[1][2] * u, x2 + p[2][2] * u)
-
+    col = (p[0][2], p[1][2], p22)
     # (I - K H) P = P - kappa (x) P[2,:], kappa_i = K[i][0] + K[i][1]
     cc = c0 + c1
-    k0 = p[0][2] * cc
-    k1 = p[1][2] * cc
-    k2 = p[2][2] * cc
     row2 = p[2]
     raw = tuple(
-        (p[i][0] - k * row2[0], p[i][1] - k * row2[1], p[i][2] - k * row2[2])
-        for i, k in ((0, k0), (1, k1), (2, k2)))
+        (pi[0] - k * row2[0], pi[1] - k * row2[1], pi[2] - k * row2[2])
+        for pi, k in zip(p, [ci * cc for ci in col]))
     sym = tuple(
         tuple(0.5 * (raw[i][j] + raw[j][i]) for j in range(3))
         for i in range(3))
-    return KalmanState(x=x, P=sym, time=state.time)
+    return (col, c0, c1), sym
+
+
+def _update_state(x: Vec3, z: tuple[float, float], gain) -> Vec3:
+    (k0, k1, k2), c0, c1 = gain
+    u = c0 * (z[0] - x[2]) + c1 * (z[1] - x[2])
+    return (x[0] + k0 * u, x[1] + k1 * u, x[2] + k2 * u)
+
+
+def kalman_predict(state: KalmanState, cfg: KalmanConfig,
+                   dt: float) -> KalmanState:
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    h = 0.5 * dt * dt
+    return KalmanState(x=_predict_state(state.x, dt, h),
+                       P=_predict_covariance(state.P, cfg.Q, dt, h),
+                       time=state.time + dt)
+
+
+def kalman_update(state: KalmanState, z: tuple[float, float],
+                  cfg: KalmanConfig) -> KalmanState:
+    """Fuse the two accelerometer readings for this axis."""
+    gain, p = _update_covariance(state.P, cfg.R)
+    return KalmanState(x=_update_state(state.x, z, gain), P=p,
+                       time=state.time)
 
 
 def dead_reckon(accel_stream, dt: float) -> list[Vec3]:
@@ -175,10 +187,11 @@ class EstimatedState:
 
 
 class InertialEstimator:
-    """Complementary attitude + three per-axis Kalman filters.
+    """Complementary attitude + a Kalman filter on each world axis.
 
     Attitude comes from IMU 1 alone; both IMUs contribute world-frame
-    acceleration measurements to every axis filter.
+    acceleration measurements to every axis filter.  The axes share one
+    covariance (see the module docstring) and keep their own [p, v, a].
     """
 
     def __init__(self, cfg: KalmanConfig, gain: ComplementaryGain,
@@ -190,27 +203,28 @@ class InertialEstimator:
         self.gain = gain
         self.dt = dt
         self.attitude = AttitudeEstimate.level(initial_yaw)
-        self.axes = [
-            KalmanState(x=(initial_position[i] + cfg.x0[0], cfg.x0[1],
-                           cfg.x0[2]), P=cfg.P0)
+        self.P = cfg.P0
+        self.axes: list[Vec3] = [
+            (initial_position[i] + cfg.x0[0], cfg.x0[1], cfg.x0[2])
             for i in range(3)
         ]
 
     def step(self, imu1: ImuSample, imu2: ImuSample) -> EstimatedState:
-        self.attitude = complementary_step(self.attitude, imu1, self.gain,
-                                           self.dt)
+        d, h = self.dt, 0.5 * self.dt * self.dt
+        self.attitude = complementary_step(self.attitude, imu1, self.gain, d)
         a1 = world_accel(imu1, self.attitude)
         a2 = world_accel(imu2, self.attitude)
-        for i in range(3):
-            st = kalman_predict(self.axes[i], self.cfg, self.dt)
-            self.axes[i] = kalman_update(st, (a1[i], a2[i]), self.cfg)
+        kalman_gain, self.P = _update_covariance(
+            _predict_covariance(self.P, self.cfg.Q, d, h), self.cfg.R)
+        self.axes = [_update_state(_predict_state(x, d, h), z, kalman_gain)
+                     for x, z in zip(self.axes, zip(a1, a2))]
         return self.state()
 
     def state(self) -> EstimatedState:
         ax, ay, az = self.axes
         return EstimatedState(
-            position=(ax.x[0], ay.x[0], az.x[0]),
-            velocity=(ax.x[1], ay.x[1], az.x[1]),
+            position=(ax[0], ay[0], az[0]),
+            velocity=(ax[1], ay[1], az[1]),
             attitude=self.attitude,
             time=self.attitude.time,
         )

@@ -32,20 +32,8 @@ def angle_diff(a: float, b: float) -> float:
 
 # -- vectors ----------------------------------------------------------------
 
-def v_add(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
 def v_sub(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def v_scale(a: Vec3, s: float) -> Vec3:
-    return (a[0] * s, a[1] * s, a[2] * s)
-
-
-def v_dot(a: Vec3, b: Vec3) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def v_norm(a: Vec3) -> float:

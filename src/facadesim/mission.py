@@ -94,6 +94,23 @@ def _cylinder_clearance(o, p: Vec3) -> float:
     return math.sqrt(horiz * horiz + dz * dz)
 
 
+def _sensing(sensors: SensorParams, seed: int, kalman: KalmanConfig,
+             alpha: float, start: Vec3, yaw: float, dt: float):
+    """Both IMUs, the estimator and the dead reckoner of one run, as one call
+    per step: true state -> (estimate, dead-reckoning position)."""
+    imu1 = Imu(sensors, seed, imu_id=0)
+    imu2 = Imu(sensors, seed, imu_id=1)
+    estimator = InertialEstimator(kalman, ComplementaryGain(alpha), start,
+                                  initial_yaw=yaw, dt=dt)
+    reckoner = DeadReckoner(start, quat_from_euler(0.0, 0.0, yaw), dt=dt)
+
+    def sense(true: TrueState):
+        s1 = imu1.measure(true)   # IMU 1 alone drives attitude and DR
+        return estimator.step(s1, imu2.measure(true)), reckoner.step(s1)
+
+    return sense
+
+
 def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                 inspection_only: bool = False) -> MissionResult:
     seed = cfg.seed if seed is None else seed
@@ -107,12 +124,9 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
     home_yaw = facing_yaw(fp, home[0], home[1])
 
     path = generate_perimeter_path(cfg.building, cfg.plan, home)
-    imu1 = Imu(cfg.sensors, seed, imu_id=0)
-    imu2 = Imu(cfg.sensors, seed, imu_id=1)
+    sense = _sensing(cfg.sensors, seed, cfg.kalman(), cfg.alpha, home,
+                     home_yaw, dt)
     classifier = Classifier(cfg.classifier, extra_entropy=seed)
-    estimator = InertialEstimator(cfg.kalman(), ComplementaryGain(cfg.alpha),
-                                  home, initial_yaw=home_yaw, dt=dt)
-    reckoner = DeadReckoner(home, quat_from_euler(0.0, 0.0, home_yaw), dt=dt)
     true = TrueState.at_rest(home, yaw=home_yaw)
 
     phase = MissionPhase.INSPECTING
@@ -152,10 +166,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
 
     while phase is not MissionPhase.DONE:
         t = steps * dt
-        s1 = imu1.measure(true)
-        s2 = imu2.measure(true)
-        est = estimator.step(s1, s2)
-        dr_pos = reckoner.step(s1)
+        est, dr_pos = sense(true)
 
         if phase in (MissionPhase.INSPECTING, MissionPhase.RETURNING_HOME):
             if capture_tick(t, last_capture, mp.capture_interval_s):
@@ -229,9 +240,9 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                     shift(MissionPhase.HOLDING, t)
                     progressed = True
 
+        trajectory.append((t,) + true.position + est.position + dr_pos
+                          + (phase.value,))
         if phase is MissionPhase.DONE:
-            trajectory.append((t,) + true.position + est.position + dr_pos
-                              + (phase.value,))
             break
 
         if t - last_advance > mp.watchdog_s:
@@ -264,8 +275,6 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                 and fp.contains(true.position[0], true.position[1]):
             entered_fp = True
 
-        trajectory.append((t,) + true.position + est.position + dr_pos
-                          + (phase.value,))
         true = step_dynamics(true, cmd, cfg.vehicle, dt)
         steps += 1
 
@@ -315,33 +324,20 @@ def run_hover(duration_s: float = 120.0, seed: int = 0,
     if kalman is None:
         kalman = KalmanConfig.for_accel_noise(sensors.accel_noise_std)
 
-    imu1 = Imu(sensors, seed, imu_id=0)
-    imu2 = Imu(sensors, seed, imu_id=1)
-    estimator = InertialEstimator(kalman, ComplementaryGain(alpha),
-                                  setpoint, initial_yaw=0.0, dt=dt)
-    reckoner = DeadReckoner(setpoint, quat_from_euler(0.0, 0.0, 0.0), dt=dt)
+    sense = _sensing(sensors, seed, kalman, alpha, setpoint, 0.0, dt)
     true = TrueState.at_rest(setpoint, yaw=0.0)
     wp = Waypoint(setpoint, 0.0, 0)
     track_state = PidState()
 
-    n = int(round(duration_s / dt))
-    times = []
-    est_err = []
-    dr_err = []
-    true_err = []
-    for k in range(n):
-        t = k * dt
-        s1 = imu1.measure(true)
-        s2 = imu2.measure(true)
-        est = estimator.step(s1, s2)
-        dr_pos = reckoner.step(s1)
-        times.append(t)
-        est_err.append(v_dist(est.position, setpoint))
-        dr_err.append(v_dist(dr_pos, setpoint))
-        true_err.append(v_dist(true.position, setpoint))
+    res = HoverResult(times=[], est_err=[], dr_err=[], true_err=[])
+    for k in range(int(round(duration_s / dt))):
+        est, dr_pos = sense(true)
+        res.times.append(k * dt)
+        res.est_err.append(v_dist(est.position, setpoint))
+        res.dr_err.append(v_dist(dr_pos, setpoint))
+        res.true_err.append(v_dist(true.position, setpoint))
         cmd, track_state = track_waypoint(est, wp, gains, track_state, dt,
                                           v_max=vehicle.v_max,
                                           yaw_rate_max=vehicle.yaw_rate_max)
         true = step_dynamics(true, cmd, vehicle, dt)
-    return HoverResult(times=times, est_err=est_err, dr_err=dr_err,
-                       true_err=true_err)
+    return res

@@ -186,7 +186,8 @@ def _bin_trig(angle_min: float, angle_max: float, n_bins: int):
 def _rect_ray_distances(rect: Rect, ox: float, oy: float, dx: np.ndarray,
                         dy: np.ndarray) -> np.ndarray:
     """Slab-method distances from (ox,oy) along unit rays; inf where missed."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # over: 1/d of a subnormal d is inf, handled below as a parallel ray
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_x = 1.0 / dx
         inv_y = 1.0 / dy
         tx1 = (rect.cx - rect.hx - ox) * inv_x

@@ -290,6 +290,41 @@ def test_estimator_tracks_truth_without_noise():
     assert worst_pos < 0.05
 
 
+def test_estimator_shared_covariance_matches_per_axis_filters():
+    """One covariance for three axes is exact: each axis equals its own
+    kalman_predict -> kalman_update chain, bit for bit."""
+    cfg = KalmanConfig.for_accel_noise(0.05)
+    start = (1.0, -2.0, 3.0)
+    imu1 = Imu(SensorParams(), seed=4, imu_id=0)
+    imu2 = Imu(SensorParams(), seed=4, imu_id=1)
+    est = InertialEstimator(cfg, ComplementaryGain(0.98), start,
+                            initial_yaw=0.3, dt=DT)
+    axes = [KalmanState(x=(start[i] + cfg.x0[0], cfg.x0[1], cfg.x0[2]),
+                        P=cfg.P0) for i in range(3)]
+    true = TrueState.at_rest(start, yaw=0.3)
+    max_rate = max_tilt = 0.0
+    for k in range(500):
+        phase = (k // 100) % 4
+        cmd = VelocityCommand(
+            v_body=[(2.0, 0, 0.3), (0, -1.5, 0), (-1.0, 1.0, -0.2),
+                    (0, 0, 0)][phase],
+            yaw_rate=[0.4, -0.6, 0.2, 0.0][phase])
+        s1 = imu1.measure(true)
+        s2 = imu2.measure(true)
+        out = est.step(s1, s2)
+        a1 = world_accel(s1, out.attitude)
+        a2 = world_accel(s2, out.attitude)
+        for i in range(3):
+            axes[i] = kalman_update(kalman_predict(axes[i], cfg, DT),
+                                    (a1[i], a2[i]), cfg)
+        assert out.position == tuple(a.x[0] for a in axes)
+        assert out.velocity == tuple(a.x[1] for a in axes)
+        max_rate = max(max_rate, max(abs(g) for g in s1.gyro))
+        max_tilt = max(max_tilt, abs(s1.accel[0]), abs(s1.accel[1]))
+        true = step_dynamics(true, cmd, VehicleParams(), DT)
+    assert max_rate > 0.1 and max_tilt > 0.1   # the stream did manoeuvre
+
+
 def test_estimator_state_shape():
     est = InertialEstimator(KalmanConfig(), ComplementaryGain(0.98),
                             (1.0, 2.0, 3.0), initial_yaw=0.1, dt=DT)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facadesim.geometry import quat_from_euler
@@ -209,6 +209,7 @@ def test_scan_validation():
 
 @given(st.floats(6.0, 14.0), st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
        st.floats(-math.pi, math.pi))
+@example(10.0, 0.0, 2.0, 1e-310)   # subnormal ray component: 1/d overflows
 @settings(max_examples=40, deadline=None)
 def test_scan_ranges_bounded_and_positive(x, y, z, yaw):
     scene = scan_scene()
