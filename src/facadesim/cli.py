@@ -140,22 +140,29 @@ def cmd_mission(args) -> int:
     return EXIT_OK
 
 
-def _read_trajectory(path: Path):
-    rows = []
+_TRAJ_FLOATS = ("t_s", "true_x", "true_y", "true_z", "est_x", "est_y",
+                "est_z", "dr_x", "dr_y", "dr_z")
+
+
+def _read_trajectory(path: Path) -> list[list[float]]:
+    """Rows of `_TRAJ_FLOATS` values, each float parsed once."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(rec)
-    return rows
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return []
+        cols = [header.index(name) for name in _TRAJ_FLOATS]
+        return [[float(rec[c]) for c in cols] for rec in reader if rec]
 
 
-def _error_stats(rows, prefix: str) -> tuple[float, float]:
+def _error_stats(rows, first: int) -> tuple[float, float]:
+    """Max and rms distance of columns first..first+2 from true_x..true_z."""
     worst = 0.0
     acc = 0.0
     for rec in rows:
-        dx = float(rec[prefix + "x"]) - float(rec["true_x"])
-        dy = float(rec[prefix + "y"]) - float(rec["true_y"])
-        dz = float(rec[prefix + "z"]) - float(rec["true_z"])
+        dx = rec[first] - rec[1]
+        dy = rec[first + 1] - rec[2]
+        dz = rec[first + 2] - rec[3]
         e2 = dx * dx + dy * dy + dz * dz
         acc += e2
         worst = max(worst, e2)
@@ -173,9 +180,9 @@ def cmd_report(args) -> int:
     if not rows:
         print(f"no run found in {out}", file=sys.stderr)
         return EXIT_IO
-    kf_max, kf_rms = _error_stats(rows, "est_")
-    dr_max, dr_rms = _error_stats(rows, "dr_")
-    print(f"steps: {len(rows)}  duration: {float(rows[-1]['t_s']):.2f} s")
+    kf_max, kf_rms = _error_stats(rows, _TRAJ_FLOATS.index("est_x"))
+    dr_max, dr_rms = _error_stats(rows, _TRAJ_FLOATS.index("dr_x"))
+    print(f"steps: {len(rows)}  duration: {rows[-1][0]:.2f} s")
     print(f"kalman error: max {_fmt(kf_max)} m, rms {_fmt(kf_rms)} m")
     print(f"dead-reckoning error: max {_fmt(dr_max)} m, rms {_fmt(dr_rms)} m")
     if kf_max > 1e-12:

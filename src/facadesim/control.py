@@ -92,8 +92,12 @@ def classify_sectors(scan: LaserScan, mask: Rect | None, position,
     """Sector occupancy from sub-threshold bins, building returns masked out.
 
     Hit points are mapped to world coordinates through the supplied pose
-    (normally the estimated one) before the mask test.
+    (normally the estimated one) before the mask test.  Bins at or beyond
+    `d_engage` are never read, so a scan cut off at `d_engage` gives the
+    same sectors as a full one.
     """
+    if min(scan.ranges) >= d_engage:
+        return ObstacleSectors()
     left = right = front = False
     d_left = d_right = d_front = math.inf
     px, py = position[0], position[1]

@@ -253,7 +253,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                 position=true.position)
 
         scan = simulate_scan(scene, true, n_bins=cfg.scan_n_bins,
-                             range_max=cfg.scan_range_max)
+                             range_max=cfg.scan_range_max, reach=mp.d_engage)
         sectors = classify_sectors(scan, mask, est.position,
                                    est.attitude.yaw, mp.d_engage)
         cmd, avoid_state = avoidance_command(sectors, cfg.gains, avoid_state,

@@ -34,6 +34,11 @@ SCAN_ANGLE_MIN = -0.75 * math.pi
 SCAN_ANGLE_MAX = 0.75 * math.pi
 SCAN_N_BINS = 271
 SCAN_RANGE_MAX = 20.0
+# [m] A ray never meets a solid nearer than the solid's horizontal distance
+# from the pose, but the computed slab and circle distances can undershoot
+# it by float rounding (under 1e-12 m at scene scale), so the scan's
+# `reach` cull keeps solids up to this much beyond `reach`.
+_REACH_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -231,18 +236,32 @@ def simulate_scan(scene: Scene, pose: TrueState,
                   angle_min: float = SCAN_ANGLE_MIN,
                   angle_max: float = SCAN_ANGLE_MAX,
                   n_bins: int = SCAN_N_BINS,
-                  range_max: float = SCAN_RANGE_MAX) -> LaserScan:
-    """Planar range scan at the drone's altitude, body-frame bins."""
+                  range_max: float = SCAN_RANGE_MAX,
+                  reach: float = math.inf) -> LaserScan:
+    """Planar range scan at the drone's altitude, body-frame bins.
+
+    Only solids whose horizontal distance from the pose is below
+    `reach` + 1e-6 m are ray-cast; a bin that only a skipped solid
+    would have hit reads `range_max`, like a miss.  Every bin whose
+    full-scan range is below `reach` is therefore bit-identical to the
+    full scan, and every other bin reads at least its full-scan range.
+    """
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
     if range_max <= 0:
         raise ValueError("range_max must be positive")
-    z = pose.position[2]
+    if not reach > 0.0:
+        raise ValueError(f"reach must be positive, got {reach}")
+    ox, oy, z = pose.position
+    cull = reach + _REACH_MARGIN
     solids: list = []
     if z <= scene.building.height:
-        solids.append(scene.building.footprint())
+        fp = scene.building.footprint()
+        if fp.distance_to(ox, oy) < cull:
+            solids.append(fp)
     for o in scene.obstacles:
-        if z <= o.height:
+        ocx, ocy = o.center_xy
+        if z <= o.height and math.hypot(ox - ocx, oy - ocy) - o.radius < cull:
             solids.append(o)
     if not solids:
         return LaserScan(angle_min, angle_max, n_bins, range_max,
@@ -254,7 +273,6 @@ def simulate_scan(scene: Scene, pose: TrueState,
     cy, sy = math.cos(yaw), math.sin(yaw)
     dx = cy * cos_b - sy * sin_b
     dy = sy * cos_b + cy * sin_b
-    ox, oy = pose.position[0], pose.position[1]
 
     best = np.full(n_bins, np.inf)
     for s in solids:

@@ -182,6 +182,13 @@ def test_engage_threshold_is_strict():
     assert s.front
 
 
+def test_scan_beyond_engage_is_clear():
+    # every bin at or beyond d_engage: the early exit gives the default
+    s = classify_sectors(scan_of({0: 3.0, 4: 3.0, 8: 7.5}), None, (0, 0),
+                         0.0, d_engage=3.0)
+    assert s == ObstacleSectors()
+
+
 def test_nearest_return_wins_per_sector():
     s = classify_sectors(scan_of({3: 2.0, 4: 0.7, 5: 1.4}), None, (0, 0), 0.0)
     assert s.dist_front == 0.7

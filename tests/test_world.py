@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from facadesim.control import classify_sectors
 from facadesim.geometry import quat_from_euler
 from facadesim.vehicle import TrueState
 from facadesim.world import (
@@ -205,6 +206,35 @@ def test_scan_validation():
         simulate_scan(scene, pose(0, 8, 1), n_bins=1)
     with pytest.raises(ValueError):
         simulate_scan(scene, pose(0, 8, 1), range_max=0.0)
+    # `distance < nan` is False, so a NaN reach would cull every solid
+    for reach in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            simulate_scan(scene, pose(0, 8, 1), reach=reach)
+
+
+# The examples put the pose exactly `reach` from the west face of
+# scan_scene's footprint (x = -5) and from the surface of obstacle 0
+# (centre (9, 2), radius 0.4), with a bin pointing straight at it.  Both
+# hits round to just below `reach` (2.4999999999999996 and
+# 2.0999999999999996), so a cull without its margin would drop them.
+@given(st.floats(-14.0, 14.0), st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
+       st.floats(-math.pi, math.pi),
+       st.floats(0.0, 20.0, exclude_min=True))
+@example(-7.5, 0.0, 1.0, 0.12217304763960302, -5.0 - -7.5)
+@example(11.5, 2.0, 1.0, math.pi, math.hypot(11.5 - 9.0, 0.0) - 0.4)
+@settings(max_examples=60, deadline=None)
+def test_scan_reach_cull_is_exact_below_reach(x, y, z, yaw, reach):
+    scene = scan_scene()
+    state = pose(x, y, z, yaw)
+    full = simulate_scan(scene, state)
+    culled = simulate_scan(scene, state, reach=reach)
+    for c, f in zip(culled.ranges, full.ranges):
+        assert c >= f
+        if f < reach:
+            assert c == f
+    mask = scene.building.footprint().expanded(0.5)
+    assert (classify_sectors(culled, mask, (x, y), yaw, d_engage=reach)
+            == classify_sectors(full, mask, (x, y), yaw, d_engage=reach))
 
 
 @given(st.floats(6.0, 14.0), st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
