@@ -170,13 +170,30 @@ def _error_stats(rows, first: int) -> tuple[float, float]:
     return math.sqrt(worst), math.sqrt(acc / n)
 
 
+def _read_captures(path: Path) -> tuple[int, int]:
+    """Number of captures and of crack-labeled captures."""
+    with open(path, newline="") as fh:
+        labels = [c["label"] for c in csv.DictReader(fh)]
+    return len(labels), labels.count("crack")
+
+
+def _read_json(path: Path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def cmd_report(args) -> int:
     out = Path(args.out)
-    traj_path = out / TRAJECTORY_CSV
-    if not traj_path.is_file():
-        print(f"no run found in {out}", file=sys.stderr)
-        return EXIT_IO
-    rows = _read_trajectory(traj_path)
+    parsed = []
+    for path, read in ((out / TRAJECTORY_CSV, _read_trajectory),
+                       (out / CAPTURE_CSV, _read_captures),
+                       (out / REPORT_JSON, _read_json)):
+        try:
+            parsed.append(read(path) if path.is_file() else None)
+        except (ValueError, IndexError, KeyError) as e:
+            print(f"malformed run file {path}: {e!r}", file=sys.stderr)
+            return EXIT_IO
+    rows, captures, rep = parsed
     if not rows:
         print(f"no run found in {out}", file=sys.stderr)
         return EXIT_IO
@@ -190,17 +207,9 @@ def cmd_report(args) -> int:
     else:
         print("dr/kalman max-error ratio: n/a (errors below 1e-12)")
 
-    cap_path = out / CAPTURE_CSV
-    if cap_path.is_file():
-        with open(cap_path, newline="") as fh:
-            captures = list(csv.DictReader(fh))
-        cracks = sum(1 for c in captures if c["label"] == "crack")
-        print(f"captures: {len(captures)} ({cracks} crack-labeled)")
-
-    rep_path = out / REPORT_JSON
-    if rep_path.is_file():
-        with open(rep_path) as fh:
-            rep = json.load(fh)
+    if captures is not None:
+        print(f"captures: {captures[0]} ({captures[1]} crack-labeled)")
+    if rep is not None:
         clear = rep.get("min_obstacle_clearance_m")
         print("min obstacle clearance: "
               + ("n/a (no obstacles)" if clear is None else f"{clear:.3f} m"))

@@ -9,6 +9,15 @@ The three axes share one covariance: they have identical Q, R, P0 and H,
 and the covariance recursion never reads a measurement, so three separate
 P matrices would be equal at every step.  Only the [p, v, a] states differ.
 
+InertialEstimator carries only the part of that covariance the gain reads:
+column 2 and row 2 of P.  With H = [0, 0, 1] the gain is P[:,2] S^-1 with
+S = P22 + R, and under F = [[1,d,h],[0,1,d],[0,0,1]] these five entries
+predict and update from each other alone, so the recursion is closed and
+the filter is exact; P00, P01 and P11 are never read.  Row and column are
+kept apart because P0 and Q may be asymmetric within the symmetry check's
+tolerance.  The full P, e.g. a position sigma of sqrt(P00), is still
+available from kalman_predict / kalman_update.
+
 A naive dead-reckoning pipeline (raw gyro attitude, double-integrated
 acceleration) is kept alongside as the uncorrected baseline.
 """
@@ -103,9 +112,8 @@ def _predict_covariance(p: Mat3, q: Mat3, d: float, h: float) -> Mat3:
         for a, qi in zip((a0, a1, r2), q))
 
 
-def _update_covariance(p: Mat3, r) -> tuple[tuple, Mat3]:
-    """Gain (P[:,2], c0, c1), K[i][j] = P[i][2] * c[j], and posterior P."""
-    p22 = p[2][2]
+def _innovation_gain(p22: float, r) -> tuple[float, float]:
+    """Column sums (c0, c1) of S^-1, S = H P H^T + R = P22 + R."""
     s00 = p22 + r[0][0]
     s01 = p22 + r[0][1]
     s10 = p22 + r[1][0]
@@ -114,9 +122,13 @@ def _update_covariance(p: Mat3, r) -> tuple[tuple, Mat3]:
     if abs(det) < 1e-30:
         raise InvalidScenario("measurement covariance is singular; "
                               "R must make H P H^T + R invertible")
-    # column sums of S^-1
-    c0 = (s11 - s10) / det
-    c1 = (s00 - s01) / det
+    return (s11 - s10) / det, (s00 - s01) / det
+
+
+def _update_covariance(p: Mat3, r) -> tuple[tuple, Mat3]:
+    """Gain (P[:,2], c0, c1), K[i][j] = P[i][2] * c[j], and posterior P."""
+    p22 = p[2][2]
+    c0, c1 = _innovation_gain(p22, r)
     col = (p[0][2], p[1][2], p22)
     # (I - K H) P = P - kappa (x) P[2,:], kappa_i = K[i][0] + K[i][1]
     cc = c0 + c1
@@ -191,7 +203,8 @@ class InertialEstimator:
 
     Attitude comes from IMU 1 alone; both IMUs contribute world-frame
     acceleration measurements to every axis filter.  The axes share one
-    covariance (see the module docstring) and keep their own [p, v, a].
+    covariance, of which only column and row 2 are carried (see the module
+    docstring), and keep their own [p, v, a].
     """
 
     def __init__(self, cfg: KalmanConfig, gain: ComplementaryGain,
@@ -203,7 +216,12 @@ class InertialEstimator:
         self.gain = gain
         self.dt = dt
         self.attitude = AttitudeEstimate.level(initial_yaw)
-        self.P = cfg.P0
+        p, q = cfg.P0, cfg.Q
+        # P[:,2] and P[2,:2], with the Q entries they read; see the module
+        # docstring.
+        self._col = (p[0][2], p[1][2], p[2][2])
+        self._row = (p[2][0], p[2][1])
+        self._q = (q[0][2], q[1][2], q[2][2], q[2][0], q[2][1])
         self.axes: list[Vec3] = [
             (initial_position[i] + cfg.x0[0], cfg.x0[1], cfg.x0[2])
             for i in range(3)
@@ -214,10 +232,31 @@ class InertialEstimator:
         self.attitude = complementary_step(self.attitude, imu1, self.gain, d)
         a1 = world_accel(imu1, self.attitude)
         a2 = world_accel(imu2, self.attitude)
-        kalman_gain, self.P = _update_covariance(
-            _predict_covariance(self.P, self.cfg.Q, d, h), self.cfg.R)
-        self.axes = [_update_state(_predict_state(x, d, h), z, kalman_gain)
-                     for x, z in zip(self.axes, zip(a1, a2))]
+        c02, c12, c22 = self._col
+        r20, r21 = self._row
+        q02, q12, q22, q20, q21 = self._q
+        # The expressions below keep the operand order of
+        # _predict_covariance, _update_covariance, _predict_state and
+        # _update_state, so the results are bit-identical to theirs.
+        p02 = c02 + d * c12 + h * c22 + q02
+        p12 = c12 + d * c22 + q12
+        p22 = c22 + q22
+        p20 = r20 + d * r21 + h * c22 + q20
+        p21 = r21 + d * c22 + q21
+        c0, c1 = _innovation_gain(p22, self.cfg.R)
+        cc = c0 + c1
+        k2 = p22 * cc
+        s02 = 0.5 * ((p02 - p02 * cc * p22) + (p20 - k2 * p20))
+        s12 = 0.5 * ((p12 - p12 * cc * p22) + (p21 - k2 * p21))
+        raw22 = p22 - k2 * p22
+        self._col = (s02, s12, 0.5 * (raw22 + raw22))
+        self._row = (s02, s12)
+        axes = []
+        for (x, v, a), z1, z2 in zip(self.axes, a1, a2):
+            u = c0 * (z1 - a) + c1 * (z2 - a)
+            axes.append((x + d * v + h * a + p02 * u, v + d * a + p12 * u,
+                         a + p22 * u))
+        self.axes = axes
         return self.state()
 
     def state(self) -> EstimatedState:

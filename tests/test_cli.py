@@ -256,6 +256,33 @@ def test_report_on_empty_dir_exits_4(tmp_path, capsys):
     assert main(["report", "--out", str(run)]) == 4
 
 
+_GOOD_ROW = "0,1,2,3,1,2,3,1,2,3,Done"
+
+
+@pytest.mark.parametrize("files", [
+    {"trajectory.csv": "t,x\n0,1\n"},
+    {"trajectory.csv": ",".join(TRAJ_HEADER)
+        + "\n0,1,2,3,oops,2,3,1,2,3,Done\n"},
+    {"trajectory.csv": ",".join(TRAJ_HEADER) + "\n0,1,2\n"},
+    {"captures.csv": ",".join(CAPTURE_HEADER[:-1]) + "\n0,1,0,0,0,1,0,0,0\n"},
+    {"report.json": '{"faults": ['},
+], ids=["missing_column", "non_numeric", "short_row", "captures_no_label",
+        "bad_json"])
+def test_report_on_malformed_file_exits_4(tmp_path, capsys, files):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "trajectory.csv").write_text(",".join(TRAJ_HEADER) + "\n"
+                                        + _GOOD_ROW + "\n")
+    for name, text in files.items():
+        (run / name).write_text(text)
+    assert main(["report", "--out", str(run)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("malformed run file ")
+    assert str(run / next(iter(files))) in line
+
+
 def test_watchdog_abort_exits_3(tiny_yaml, tmp_path, capsys):
     out = tmp_path / "aborted"
     rc = main(["mission", "--config", str(tiny_yaml), "--out", str(out),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facadesim.attitude import AttitudeEstimate, ComplementaryGain
@@ -37,6 +37,7 @@ from facadesim.vehicle import (
 )
 
 DT = 0.01
+SINGULAR = "measurement covariance is singular"
 
 F = np.array([[1.0, DT, 0.5 * DT * DT], [0.0, 1.0, DT], [0.0, 0.0, 1.0]])
 H = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
@@ -143,7 +144,7 @@ def test_covariance_stays_symmetric_psd():
 def test_update_singular_innovation_raises():
     cfg = KalmanConfig(R=((0.0, 0.0), (0.0, 0.0)))
     state = KalmanState(x=(0.0, 0.0, 0.0), P=diag3(1.0, 1.0, 0.0))
-    with pytest.raises(InvalidScenario):
+    with pytest.raises(InvalidScenario, match=SINGULAR):
         kalman_update(state, (0.1, 0.2), cfg)
 
 
@@ -290,39 +291,98 @@ def test_estimator_tracks_truth_without_noise():
     assert worst_pos < 0.05
 
 
-def test_estimator_shared_covariance_matches_per_axis_filters():
-    """One covariance for three axes is exact: each axis equals its own
-    kalman_predict -> kalman_update chain, bit for bit."""
-    cfg = KalmanConfig.for_accel_noise(0.05)
-    start = (1.0, -2.0, 3.0)
+def _manoeuvre(n, dt, yaw, start):
+    """IMU 1 and IMU 2 samples over n steps of velocity and yaw-rate steps."""
     imu1 = Imu(SensorParams(), seed=4, imu_id=0)
     imu2 = Imu(SensorParams(), seed=4, imu_id=1)
-    est = InertialEstimator(cfg, ComplementaryGain(0.98), start,
-                            initial_yaw=0.3, dt=DT)
-    axes = [KalmanState(x=(start[i] + cfg.x0[0], cfg.x0[1], cfg.x0[2]),
-                        P=cfg.P0) for i in range(3)]
-    true = TrueState.at_rest(start, yaw=0.3)
-    max_rate = max_tilt = 0.0
-    for k in range(500):
+    true = TrueState.at_rest(start, yaw=yaw)
+    samples = []
+    for k in range(n):
         phase = (k // 100) % 4
         cmd = VelocityCommand(
             v_body=[(2.0, 0, 0.3), (0, -1.5, 0), (-1.0, 1.0, -0.2),
                     (0, 0, 0)][phase],
             yaw_rate=[0.4, -0.6, 0.2, 0.0][phase])
-        s1 = imu1.measure(true)
-        s2 = imu2.measure(true)
+        samples.append((imu1.measure(true), imu2.measure(true)))
+        true = step_dynamics(true, cmd, VehicleParams(), dt)
+    return samples
+
+
+def _assert_estimator_matches_full_p_chains(cfg, dt, samples, start, yaw):
+    """The estimator's positions and velocities == three independent
+    kalman_predict -> kalman_update chains, one per axis, at every step."""
+    est = InertialEstimator(cfg, ComplementaryGain(0.98), start,
+                            initial_yaw=yaw, dt=dt)
+    axes = [KalmanState(x=(start[i] + cfg.x0[0], cfg.x0[1], cfg.x0[2]),
+                        P=cfg.P0) for i in range(3)]
+    for s1, s2 in samples:
         out = est.step(s1, s2)
         a1 = world_accel(s1, out.attitude)
         a2 = world_accel(s2, out.attitude)
         for i in range(3):
-            axes[i] = kalman_update(kalman_predict(axes[i], cfg, DT),
+            axes[i] = kalman_update(kalman_predict(axes[i], cfg, dt),
                                     (a1[i], a2[i]), cfg)
         assert out.position == tuple(a.x[0] for a in axes)
         assert out.velocity == tuple(a.x[1] for a in axes)
-        max_rate = max(max_rate, max(abs(g) for g in s1.gyro))
-        max_tilt = max(max_tilt, abs(s1.accel[0]), abs(s1.accel[1]))
-        true = step_dynamics(true, cmd, VehicleParams(), DT)
+
+
+def test_estimator_shared_covariance_matches_per_axis_filters():
+    """One covariance for three axes is exact: each axis equals its own
+    kalman_predict -> kalman_update chain, bit for bit."""
+    start = (1.0, -2.0, 3.0)
+    samples = _manoeuvre(500, DT, 0.3, start)
+    _assert_estimator_matches_full_p_chains(
+        KalmanConfig.for_accel_noise(0.05), DT, samples, start, 0.3)
+    max_rate = max(abs(g) for s1, _ in samples for g in s1.gyro)
+    max_tilt = max(max(abs(s1.accel[0]), abs(s1.accel[1]))
+                   for s1, _ in samples)
     assert max_rate > 0.1 and max_tilt > 0.1   # the stream did manoeuvre
+
+
+@st.composite
+def _near_symmetric(draw, lo, hi):
+    """Correlated 3x3 whose [0][2]/[2][0] and [1][2]/[2][1] differ by up to
+    5e-10, inside KalmanConfig's symmetry tolerance of 1e-9."""
+    d0, d1, d2 = (draw(st.floats(lo, hi)) for _ in range(3))
+    r01, r02, r12 = (draw(st.floats(-0.5, 0.5)) for _ in range(3))
+    e02, e12 = (draw(st.floats(-5e-10, 5e-10)) for _ in range(2))
+    m01 = r01 * math.sqrt(d0 * d1)
+    m02 = r02 * math.sqrt(d0 * d2)
+    m12 = r12 * math.sqrt(d1 * d2)
+    return ((d0, m01, m02), (m01, d1, m12), (m02 + e02, m12 + e12, d2))
+
+
+@st.composite
+def _kalman_configs(draw):
+    r00, r11 = (draw(st.floats(1e-5, 0.1)) for _ in range(2))
+    r01 = draw(st.floats(-0.5, 0.5)) * math.sqrt(r00 * r11)
+    return KalmanConfig(Q=draw(_near_symmetric(1e-7, 0.1)),
+                        R=((r00, r01), (r01, r11)),
+                        x0=(0.05, -0.02, 0.1),
+                        P0=draw(_near_symmetric(1e-6, 1.0)))
+
+
+@given(cfg=_kalman_configs(), dt=st.sampled_from((0.005, 0.01, 0.0137)))
+@example(cfg=KalmanConfig(P0=((1e-4, 0.0, 2e-5), (0.0, 1e-4, -3e-5),
+                              (2e-5 + 5e-10, -3e-5 - 4e-10, 1e-2))),
+         dt=DT)
+@settings(deadline=None)
+def test_estimator_exact_for_any_config(cfg, dt):
+    """The estimator carries only the covariance column and row the gain
+    reads; with non-diagonal, slightly asymmetric Q and P0 and correlated R
+    it still equals the full-P chains bit for bit."""
+    start = (4.0, 1.0, -2.0)
+    _assert_estimator_matches_full_p_chains(
+        cfg, dt, _manoeuvre(150, dt, -0.7, start), start, -0.7)
+
+
+def test_estimator_singular_innovation_raises():
+    est = InertialEstimator(KalmanConfig(R=((0.0, 0.0), (0.0, 0.0))),
+                            ComplementaryGain(0.98), (0.0, 0.0, 0.0), dt=DT)
+    sample = ImuSample(gyro=(0.0, 0.0, 0.0), accel=(0.0, 0.0, GRAVITY),
+                       mag=(1.0, 0.0, 0.0), time=DT)
+    with pytest.raises(InvalidScenario, match=SINGULAR):
+        est.step(sample, sample)
 
 
 def test_estimator_state_shape():

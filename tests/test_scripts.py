@@ -1,0 +1,27 @@
+"""The scripts in scripts/ run end to end as standalone programs."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(*args):
+    return subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_hover_filter_comparison_writes_one_row_per_step():
+    proc = _run(SCRIPTS / "hover_filter_comparison.py", "--duration", "1")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header == "t_s,kalman_err_m,dead_reckoning_err_m,true_err_m"
+    assert len(rows) == 100
+    assert all(len(r.split(",")) == 4 for r in rows)
+
+
+def test_run_default_mission_help():
+    proc = _run(SCRIPTS / "run_default_mission.py", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "--config" in proc.stdout
