@@ -66,7 +66,12 @@ def mag_yaw(mag: Vec3, roll: float, pitch: float) -> float:
     return math.atan2(-hy, hx)
 
 
-def _gyro_euler_rates(gyro: Vec3, roll: float, pitch: float) -> Vec3:
+def _complementary(roll: float, pitch: float, yaw: float, gyro: Vec3,
+                   accel: Vec3, mag: Vec3, alpha: float, dt: float,
+                   ) -> tuple[float, float, float, Quat]:
+    """One filter step: (roll, pitch, yaw, quat), with quat built from the
+    blended angles before they are brought to canonical ranges."""
+    # gyro rates to Euler-angle rates at the previous roll and pitch
     p, q, r = gyro
     sr, cr = math.sin(roll), math.cos(roll)
     sp, cp = math.sin(pitch), math.cos(pitch)
@@ -76,41 +81,40 @@ def _gyro_euler_rates(gyro: Vec3, roll: float, pitch: float) -> Vec3:
     droll = p + (q * sr + r * cr) * tp
     dpitch = q * cr - r * sr
     dyaw = (q * sr + r * cr) / cp
-    return droll, dpitch, dyaw
+    g_roll = wrap_angle(roll + droll * dt)
+    g_pitch = pitch + dpitch * dt
+    g_yaw = wrap_angle(yaw + dyaw * dt)
 
+    alpha_rp = alpha
+    try:
+        m_roll, m_pitch = accel_roll_pitch(accel)
+    except GravityUnobservable:
+        m_roll, m_pitch = g_roll, g_pitch
+        alpha_rp = 1.0
 
-def _blend(gyro_angle: float, meas_angle: float, alpha: float) -> float:
-    return wrap_angle(gyro_angle +
-                      (1.0 - alpha) * wrap_angle(meas_angle - gyro_angle))
+    alpha_y = alpha
+    try:
+        m_yaw = mag_yaw(mag, m_roll, m_pitch)
+    except MagneticDegeneracy:
+        m_yaw = g_yaw
+        alpha_y = 1.0
+
+    # blend: gyro angle plus (1 - alpha) of the wrapped measurement residual
+    roll = wrap_angle(g_roll + (1.0 - alpha_rp) * wrap_angle(m_roll - g_roll))
+    pitch = wrap_angle(g_pitch
+                       + (1.0 - alpha_rp) * wrap_angle(m_pitch - g_pitch))
+    yaw = wrap_angle(g_yaw + (1.0 - alpha_y) * wrap_angle(m_yaw - g_yaw))
+
+    quat = quat_from_euler(roll, pitch, yaw)
+    roll, pitch, yaw = euler_from_quat(quat)  # canonical ranges
+    return roll, pitch, yaw, quat
 
 
 def complementary_step(prev: AttitudeEstimate, imu: ImuSample,
                        gain: ComplementaryGain, dt: float) -> AttitudeEstimate:
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    droll, dpitch, dyaw = _gyro_euler_rates(imu.gyro, prev.roll, prev.pitch)
-    g_roll = wrap_angle(prev.roll + droll * dt)
-    g_pitch = prev.pitch + dpitch * dt
-    g_yaw = wrap_angle(prev.yaw + dyaw * dt)
-
-    alpha_rp = gain.alpha
-    try:
-        m_roll, m_pitch = accel_roll_pitch(imu.accel)
-    except GravityUnobservable:
-        m_roll, m_pitch = g_roll, g_pitch
-        alpha_rp = 1.0
-
-    alpha_y = gain.alpha
-    try:
-        m_yaw = mag_yaw(imu.mag, m_roll, m_pitch)
-    except MagneticDegeneracy:
-        m_yaw = g_yaw
-        alpha_y = 1.0
-
-    roll = _blend(g_roll, m_roll, alpha_rp)
-    pitch = _blend(g_pitch, m_pitch, alpha_rp)
-    yaw = _blend(g_yaw, m_yaw, alpha_y)
-
-    quat = quat_from_euler(roll, pitch, yaw)
-    roll, pitch, yaw = euler_from_quat(quat)  # canonical ranges
+    roll, pitch, yaw, quat = _complementary(
+        prev.roll, prev.pitch, prev.yaw, imu.gyro, imu.accel, imu.mag,
+        gain.alpha, dt)
     return AttitudeEstimate(roll, pitch, yaw, quat, prev.time + dt)

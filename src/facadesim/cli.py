@@ -177,9 +177,31 @@ def _read_captures(path: Path) -> tuple[int, int]:
     return len(labels), labels.count("crack")
 
 
-def _read_json(path: Path) -> dict:
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _read_report(path: Path) -> tuple[float | None, list[tuple]]:
+    """Clearance and (id, x, y, z, yaw) per fault from `report.json`;
+    ValueError for JSON of another shape, so nothing half-prints."""
     with open(path) as fh:
-        return json.load(fh)
+        rep = json.load(fh)
+    if not isinstance(rep, dict):
+        raise ValueError("report is not a JSON object")
+    clear, faults = rep.get("min_obstacle_clearance_m"), rep.get("faults", [])
+    if not ((clear is None or _is_number(clear))
+            and isinstance(faults, list)):
+        raise ValueError("min_obstacle_clearance_m or faults has a wrong type")
+    out = []
+    for f in faults:
+        pos = f.get("position") if isinstance(f, dict) else None
+        if not (isinstance(pos, list) and len(pos) == 3
+                and all(map(_is_number, pos + [f.get("yaw")]))
+                and isinstance(f.get("id"), int)):
+            raise ValueError(f"fault {f!r} needs an int id, a 3-number "
+                             f"position and a numeric yaw")
+        out.append((f["id"], *pos, f["yaw"]))
+    return clear, out
 
 
 def cmd_report(args) -> int:
@@ -187,7 +209,7 @@ def cmd_report(args) -> int:
     parsed = []
     for path, read in ((out / TRAJECTORY_CSV, _read_trajectory),
                        (out / CAPTURE_CSV, _read_captures),
-                       (out / REPORT_JSON, _read_json)):
+                       (out / REPORT_JSON, _read_report)):
         try:
             parsed.append(read(path) if path.is_file() else None)
         except (ValueError, IndexError, KeyError) as e:
@@ -210,13 +232,12 @@ def cmd_report(args) -> int:
     if captures is not None:
         print(f"captures: {captures[0]} ({captures[1]} crack-labeled)")
     if rep is not None:
-        clear = rep.get("min_obstacle_clearance_m")
+        clear, faults = rep
         print("min obstacle clearance: "
               + ("n/a (no obstacles)" if clear is None else f"{clear:.3f} m"))
-        for f in rep.get("faults", []):
-            x, y, z = f["position"]
-            print(f"fault {f['id']}: ({x:.3f}, {y:.3f}, {z:.3f}) m, "
-                  f"yaw {math.degrees(f['yaw']):.1f} deg")
+        for fid, x, y, z, yaw in faults:
+            print(f"fault {fid}: ({x:.3f}, {y:.3f}, {z:.3f}) m, "
+                  f"yaw {math.degrees(yaw):.1f} deg")
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .estimation import EstimatedState
-from .geometry import Rect, quat_rotate_inverse, wrap_angle
+from .geometry import Quat, Rect, Vec3, quat_rotate_inverse, wrap_angle
 from .planner import Waypoint
 from .vehicle import VelocityCommand
 from .world import LaserScan
@@ -38,16 +38,45 @@ class PidState:
     initialized: bool = False
 
 
-def pid_step(gains: PidGains, state: PidState, error: float, dt: float,
-             i_max: float = 100.0) -> tuple[float, PidState]:
+def _pid(gains: PidGains, pid: tuple[float, float, bool], error: float,
+         dt: float, i_max: float = 100.0) -> tuple[float, tuple]:
+    """Output and the next (integral, prev_error, initialized) of a PID."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    integral = state.integral + error * dt
+    integral, prev_error, initialized = pid
+    integral = integral + error * dt
     integral = max(-i_max, min(i_max, integral))
-    prev = error if not state.initialized else state.prev_error
+    prev = error if not initialized else prev_error
     derivative = (error - prev) / dt
     out = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    return out, PidState(integral=integral, prev_error=error, initialized=True)
+    return out, (integral, error, True)
+
+
+def pid_step(gains: PidGains, state: PidState, error: float, dt: float,
+             i_max: float = 100.0) -> tuple[float, PidState]:
+    out, pid = _pid(gains, (state.integral, state.prev_error,
+                            state.initialized), error, dt, i_max)
+    return out, PidState(*pid)
+
+
+def _track(position: Vec3, quat: Quat, yaw: float, wp: Waypoint,
+           gains: PidGains, pid: tuple, dt: float, v_max: float,
+           kp_yaw: float, yaw_rate_max: float) -> tuple[Vec3, float, tuple]:
+    """(v_body, yaw_rate, next PID state) toward wp from the estimate."""
+    dx = wp.position[0] - position[0]
+    dy = wp.position[1] - position[1]
+    dz = wp.position[2] - position[2]
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    speed, pid = _pid(gains, pid, dist, dt)
+    speed = max(0.0, min(v_max, speed))
+    if dist > 1e-9 and speed > 0.0:
+        k = speed / dist
+        v_body = quat_rotate_inverse(quat, (dx * k, dy * k, dz * k))
+    else:
+        v_body = (0.0, 0.0, 0.0)
+    yaw_err = wrap_angle(wp.yaw - yaw)
+    yaw_rate = max(-yaw_rate_max, min(yaw_rate_max, kp_yaw * yaw_err))
+    return v_body, yaw_rate, pid
 
 
 def track_waypoint(est: EstimatedState, wp: Waypoint, gains: PidGains,
@@ -55,21 +84,11 @@ def track_waypoint(est: EstimatedState, wp: Waypoint, gains: PidGains,
                    kp_yaw: float = 1.0, yaw_rate_max: float = 1.0,
                    ) -> tuple[VelocityCommand, PidState]:
     """Scalar PID on distance gives speed; direction is straight at the goal."""
-    dx = wp.position[0] - est.position[0]
-    dy = wp.position[1] - est.position[1]
-    dz = wp.position[2] - est.position[2]
-    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    speed, new_state = pid_step(gains, state, dist, dt)
-    speed = max(0.0, min(v_max, speed))
-    if dist > 1e-9 and speed > 0.0:
-        k = speed / dist
-        v_world = (dx * k, dy * k, dz * k)
-        v_body = quat_rotate_inverse(est.attitude.quat, v_world)
-    else:
-        v_body = (0.0, 0.0, 0.0)
-    yaw_err = wrap_angle(wp.yaw - est.attitude.yaw)
-    yaw_rate = max(-yaw_rate_max, min(yaw_rate_max, kp_yaw * yaw_err))
-    return VelocityCommand(v_body=v_body, yaw_rate=yaw_rate), new_state
+    v_body, yaw_rate, pid = _track(
+        est.position, est.attitude.quat, est.attitude.yaw, wp, gains,
+        (state.integral, state.prev_error, state.initialized), dt, v_max,
+        kp_yaw, yaw_rate_max)
+    return VelocityCommand(v_body=v_body, yaw_rate=yaw_rate), PidState(*pid)
 
 
 @dataclass(frozen=True)

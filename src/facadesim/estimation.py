@@ -89,10 +89,15 @@ class KalmanState:
     time: float = 0.0
 
 
+def _to_world(quat: Quat, accel: Vec3) -> Vec3:
+    """Body specific force rotated to world with gravity added back."""
+    ax, ay, az = quat_rotate(quat, accel)
+    return (ax + G_VEC[0], ay + G_VEC[1], az + G_VEC[2])
+
+
 def world_accel(imu: ImuSample, att: AttitudeEstimate) -> Vec3:
     """Specific force rotated to world with gravity added back."""
-    ax, ay, az = quat_rotate(att.quat, imu.accel)
-    return (ax + G_VEC[0], ay + G_VEC[1], az + G_VEC[2])
+    return _to_world(att.quat, imu.accel)
 
 
 def _predict_state(x: Vec3, d: float, h: float) -> Vec3:
@@ -148,6 +153,37 @@ def _update_state(x: Vec3, z: tuple[float, float], gain) -> Vec3:
     return (x[0] + k0 * u, x[1] + k1 * u, x[2] + k2 * u)
 
 
+def _filter(col: Vec3, row: tuple[float, float], q: tuple, r, axes,
+            a1: Vec3, a2: Vec3, d: float, h: float):
+    """One predict and update of P[:,2], P[2,:2] and the three axes, fed the
+    two IMUs' world accelerations a1 and a2: (col, row, axes) after it.
+
+    The expressions keep the operand order of _predict_covariance,
+    _update_covariance, _predict_state and _update_state, so the results
+    are bit-identical to theirs.
+    """
+    c02, c12, c22 = col
+    r20, r21 = row
+    q02, q12, q22, q20, q21 = q
+    p02 = c02 + d * c12 + h * c22 + q02
+    p12 = c12 + d * c22 + q12
+    p22 = c22 + q22
+    p20 = r20 + d * r21 + h * c22 + q20
+    p21 = r21 + d * c22 + q21
+    c0, c1 = _innovation_gain(p22, r)
+    cc = c0 + c1
+    k2 = p22 * cc
+    s02 = 0.5 * ((p02 - p02 * cc * p22) + (p20 - k2 * p20))
+    s12 = 0.5 * ((p12 - p12 * cc * p22) + (p21 - k2 * p21))
+    raw22 = p22 - k2 * p22
+    new_axes = []
+    for (x, v, a), z1, z2 in zip(axes, a1, a2):
+        u = c0 * (z1 - a) + c1 * (z2 - a)
+        new_axes.append((x + d * v + h * a + p02 * u, v + d * a + p12 * u,
+                         a + p22 * u))
+    return (s02, s12, 0.5 * (raw22 + raw22)), (s02, s12), new_axes
+
+
 def kalman_predict(state: KalmanState, cfg: KalmanConfig,
                    dt: float) -> KalmanState:
     if dt <= 0.0:
@@ -174,20 +210,22 @@ def dead_reckon(accel_stream, dt: float) -> list[Vec3]:
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     trace = [(0.0, 0.0, 0.0)]
-    vx = vy = vz = 0.0
-    px = py = pz = 0.0
-    prev = stream[0]
-    for a in stream[1:]:
-        nvx = vx + 0.5 * (prev[0] + a[0]) * dt
-        nvy = vy + 0.5 * (prev[1] + a[1]) * dt
-        nvz = vz + 0.5 * (prev[2] + a[2]) * dt
-        px += 0.5 * (vx + nvx) * dt
-        py += 0.5 * (vy + nvy) * dt
-        pz += 0.5 * (vz + nvz) * dt
-        vx, vy, vz = nvx, nvy, nvz
-        trace.append((px, py, pz))
-        prev = a
+    vel = (0.0, 0.0, 0.0)
+    for prev, a in zip(stream, stream[1:]):
+        pos, vel = _trapezoid(trace[-1], vel, prev, a, dt)
+        trace.append(pos)
     return trace
+
+
+def _trapezoid(pos: Vec3, vel: Vec3, prev_accel: Vec3, accel: Vec3,
+               dt: float) -> tuple[Vec3, Vec3]:
+    """One trapezoid-rule step of velocity, then position: (pos, vel)."""
+    vx = vel[0] + 0.5 * (prev_accel[0] + accel[0]) * dt
+    vy = vel[1] + 0.5 * (prev_accel[1] + accel[1]) * dt
+    vz = vel[2] + 0.5 * (prev_accel[2] + accel[2]) * dt
+    return (pos[0] + 0.5 * (vel[0] + vx) * dt,
+            pos[1] + 0.5 * (vel[1] + vy) * dt,
+            pos[2] + 0.5 * (vel[2] + vz) * dt), (vx, vy, vz)
 
 
 @dataclass(frozen=True)
@@ -228,35 +266,12 @@ class InertialEstimator:
         ]
 
     def step(self, imu1: ImuSample, imu2: ImuSample) -> EstimatedState:
-        d, h = self.dt, 0.5 * self.dt * self.dt
+        d = self.dt
         self.attitude = complementary_step(self.attitude, imu1, self.gain, d)
-        a1 = world_accel(imu1, self.attitude)
-        a2 = world_accel(imu2, self.attitude)
-        c02, c12, c22 = self._col
-        r20, r21 = self._row
-        q02, q12, q22, q20, q21 = self._q
-        # The expressions below keep the operand order of
-        # _predict_covariance, _update_covariance, _predict_state and
-        # _update_state, so the results are bit-identical to theirs.
-        p02 = c02 + d * c12 + h * c22 + q02
-        p12 = c12 + d * c22 + q12
-        p22 = c22 + q22
-        p20 = r20 + d * r21 + h * c22 + q20
-        p21 = r21 + d * c22 + q21
-        c0, c1 = _innovation_gain(p22, self.cfg.R)
-        cc = c0 + c1
-        k2 = p22 * cc
-        s02 = 0.5 * ((p02 - p02 * cc * p22) + (p20 - k2 * p20))
-        s12 = 0.5 * ((p12 - p12 * cc * p22) + (p21 - k2 * p21))
-        raw22 = p22 - k2 * p22
-        self._col = (s02, s12, 0.5 * (raw22 + raw22))
-        self._row = (s02, s12)
-        axes = []
-        for (x, v, a), z1, z2 in zip(self.axes, a1, a2):
-            u = c0 * (z1 - a) + c1 * (z2 - a)
-            axes.append((x + d * v + h * a + p02 * u, v + d * a + p12 * u,
-                         a + p22 * u))
-        self.axes = axes
+        self._col, self._row, self.axes = _filter(
+            self._col, self._row, self._q, self.cfg.R, self.axes,
+            world_accel(imu1, self.attitude), world_accel(imu2, self.attitude),
+            d, 0.5 * d * d)
         return self.state()
 
     def state(self) -> EstimatedState:
@@ -283,23 +298,20 @@ class DeadReckoner:
         self._prev_accel: Vec3 | None = None
 
     def step(self, imu: ImuSample) -> Vec3:
-        gx, gy, gz = imu.gyro
-        dq = quat_from_rotvec((gx * self.dt, gy * self.dt, gz * self.dt))
-        self.quat = quat_normalize(quat_multiply(self.quat, dq))
-        fx, fy, fz = quat_rotate(self.quat, imu.accel)
-        a = (fx + G_VEC[0], fy + G_VEC[1], fz + G_VEC[2])
-        prev = self._prev_accel
-        if prev is None:
-            self._prev_accel = a
-            return self.position
-        vx = self.velocity[0] + 0.5 * (prev[0] + a[0]) * self.dt
-        vy = self.velocity[1] + 0.5 * (prev[1] + a[1]) * self.dt
-        vz = self.velocity[2] + 0.5 * (prev[2] + a[2]) * self.dt
-        self.position = (
-            self.position[0] + 0.5 * (self.velocity[0] + vx) * self.dt,
-            self.position[1] + 0.5 * (self.velocity[1] + vy) * self.dt,
-            self.position[2] + 0.5 * (self.velocity[2] + vz) * self.dt,
-        )
-        self.velocity = (vx, vy, vz)
-        self._prev_accel = a
+        self.quat, self.position, self.velocity, self._prev_accel = _reckon(
+            self.quat, self.position, self.velocity, self._prev_accel,
+            imu.gyro, imu.accel, self.dt)
         return self.position
+
+
+def _reckon(quat: Quat, pos: Vec3, vel: Vec3, prev_accel: Vec3 | None,
+            gyro: Vec3, accel: Vec3, dt: float):
+    """One dead-reckoning step: (quat, pos, vel, world accel) after it; the
+    first step (no prev_accel) only records the acceleration."""
+    gx, gy, gz = gyro
+    dq = quat_from_rotvec((gx * dt, gy * dt, gz * dt))
+    quat = quat_normalize(quat_multiply(quat, dq))
+    a = _to_world(quat, accel)
+    if prev_accel is not None:
+        pos, vel = _trapezoid(pos, vel, prev_accel, a, dt)
+    return quat, pos, vel, a

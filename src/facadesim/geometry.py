@@ -32,16 +32,15 @@ def angle_diff(a: float, b: float) -> float:
 
 # -- vectors ----------------------------------------------------------------
 
-def v_sub(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
 def v_norm(a: Vec3) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
 def v_dist(a: Vec3, b: Vec3) -> float:
-    return v_norm(v_sub(a, b))
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    dz = a[2] - b[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 # -- quaternions ------------------------------------------------------------

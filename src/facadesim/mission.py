@@ -9,21 +9,28 @@ the loggers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 
-from .attitude import ComplementaryGain
-from .config import ScenarioConfig
+from .attitude import ComplementaryGain, _complementary
+from .config import MissionParams, ScenarioConfig
 from .control import (
     AvoidanceState,
     PidGains,
     PidState,
+    _track,
     avoidance_command,
     classify_sectors,
-    track_waypoint,
 )
 from .errors import MissionAborted
-from .estimation import DeadReckoner, InertialEstimator, KalmanConfig
+from .estimation import (
+    DeadReckoner,
+    InertialEstimator,
+    KalmanConfig,
+    _filter,
+    _reckon,
+    _to_world,
+)
 from .geometry import Vec3, quat_from_euler, v_dist, yaw_of
 from .perception import (
     CaptureRecord,
@@ -38,9 +45,15 @@ from .planner import (
     generate_perimeter_path,
     plan_return_path,
 )
-from .sensors import Imu, SensorParams
-from .vehicle import TrueState, VehicleParams, step_dynamics
+from .sensors import Imu, SensorParams, _body_fields, _corrupt, _mag_reading
+from .vehicle import TrueState, VehicleParams, _fly, _lag
 from .world import simulate_scan, visible_decals
+
+# The step kernel calls the cores of these two, but they stay names of this
+# module: perfbench/workloads.py wraps mission.track_waypoint and
+# mission.step_dynamics in its traced runs.
+from .control import track_waypoint  # noqa: F401
+from .vehicle import step_dynamics  # noqa: F401
 
 
 class MissionPhase(Enum):
@@ -94,21 +107,76 @@ def _cylinder_clearance(o, p: Vec3) -> float:
     return math.sqrt(horiz * horiz + dz * dz)
 
 
-def _sensing(sensors: SensorParams, seed: int, kalman: KalmanConfig,
-             alpha: float, start: Vec3, yaw: float, dt: float):
-    """Both IMUs, the estimator and the dead reckoner of one run, as one call
-    per step: true state -> (estimate, dead-reckoning position)."""
-    imu1 = Imu(sensors, seed, imu_id=0)
-    imu2 = Imu(sensors, seed, imu_id=1)
-    estimator = InertialEstimator(kalman, ComplementaryGain(alpha), start,
-                                  initial_yaw=yaw, dt=dt)
-    reckoner = DeadReckoner(start, quat_from_euler(0.0, 0.0, yaw), dt=dt)
+def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
+                 alpha: float, start: Vec3, yaw: float, dt: float,
+                 gains: PidGains, vehicle: VehicleParams, kp_yaw: float):
+    """One run's sense -> estimate -> track -> fly step on local scalars.
 
-    def sense(true: TrueState):
-        s1 = imu1.measure(true)   # IMU 1 alone drives attitude and DR
-        return estimator.step(s1, imu2.measure(true)), reckoner.step(s1)
+    Returns sense() -> (est position, dr position, est quat, est yaw),
+    track(wp) -> (v_body, yaw_rate), reset_track() for a fresh tracking PID,
+    fly(v_body, yaw_rate) -> true position, and true_state().  They call the
+    private cores that Imu.measure, InertialEstimator.step,
+    DeadReckoner.step, track_waypoint and step_dynamics wrap, so they equal
+    composing those.  Both IMUs read one pair of world -> body rotations,
+    and IMU 2's gyro and magnetometer, which nothing reads, are skipped.
+    """
+    noise1 = Imu(sensors, seed, imu_id=0)._noise
+    noise2 = Imu(sensors, seed, imu_id=1)._noise
+    est = InertialEstimator(kalman, ComplementaryGain(alpha), start,
+                            initial_yaw=yaw, dt=dt)
+    dr = DeadReckoner(start, quat_from_euler(0.0, 0.0, yaw), dt=dt)
+    pos, vel, att, rates, accel, t_true = astuple(
+        TrueState.at_rest(start, yaw=yaw))
+    gb, sg, ab, sa, sm = (sensors.gyro_bias, sensors.gyro_noise_std,
+                          sensors.accel_bias, sensors.accel_noise_std,
+                          sensors.mag_noise_std)
+    h, lag, R, q = 0.5 * dt * dt, _lag(vehicle.tau, dt), kalman.R, est._q
+    v_max, yaw_rate_max = vehicle.v_max, vehicle.yaw_rate_max
+    roll, pitch, yaw, quat, _ = astuple(est.attitude)
+    col, row, axes = est._col, est._row, est.axes
+    dr_quat, dr_pos, dr_vel = dr.quat, dr.position, dr.velocity
+    dr_accel = dr._prev_accel
+    pid = fresh_pid = astuple(PidState())
 
-    return sense
+    def sense():
+        nonlocal roll, pitch, yaw, quat, col, row, axes
+        nonlocal dr_quat, dr_pos, dr_vel, dr_accel
+        f, m = _body_fields(att, accel)
+        n = next(noise1)   # IMU 1 alone drives attitude and dead reckoning
+        gyro = _corrupt(rates, gb, sg, n, 0)
+        acc1 = _corrupt(f, ab, sa, n, 3)
+        mag = _mag_reading(m, sm, n, 6)
+        acc2 = _corrupt(f, ab, sa, next(noise2), 3)
+        roll, pitch, yaw, quat = _complementary(roll, pitch, yaw, gyro, acc1,
+                                                mag, alpha, dt)
+        col, row, axes = _filter(col, row, q, R, axes, _to_world(quat, acc1),
+                                 _to_world(quat, acc2), dt, h)
+        dr_quat, dr_pos, dr_vel, dr_accel = _reckon(
+            dr_quat, dr_pos, dr_vel, dr_accel, gyro, acc1, dt)
+        return (axes[0][0], axes[1][0], axes[2][0]), dr_pos, quat, yaw
+
+    def track(wp: Waypoint):
+        nonlocal pid
+        v_body, yaw_rate, pid = _track(
+            (axes[0][0], axes[1][0], axes[2][0]), quat, yaw, wp, gains, pid,
+            dt, v_max, kp_yaw, yaw_rate_max)
+        return v_body, yaw_rate
+
+    def reset_track() -> None:
+        nonlocal pid
+        pid = fresh_pid
+
+    def fly(v_body: Vec3, yaw_rate: float) -> Vec3:
+        nonlocal pos, vel, att, rates, accel, t_true
+        pos, vel, att, rates, accel = _fly(pos, vel, att, v_body, yaw_rate,
+                                           vehicle, lag, dt)
+        t_true += dt
+        return pos
+
+    def true_state() -> TrueState:
+        return TrueState(pos, vel, att, rates, accel, t_true)
+
+    return sense, track, reset_track, fly, true_state
 
 
 def run_mission(cfg: ScenarioConfig, seed: int | None = None,
@@ -124,10 +192,10 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
     home_yaw = facing_yaw(fp, home[0], home[1])
 
     path = generate_perimeter_path(cfg.building, cfg.plan, home)
-    sense = _sensing(cfg.sensors, seed, cfg.kalman(), cfg.alpha, home,
-                     home_yaw, dt)
+    sense, track, reset_track, fly, true_state = _step_kernel(
+        cfg.sensors, seed, cfg.kalman(), cfg.alpha, home, home_yaw, dt,
+        cfg.gains, cfg.vehicle, mp.kp_yaw)
     classifier = Classifier(cfg.classifier, extra_entropy=seed)
-    true = TrueState.at_rest(home, yaw=home_yaw)
 
     phase = MissionPhase.INSPECTING
     transitions = [(0.0, MissionPhase.IDLE.value, phase.value)]
@@ -149,7 +217,6 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
     clearances: list[tuple[float, ...]] = []
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
     entered_fp = False
-    track_state = PidState()
     avoid_state = AvoidanceState()
     steps = 0
 
@@ -166,7 +233,8 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
 
     while phase is not MissionPhase.DONE:
         t = steps * dt
-        est, dr_pos = sense(true)
+        est_pos, dr_pos, est_quat, est_yaw = sense()
+        true = true_state()
 
         if phase in (MissionPhase.INSPECTING, MissionPhase.RETURNING_HOME):
             if capture_tick(t, last_capture, mp.capture_interval_s):
@@ -175,7 +243,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                 label = classifier.label(seen)
                 captures.append(CaptureRecord(
                     image_id=f"img_{len(captures):06d}", time=t,
-                    est_position=est.position, est_quat=est.attitude.quat,
+                    est_position=est_pos, est_quat=est_quat,
                     visible_decals=seen, label=label))
 
         # phase machine; a single step may retire several coincident waypoints
@@ -191,12 +259,12 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                     if detect_i < len(fault_poses):
                         pos, yaw = fault_poses[detect_i]
                         leg_start = t
-                        start_leg(t, est.position, pos, yaw)
+                        start_leg(t, est_pos, pos, yaw)
                         shift(MissionPhase.DETECTING, t)
                     else:
                         home_leg = True
                         wps = [
-                            Waypoint((home[0], home[1], est.position[2]),
+                            Waypoint((home[0], home[1], est_pos[2]),
                                      home_yaw, -1),
                             Waypoint((home[0], home[1], 0.0), home_yaw, -1),
                         ]
@@ -206,7 +274,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                     progressed = True
                 continue
             wp = wps[idx]
-            if v_dist(est.position, wp.position) >= mp.arrival_tol:
+            if v_dist(est_pos, wp.position) >= mp.arrival_tol:
                 continue
             if idx + 1 < len(wps):
                 idx += 1
@@ -227,7 +295,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                     pos, yaw = fault_poses[0]
                     detect_i = 0
                     leg_start = t
-                    start_leg(t, est.position, pos, yaw)
+                    start_leg(t, est_pos, pos, yaw)
                     shift(MissionPhase.DETECTING, t)
                     progressed = True
                 else:
@@ -240,7 +308,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                     shift(MissionPhase.HOLDING, t)
                     progressed = True
 
-        trajectory.append((t,) + true.position + est.position + dr_pos
+        trajectory.append((t,) + true.position + est_pos + dr_pos
                           + (phase.value,))
         if phase is MissionPhase.DONE:
             break
@@ -254,18 +322,15 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
 
         scan = simulate_scan(scene, true, n_bins=cfg.scan_n_bins,
                              range_max=cfg.scan_range_max, reach=mp.d_engage)
-        sectors = classify_sectors(scan, mask, est.position,
-                                   est.attitude.yaw, mp.d_engage)
+        sectors = classify_sectors(scan, mask, est_pos, est_yaw, mp.d_engage)
         cmd, avoid_state = avoidance_command(sectors, cfg.gains, avoid_state,
                                              dt, cfg.vehicle.v_max)
         if cmd is None:
-            cmd, track_state = track_waypoint(
-                est, wps[idx], cfg.gains, track_state, dt,
-                v_max=cfg.vehicle.v_max, kp_yaw=mp.kp_yaw,
-                yaw_rate_max=cfg.vehicle.yaw_rate_max)
+            v_body, yaw_rate = track(wps[idx])
             engaged.append(False)
         else:
-            track_state = PidState()
+            reset_track()
+            v_body, yaw_rate = cmd.v_body, cmd.yaw_rate
             engaged.append(True)
 
         if scene.obstacles:
@@ -275,7 +340,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                 and fp.contains(true.position[0], true.position[1]):
             entered_fp = True
 
-        true = step_dynamics(true, cmd, cfg.vehicle, dt)
+        fly(v_body, yaw_rate)
         steps += 1
 
     min_clear = None
@@ -324,20 +389,18 @@ def run_hover(duration_s: float = 120.0, seed: int = 0,
     if kalman is None:
         kalman = KalmanConfig.for_accel_noise(sensors.accel_noise_std)
 
-    sense = _sensing(sensors, seed, kalman, alpha, setpoint, 0.0, dt)
-    true = TrueState.at_rest(setpoint, yaw=0.0)
+    sense, track, _, fly, _ = _step_kernel(
+        sensors, seed, kalman, alpha, setpoint, 0.0, dt, gains, vehicle,
+        MissionParams.kp_yaw)
     wp = Waypoint(setpoint, 0.0, 0)
-    track_state = PidState()
+    true_pos = setpoint
 
     res = HoverResult(times=[], est_err=[], dr_err=[], true_err=[])
     for k in range(int(round(duration_s / dt))):
-        est, dr_pos = sense(true)
+        est_pos, dr_pos, _, _ = sense()
         res.times.append(k * dt)
-        res.est_err.append(v_dist(est.position, setpoint))
+        res.est_err.append(v_dist(est_pos, setpoint))
         res.dr_err.append(v_dist(dr_pos, setpoint))
-        res.true_err.append(v_dist(true.position, setpoint))
-        cmd, track_state = track_waypoint(est, wp, gains, track_state, dt,
-                                          v_max=vehicle.v_max,
-                                          yaw_rate_max=vehicle.yaw_rate_max)
-        true = step_dynamics(true, cmd, vehicle, dt)
+        res.true_err.append(v_dist(true_pos, setpoint))
+        true_pos = fly(*track(wp))
     return res

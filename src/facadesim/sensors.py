@@ -8,12 +8,13 @@ run; noise is white Gaussian drawn from a per-instrument seeded stream.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Vec3, quat_rotate_inverse
+from .geometry import Quat, Vec3, quat_conjugate, quat_rotate
 from .vehicle import G_VEC, TrueState
 
 MAG_WORLD: Vec3 = (1.0, 0.0, 0.0)
@@ -54,42 +55,47 @@ class Imu:
 
     def __init__(self, params: SensorParams, seed: int, imu_id: int = 0):
         self.params = params
-        self._rng = np.random.default_rng(
+        rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(imu_id,)))
-        self._buf: list[float] = []
-        self._pos = 0
+        # one sample's nine normals per next(), drawn _CHUNK samples at once
+        self._noise = itertools.chain.from_iterable(
+            rng.standard_normal((_CHUNK, 9)).tolist()
+            for _ in itertools.count())
 
     def measure(self, state: TrueState) -> ImuSample:
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.standard_normal(9 * _CHUNK).tolist()
-            self._pos = 0
-        n = self._buf
-        i = self._pos
-        self._pos = i + 9
+        n = next(self._noise)
         p = self.params
+        f, m = _body_fields(state.attitude, state.accel_world)
+        return ImuSample(
+            gyro=_corrupt(state.angular_rate, p.gyro_bias, p.gyro_noise_std,
+                          n, 0),
+            accel=_corrupt(f, p.accel_bias, p.accel_noise_std, n, 3),
+            mag=_mag_reading(m, p.mag_noise_std, n, 6),
+            time=state.time)
 
-        wx, wy, wz = state.angular_rate
-        bgx, bgy, bgz = p.gyro_bias
-        sg = p.gyro_noise_std
-        gyro = (wx + bgx + sg * n[i], wy + bgy + sg * n[i + 1],
-                wz + bgz + sg * n[i + 2])
 
-        aw = state.accel_world
-        f_world = (aw[0] - G_VEC[0], aw[1] - G_VEC[1], aw[2] - G_VEC[2])
-        fx, fy, fz = quat_rotate_inverse(state.attitude, f_world)
-        bax, bay, baz = p.accel_bias
-        sa = p.accel_noise_std
-        accel = (fx + bax + sa * n[i + 3], fy + bay + sa * n[i + 4],
-                 fz + baz + sa * n[i + 5])
+def _body_fields(attitude: Quat, accel_world: Vec3) -> tuple[Vec3, Vec3]:
+    """True specific force and magnetic field in the body frame, which every
+    IMU on the airframe reads before its own bias and noise."""
+    qc = quat_conjugate(attitude)
+    f_world = (accel_world[0] - G_VEC[0], accel_world[1] - G_VEC[1],
+               accel_world[2] - G_VEC[2])
+    return quat_rotate(qc, f_world), quat_rotate(qc, MAG_WORLD)
 
-        mx, my, mz = quat_rotate_inverse(state.attitude, MAG_WORLD)
-        sm = p.mag_noise_std
-        mx += sm * n[i + 6]
-        my += sm * n[i + 7]
-        mz += sm * n[i + 8]
-        norm = math.sqrt(mx * mx + my * my + mz * mz)
-        if norm > 1e-9:
-            mx, my, mz = mx / norm, my / norm, mz / norm
-        mag = (mx, my, mz)
 
-        return ImuSample(gyro=gyro, accel=accel, mag=mag, time=state.time)
+def _corrupt(v: Vec3, bias: Vec3, std: float, n: list[float],
+             i: int) -> Vec3:
+    """A gyro or accelerometer reading: v + bias + std * n[i:i+3]."""
+    return (v[0] + bias[0] + std * n[i], v[1] + bias[1] + std * n[i + 1],
+            v[2] + bias[2] + std * n[i + 2])
+
+
+def _mag_reading(m: Vec3, std: float, n: list[float], i: int) -> Vec3:
+    """m + std * n[i:i+3], renormalised unless noise cancelled the field."""
+    mx = m[0] + std * n[i]
+    my = m[1] + std * n[i + 1]
+    mz = m[2] + std * n[i + 2]
+    norm = math.sqrt(mx * mx + my * my + mz * mz)
+    if norm > 1e-9:
+        mx, my, mz = mx / norm, my / norm, mz / norm
+    return (mx, my, mz)

@@ -61,67 +61,57 @@ class TrueState:
         )
 
 
-def _clamp_command(cmd: VelocityCommand, params: VehicleParams) -> tuple[Vec3, float]:
-    vx, vy, vz = cmd.v_body
+def _lag(tau: float, dt: float) -> float:
+    """Per-step weight of the exact discretization of dv/dt = (v_cmd - v)/tau;
+    stable for any tau >= 0."""
+    if tau <= 1e-9:
+        return 1.0
+    return 1.0 - math.exp(-dt / tau)
+
+
+def _fly(position: Vec3, velocity: Vec3, attitude: Quat, v_body: Vec3,
+         yaw_rate: float, params: VehicleParams, lag: float, dt: float):
+    """One plant step on scalars: (position, velocity, attitude, body rates,
+    accel_world) after it.  `lag` is _lag(params.tau, dt)."""
+    # clamp the command
+    vx, vy, vz = v_body
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     if speed > params.v_max and speed > 0.0:
         k = params.v_max / speed
         vx, vy, vz = vx * k, vy * k, vz * k
-    rate = max(-params.yaw_rate_max, min(params.yaw_rate_max, cmd.yaw_rate))
-    return (vx, vy, vz), rate
+    yaw_rate = max(-params.yaw_rate_max, min(params.yaw_rate_max, yaw_rate))
+    v_cmd = quat_rotate(attitude, (vx, vy, vz))
 
+    v0x, v0y, v0z = velocity
+    vx = v0x + (v_cmd[0] - v0x) * lag
+    vy = v0y + (v_cmd[1] - v0y) * lag
+    vz = v0z + (v_cmd[2] - v0z) * lag
 
-def _tilt_from_accel(accel: Vec3, yaw: float, prev_roll: float,
-                     prev_pitch: float) -> tuple[float, float]:
-    """Roll/pitch that align body z with the thrust direction accel - g."""
-    tx = accel[0]
-    ty = accel[1]
-    tz = accel[2] + GRAVITY
-    # express thrust in the yaw-aligned frame
-    c, s = math.cos(-yaw), math.sin(-yaw)
-    fx = c * tx - s * ty
-    fy = s * tx + c * ty
-    n = math.sqrt(fx * fx + fy * fy + tz * tz)
-    if n < 1e-9:
-        return prev_roll, prev_pitch  # free fall: tilt undefined, hold previous
-    roll = -math.asin(max(-1.0, min(1.0, fy / n)))
-    pitch = math.atan2(fx, tz)
-    return roll, pitch
-
-
-def step_dynamics(state: TrueState, cmd: VelocityCommand, params: VehicleParams,
-                  dt: float) -> TrueState:
-    """Advance the plant one step of dt seconds.  Pure and deterministic."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    v_body, yaw_rate = _clamp_command(cmd, params)
-    v_cmd = quat_rotate(state.attitude, v_body)
-
-    # exact discretization of dv/dt = (v_cmd - v)/tau; stable for any tau >= 0
-    if params.tau <= 1e-9:
-        alpha = 1.0
-    else:
-        alpha = 1.0 - math.exp(-dt / params.tau)
-    vx = state.velocity[0] + (v_cmd[0] - state.velocity[0]) * alpha
-    vy = state.velocity[1] + (v_cmd[1] - state.velocity[1]) * alpha
-    vz = state.velocity[2] + (v_cmd[2] - state.velocity[2]) * alpha
-
-    px = state.position[0] + vx * dt
-    py = state.position[1] + vy * dt
-    pz = state.position[2] + vz * dt
+    px = position[0] + vx * dt
+    py = position[1] + vy * dt
+    pz = position[2] + vz * dt
     if pz < 0.0:  # ground plane
         pz = 0.0
         vz = max(vz, 0.0)
 
-    accel = (
-        (vx - state.velocity[0]) / dt,
-        (vy - state.velocity[1]) / dt,
-        (vz - state.velocity[2]) / dt,
-    )
+    ax = (vx - v0x) / dt
+    ay = (vy - v0y) / dt
+    az = (vz - v0z) / dt
 
-    prev_roll, prev_pitch, prev_yaw = euler_from_quat(state.attitude)
+    prev_roll, prev_pitch, prev_yaw = euler_from_quat(attitude)
     yaw = wrap_angle(prev_yaw + yaw_rate * dt)
-    roll, pitch = _tilt_from_accel(accel, yaw, prev_roll, prev_pitch)
+    # roll/pitch that align body z with the thrust direction accel - g,
+    # expressed in the yaw-aligned frame
+    tz = az + GRAVITY
+    c, s = math.cos(-yaw), math.sin(-yaw)
+    fx = c * ax - s * ay
+    fy = s * ax + c * ay
+    n = math.sqrt(fx * fx + fy * fy + tz * tz)
+    if n < 1e-9:  # free fall: tilt undefined, hold previous
+        roll, pitch = prev_roll, prev_pitch
+    else:
+        roll = -math.asin(max(-1.0, min(1.0, fy / n)))
+        pitch = math.atan2(fx, tz)
     attitude = quat_normalize(quat_from_euler(roll, pitch, yaw))
 
     # body rates from Euler-angle rates (Z-Y-X kinematics inverted); the map is
@@ -132,15 +122,19 @@ def step_dynamics(state: TrueState, cmd: VelocityCommand, params: VehicleParams,
     dyaw = wrap_angle(yaw - prev_yaw) / dt
     sr, cr = math.sin(prev_roll), math.cos(prev_roll)
     sp, cp = math.sin(prev_pitch), math.cos(prev_pitch)
-    p = droll - dyaw * sp
-    q = dpitch * cr + dyaw * cp * sr
-    r = -dpitch * sr + dyaw * cp * cr
+    return ((px, py, pz), (vx, vy, vz), attitude,
+            (droll - dyaw * sp, dpitch * cr + dyaw * cp * sr,
+             -dpitch * sr + dyaw * cp * cr), (ax, ay, az))
 
-    return TrueState(
-        position=(px, py, pz),
-        velocity=(vx, vy, vz),
-        attitude=attitude,
-        angular_rate=(p, q, r),
-        accel_world=accel,
-        time=state.time + dt,
-    )
+
+def step_dynamics(state: TrueState, cmd: VelocityCommand, params: VehicleParams,
+                  dt: float) -> TrueState:
+    """Advance the plant one step of dt seconds.  Pure and deterministic."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    position, velocity, attitude, rates, accel = _fly(
+        state.position, state.velocity, state.attitude, cmd.v_body,
+        cmd.yaw_rate, params, _lag(params.tau, dt), dt)
+    return TrueState(position=position, velocity=velocity, attitude=attitude,
+                     angular_rate=rates, accel_world=accel,
+                     time=state.time + dt)

@@ -266,8 +266,14 @@ _GOOD_ROW = "0,1,2,3,1,2,3,1,2,3,Done"
     {"trajectory.csv": ",".join(TRAJ_HEADER) + "\n0,1,2\n"},
     {"captures.csv": ",".join(CAPTURE_HEADER[:-1]) + "\n0,1,0,0,0,1,0,0,0\n"},
     {"report.json": '{"faults": ['},
+    {"report.json": '{"faults": [{"id": 0}]}'},
+    {"report.json": '{"faults": [{"id": 0, "position": [1, 2], "yaw": 0}]}'},
+    {"report.json":
+        '{"faults": [{"id": 0, "position": [1, 2, 3], "yaw": "east"}]}'},
+    {"report.json": '[]'},
 ], ids=["missing_column", "non_numeric", "short_row", "captures_no_label",
-        "bad_json"])
+        "bad_json", "fault_no_position", "position_len_2", "yaw_not_number",
+        "top_level_list"])
 def test_report_on_malformed_file_exits_4(tmp_path, capsys, files):
     run = tmp_path / "run"
     run.mkdir()
