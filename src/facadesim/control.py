@@ -105,27 +105,19 @@ class ObstacleSectors:
         return self.left or self.right or self.front
 
 
-def classify_sectors(scan: LaserScan, mask: Rect | None, position,
-                     yaw: float, d_engage: float = D_ENGAGE,
-                     ) -> ObstacleSectors:
-    """Sector occupancy from sub-threshold bins, building returns masked out.
+_CLEAR_SECTORS = ObstacleSectors()   # frozen, so one instance serves all
 
-    Hit points are mapped to world coordinates through the supplied pose
-    (normally the estimated one) before the mask test.  Bins at or beyond
-    `d_engage` are never read, so a scan cut off at `d_engage` gives the
-    same sectors as a full one.
-    """
-    if min(scan.ranges) >= d_engage:
-        return ObstacleSectors()
+
+def _sectors(hits, angle_min: float, step: float, mask: Rect | None,
+             px: float, py: float, yaw: float,
+             d_engage: float) -> ObstacleSectors:
+    """Sectors from (bin, range) pairs; the core of `classify_sectors`."""
     left = right = front = False
     d_left = d_right = d_front = math.inf
-    px, py = position[0], position[1]
-    n = scan.n_bins
-    step = (scan.angle_max - scan.angle_min) / (n - 1)
-    for i, r in enumerate(scan.ranges):
+    for i, r in hits:
         if r >= d_engage:
             continue
-        angle = scan.angle_min + i * step
+        angle = angle_min + i * step
         if mask is not None:
             w = yaw + angle
             if mask.contains(px + r * math.cos(w), py + r * math.sin(w)):
@@ -142,9 +134,27 @@ def classify_sectors(scan: LaserScan, mask: Rect | None, position,
             right = True
             if r < d_right:
                 d_right = r
+    if not (left or right or front):
+        return _CLEAR_SECTORS
     return ObstacleSectors(left=left, right=right, front=front,
                            dist_left=d_left, dist_right=d_right,
                            dist_front=d_front)
+
+
+def classify_sectors(scan: LaserScan, mask: Rect | None, position,
+                     yaw: float, d_engage: float = D_ENGAGE,
+                     ) -> ObstacleSectors:
+    """Sector occupancy from sub-threshold bins, building returns masked out.
+
+    Hit points are mapped to world coordinates through the supplied pose
+    (normally the estimated one) before the mask test.  Bins at or beyond
+    `d_engage` are never read, so a scan cut off at `d_engage` gives the
+    same sectors as a full one.
+    """
+    step = (scan.angle_max - scan.angle_min) / (scan.n_bins - 1)
+    return _sectors([(i, r) for i, r in enumerate(scan.ranges)
+                     if r < d_engage], scan.angle_min, step, mask,
+                    position[0], position[1], yaw, d_engage)
 
 
 @dataclass(frozen=True)
@@ -154,6 +164,9 @@ class AvoidanceState:
     left: PidState = PidState()
     right: PidState = PidState()
     front: PidState = PidState()
+
+
+_FRESH_AVOIDANCE = AvoidanceState()   # frozen, so one instance serves all
 
 
 def avoidance_command(sectors: ObstacleSectors, gains: PidGains,
@@ -166,7 +179,7 @@ def avoidance_command(sectors: ObstacleSectors, gains: PidGains,
     the drone left, and all three together back it straight out (-x).
     """
     if not sectors.any_active:
-        return None, AvoidanceState()
+        return None, _FRESH_AVOIDANCE
 
     out_left, st_left = ((0.0, PidState()) if not sectors.left else
                          pid_step(gains, state.left, 1.0 / sectors.dist_left,

@@ -15,12 +15,12 @@ from enum import Enum
 from .attitude import ComplementaryGain, _complementary
 from .config import MissionParams, ScenarioConfig
 from .control import (
-    AvoidanceState,
+    _FRESH_AVOIDANCE,
     PidGains,
     PidState,
+    _sectors,
     _track,
     avoidance_command,
-    classify_sectors,
 )
 from .errors import MissionAborted
 from .estimation import (
@@ -47,13 +47,13 @@ from .planner import (
 )
 from .sensors import Imu, SensorParams, _body_fields, _corrupt, _mag_reading
 from .vehicle import TrueState, VehicleParams, _fly, _lag
-from .world import simulate_scan, visible_decals
+from .world import SCAN_ANGLE_MAX, SCAN_ANGLE_MIN, _scan_hits, visible_decals
 
-# The step kernel calls the cores of these two, but they stay names of this
-# module: perfbench/workloads.py wraps mission.track_waypoint and
-# mission.step_dynamics in its traced runs.
-from .control import track_waypoint  # noqa: F401
+# The loop calls the cores of these four, but they stay names of this module:
+# perfbench/workloads.py wraps them here in its traced runs.
+from .control import classify_sectors, track_waypoint  # noqa: F401
 from .vehicle import step_dynamics  # noqa: F401
+from .world import simulate_scan  # noqa: F401
 
 
 class MissionPhase(Enum):
@@ -114,7 +114,8 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
 
     Returns sense() -> (est position, dr position, est quat, est yaw),
     track(wp) -> (v_body, yaw_rate), reset_track() for a fresh tracking PID,
-    fly(v_body, yaw_rate) -> true position, and true_state().  They call the
+    fly(v_body, yaw_rate) -> true position, and true_state() (with
+    pose_only=True, just the true (position, attitude)).  They call the
     private cores that Imu.measure, InertialEstimator.step,
     DeadReckoner.step, track_waypoint and step_dynamics wrap, so they equal
     composing those.  Both IMUs read one pair of world -> body rotations,
@@ -173,7 +174,9 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
         t_true += dt
         return pos
 
-    def true_state() -> TrueState:
+    def true_state(pose_only: bool = False):
+        if pose_only:
+            return pos, att
         return TrueState(pos, vel, att, rates, accel, t_true)
 
     return sense, track, reset_track, fly, true_state
@@ -217,7 +220,8 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
     clearances: list[tuple[float, ...]] = []
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
     entered_fp = False
-    avoid_state = AvoidanceState()
+    avoid_state = _FRESH_AVOIDANCE
+    scan_step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (cfg.scan_n_bins - 1)
     steps = 0
 
     def shift(to: MissionPhase, t: float) -> None:
@@ -234,12 +238,12 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
     while phase is not MissionPhase.DONE:
         t = steps * dt
         est_pos, dr_pos, est_quat, est_yaw = sense()
-        true = true_state()
+        true_pos, true_att = true_state(pose_only=True)
 
         if phase in (MissionPhase.INSPECTING, MissionPhase.RETURNING_HOME):
             if capture_tick(t, last_capture, mp.capture_interval_s):
                 last_capture = t
-                seen = tuple(visible_decals(scene, true, camera))
+                seen = tuple(visible_decals(scene, true_state(), camera))
                 label = classifier.label(seen)
                 captures.append(CaptureRecord(
                     image_id=f"img_{len(captures):06d}", time=t,
@@ -254,7 +258,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                 if t >= hold_until - 1e-9:
                     detection_durations.append(t - leg_start)
                     hold_end_poses.append(
-                        (detect_i, t, true.position, yaw_of(true.attitude)))
+                        (detect_i, t, true_pos, yaw_of(true_att)))
                     detect_i += 1
                     if detect_i < len(fault_poses):
                         pos, yaw = fault_poses[detect_i]
@@ -308,7 +312,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                     shift(MissionPhase.HOLDING, t)
                     progressed = True
 
-        trajectory.append((t,) + true.position + est_pos + dr_pos
+        trajectory.append((t,) + true_pos + est_pos + dr_pos
                           + (phase.value,))
         if phase is MissionPhase.DONE:
             break
@@ -318,11 +322,13 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                 f"waypoint {idx} not reached within {mp.watchdog_s:.0f} s "
                 f"(phase {phase.value}, t={t:.2f} s)",
                 time=t, phase=phase.value, waypoint_index=idx,
-                position=true.position)
+                position=true_pos)
 
-        scan = simulate_scan(scene, true, n_bins=cfg.scan_n_bins,
-                             range_max=cfg.scan_range_max, reach=mp.d_engage)
-        sectors = classify_sectors(scan, mask, est_pos, est_yaw, mp.d_engage)
+        hits = _scan_hits(scene, fp, *true_pos, true_att, SCAN_ANGLE_MIN,
+                          SCAN_ANGLE_MAX, cfg.scan_n_bins, cfg.scan_range_max,
+                          mp.d_engage)
+        sectors = _sectors(hits, SCAN_ANGLE_MIN, scan_step, mask, est_pos[0],
+                           est_pos[1], est_yaw, mp.d_engage)
         cmd, avoid_state = avoidance_command(sectors, cfg.gains, avoid_state,
                                              dt, cfg.vehicle.v_max)
         if cmd is None:
@@ -334,10 +340,10 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
             engaged.append(True)
 
         if scene.obstacles:
-            clearances.append(tuple(_cylinder_clearance(o, true.position)
+            clearances.append(tuple(_cylinder_clearance(o, true_pos)
                                     for o in scene.obstacles))
-        if not entered_fp and true.position[2] <= scene.building.height \
-                and fp.contains(true.position[0], true.position[1]):
+        if not entered_fp and true_pos[2] <= scene.building.height \
+                and fp.contains(true_pos[0], true_pos[1]):
             entered_fp = True
 
         fly(v_body, yaw_rate)

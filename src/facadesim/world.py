@@ -7,16 +7,19 @@ occlusion), no rendering.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
+    TWO_PI,
     Rect,
     Vec3,
     quat_rotate_inverse,
     segment_circle_interval,
+    wrap_angle,
     yaw_of,
 )
 from .vehicle import TrueState
@@ -167,6 +170,8 @@ class LaserScan:
     ranges: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if self.n_bins < 2:
+            raise ValueError("n_bins must be at least 2")
         if len(self.ranges) != self.n_bins:
             raise ValueError("ranges length must equal n_bins")
 
@@ -175,61 +180,124 @@ class LaserScan:
         return self.angle_min + i * step
 
 
-_BIN_CACHE: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _bin_trig(angle_min: float, angle_max: float, n_bins: int):
-    key = (angle_min, angle_max, n_bins)
-    hit = _BIN_CACHE.get(key)
-    if hit is None:
-        angles = np.linspace(angle_min, angle_max, n_bins)
-        hit = (np.cos(angles), np.sin(angles))
-        _BIN_CACHE[key] = hit
-    return hit
+    angles = np.linspace(angle_min, angle_max, n_bins)
+    return np.cos(angles).tolist(), np.sin(angles).tolist()
 
 
-def _rect_ray_distances(rect: Rect, ox: float, oy: float, dx: np.ndarray,
-                        dy: np.ndarray) -> np.ndarray:
-    """Slab-method distances from (ox,oy) along unit rays; inf where missed."""
-    # over: 1/d of a subnormal d is inf, handled below as a parallel ray
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_x = 1.0 / dx
-        inv_y = 1.0 / dy
-        tx1 = (rect.cx - rect.hx - ox) * inv_x
-        tx2 = (rect.cx + rect.hx - ox) * inv_x
-        ty1 = (rect.cy - rect.hy - oy) * inv_y
-        ty2 = (rect.cy + rect.hy - oy) * inv_y
-    # rays parallel to a slab: inside it -> (-inf, inf), outside -> no hit
-    in_x = np.abs(ox - rect.cx) <= rect.hx
-    in_y = np.abs(oy - rect.cy) <= rect.hy
-    tx_lo = np.where(np.isfinite(tx1), np.minimum(tx1, tx2),
-                     np.where(in_x, -np.inf, np.inf))
-    tx_hi = np.where(np.isfinite(tx1), np.maximum(tx1, tx2),
-                     np.where(in_x, np.inf, -np.inf))
-    ty_lo = np.where(np.isfinite(ty1), np.minimum(ty1, ty2),
-                     np.where(in_y, -np.inf, np.inf))
-    ty_hi = np.where(np.isfinite(ty1), np.maximum(ty1, ty2),
-                     np.where(in_y, np.inf, -np.inf))
-    t_near = np.maximum(tx_lo, ty_lo)
-    t_far = np.minimum(tx_hi, ty_hi)
-    dist = np.where(t_near > 0.0, t_near, t_far)
-    miss = (t_far < t_near) | (t_far <= 0.0)
-    return np.where(miss, np.inf, dist)
+def _rect_window(rect: Rect, x: float, y: float, radius: float):
+    """Bearings from (x, y) that meet the rectangle within `radius`.
+
+    The part inside the disc is convex, so its extreme bearings are those
+    of the edges' ends clipped to the disc; from outside they span under
+    pi, so bearings taken from the nearest point's do not wrap.
+    """
+    if rect.contains(x, y):
+        return -math.inf, math.inf
+    nx, ny = rect.nearest_point(x, y)
+    ref = math.atan2(ny - y, nx - x)
+    lo = hi = 0.0
+    x0, x1 = rect.cx - rect.hx, rect.cx + rect.hx
+    y0, y1 = rect.cy - rect.hy, rect.cy + rect.hy
+    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        for t in segment_circle_interval(a, b, (x, y), radius) or ():
+            ang = wrap_angle(math.atan2(a[1] + t * (b[1] - a[1]) - y,
+                                        a[0] + t * (b[0] - a[0]) - x) - ref)
+            lo, hi = min(lo, ang), max(hi, ang)
+    return ref + lo, ref + hi
 
 
-def _circle_ray_distances(cx: float, cy: float, radius: float, ox: float,
-                          oy: float, dx: np.ndarray,
-                          dy: np.ndarray) -> np.ndarray:
-    ocx = cx - ox
-    ocy = cy - oy
-    b = ocx * dx + ocy * dy
-    c = ocx * ocx + ocy * ocy - radius * radius
-    disc = b * b - c
-    safe = np.maximum(disc, 0.0)
-    root = np.sqrt(safe)
-    t = np.where(c > 0.0, b - root, b + root)
-    miss = (disc < 0.0) | (t <= 0.0)
-    return np.where(miss, np.inf, t)
+def _window_bins(window, yaw: float, angle_min: float, step: float,
+                 n_bins: int):
+    """Bins whose angle plus yaw lies in `window` (mod 2 pi).
+
+    The window is padded by one bin a side, far more than the rounding of
+    the bearings and bin angles.
+    """
+    lo, hi = window[0] - yaw - step, window[1] - yaw + step
+    if hi - lo >= TWO_PI:
+        return range(n_bins)
+    bins: list[int] = []
+    shift = math.ceil((angle_min - hi) / TWO_PI) * TWO_PI
+    while lo + shift <= angle_min + (n_bins - 1) * step:
+        first = math.ceil((lo + shift - angle_min) / step)
+        last = math.floor((hi + shift - angle_min) / step)
+        bins += range(max(first, 0), min(last, n_bins - 1) + 1)
+        shift += TWO_PI
+    return bins
+
+
+def _slab(lo: float, hi: float, d: float, inside: bool):
+    """Entry and exit distances of a unit ray through one slab."""
+    # 1/d of a zero or subnormal d is +-inf: a ray parallel to the slab
+    inv = 1.0 / d if d else math.copysign(math.inf, d)
+    t1, t2 = lo * inv, hi * inv
+    if math.isfinite(t1):
+        return (t1, t2) if t1 < t2 else (t2, t1)
+    return (-math.inf, math.inf) if inside else (math.inf, -math.inf)
+
+
+def _scan_hits(scene: Scene, footprint: Rect, x: float, y: float, z: float,
+               attitude, angle_min: float, angle_max: float, n_bins: int,
+               range_max: float, reach: float) -> list[tuple[int, float]]:
+    """(bin, range) of the bins that `simulate_scan` ray-casts and that hit.
+
+    A cylinder at centre distance D > r is cast within asin(r/D) of its
+    bearing, the footprint within `_rect_window`, a solid around the pose
+    at every bin.
+    """
+    cull = reach + _REACH_MARGIN
+    casts: list = []
+    if z <= scene.building.height and footprint.distance_to(x, y) < cull:
+        casts.append((footprint, _rect_window(footprint, x, y, cull)))
+    for o in scene.obstacles:
+        ocx, ocy = o.center_xy[0] - x, o.center_xy[1] - y
+        dist = math.hypot(ocx, ocy)
+        if z <= o.height and dist - o.radius < cull:
+            c = ocx * ocx + ocy * ocy - o.radius * o.radius
+            half = (math.inf if c <= 0.0 or dist <= o.radius
+                    else math.asin(o.radius / dist))
+            bearing = math.atan2(ocy, ocx)
+            casts.append(((ocx, ocy, c), (bearing - half, bearing + half)))
+    if not casts:
+        return []
+
+    cos_b, sin_b = _bin_trig(angle_min, angle_max, n_bins)
+    # bins rotate with yaw only; scan plane stays horizontal under tilt
+    yaw = yaw_of(attitude)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    step = (angle_max - angle_min) / (n_bins - 1)
+    best: dict[int, float] = {}
+    for solid, window in casts:
+        for i in _window_bins(window, yaw, angle_min, step, n_bins):
+            dx = cy * cos_b[i] - sy * sin_b[i]
+            dy = sy * cos_b[i] + cy * sin_b[i]
+            if isinstance(solid, Rect):
+                x_in, x_out = _slab(solid.cx - solid.hx - x,
+                                    solid.cx + solid.hx - x, dx,
+                                    abs(x - solid.cx) <= solid.hx)
+                y_in, y_out = _slab(solid.cy - solid.hy - y,
+                                    solid.cy + solid.hy - y, dy,
+                                    abs(y - solid.cy) <= solid.hy)
+                t_near, t_far = max(x_in, y_in), min(x_out, y_out)
+                if t_far < t_near or t_far <= 0.0:
+                    continue
+                t = t_near if t_near > 0.0 else t_far
+            else:
+                ocx, ocy, c = solid
+                b = ocx * dx + ocy * dy
+                disc = b * b - c
+                if disc < 0.0:
+                    continue
+                root = math.sqrt(disc)
+                t = b - root if c > 0.0 else b + root
+                if t <= 0.0:
+                    continue
+            if t < best.get(i, math.inf):
+                best[i] = t
+    return [(i, max(min(t, range_max), 1e-6)) for i, t in best.items()]
 
 
 def simulate_scan(scene: Scene, pose: TrueState,
@@ -241,10 +309,11 @@ def simulate_scan(scene: Scene, pose: TrueState,
     """Planar range scan at the drone's altitude, body-frame bins.
 
     Only solids whose horizontal distance from the pose is below
-    `reach` + 1e-6 m are ray-cast; a bin that only a skipped solid
-    would have hit reads `range_max`, like a miss.  Every bin whose
-    full-scan range is below `reach` is therefore bit-identical to the
-    full scan, and every other bin reads at least its full-scan range.
+    `reach` + 1e-6 m are ray-cast, and of each only the bins in its
+    angular window; every other bin reads `range_max`, like a miss.  Every
+    bin whose full-scan range is below `reach` is therefore bit-identical
+    to the full scan, and every other bin reads at least its full-scan
+    range.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
@@ -252,40 +321,13 @@ def simulate_scan(scene: Scene, pose: TrueState,
         raise ValueError("range_max must be positive")
     if not reach > 0.0:
         raise ValueError(f"reach must be positive, got {reach}")
-    ox, oy, z = pose.position
-    cull = reach + _REACH_MARGIN
-    solids: list = []
-    if z <= scene.building.height:
-        fp = scene.building.footprint()
-        if fp.distance_to(ox, oy) < cull:
-            solids.append(fp)
-    for o in scene.obstacles:
-        ocx, ocy = o.center_xy
-        if z <= o.height and math.hypot(ox - ocx, oy - ocy) - o.radius < cull:
-            solids.append(o)
-    if not solids:
-        return LaserScan(angle_min, angle_max, n_bins, range_max,
-                         (range_max,) * n_bins)
-
-    cos_b, sin_b = _bin_trig(angle_min, angle_max, n_bins)
-    # bins rotate with yaw only; scan plane stays horizontal under tilt
-    yaw = yaw_of(pose.attitude)
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    dx = cy * cos_b - sy * sin_b
-    dy = sy * cos_b + cy * sin_b
-
-    best = np.full(n_bins, np.inf)
-    for s in solids:
-        if isinstance(s, Rect):
-            d = _rect_ray_distances(s, ox, oy, dx, dy)
-        else:
-            d = _circle_ray_distances(s.center_xy[0], s.center_xy[1],
-                                      s.radius, ox, oy, dx, dy)
-        best = np.minimum(best, d)
-    ranges = np.minimum(best, range_max)
-    ranges = np.maximum(ranges, 1e-6)
-    return LaserScan(angle_min, angle_max, n_bins, range_max,
-                     tuple(ranges.tolist()))
+    x, y, z = pose.position
+    ranges = [range_max] * n_bins
+    for i, r in _scan_hits(scene, scene.building.footprint(), x, y, z,
+                           pose.attitude, angle_min, angle_max, n_bins,
+                           range_max, reach):
+        ranges[i] = r
+    return LaserScan(angle_min, angle_max, n_bins, range_max, tuple(ranges))
 
 
 def _occluded(scene: Scene, start: Vec3, end: Vec3) -> bool:

@@ -129,6 +129,11 @@ def test_face_normals_point_outward():
 def test_laser_scan_validation():
     with pytest.raises(ValueError):
         LaserScan(-1.0, 1.0, 5, 10.0, (1.0, 2.0))
+    # one bin has no angular step, and no bin has no minimum range
+    with pytest.raises(ValueError):
+        LaserScan(-1.0, 1.0, 1, 10.0, (1.0,))
+    with pytest.raises(ValueError):
+        LaserScan(-1.0, 1.0, 0, 10.0, ())
     s = LaserScan(-1.0, 1.0, 3, 10.0, (1.0, 2.0, 3.0))
     assert s.angle_of(0) == -1.0
     assert s.angle_of(2) == 1.0
