@@ -115,8 +115,14 @@ class ScenarioConfig:
             raise ValueError("scan_range_max must exceed d_engage")
 
 
-_TUPLE_FIELDS = {"home", "kalman_q_diag", "kalman_p0_diag", "center_xy",
-                 "center_uv", "extent_uv", "gyro_bias", "accel_bias"}
+# field name -> how many numbers its list holds
+_TUPLE_FIELDS = {"home": 3, "kalman_q_diag": 3, "kalman_p0_diag": 3,
+                 "gyro_bias": 3, "accel_bias": 3, "center_xy": 2,
+                 "center_uv": 2, "extent_uv": 2}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _to_plain(value):
@@ -157,16 +163,27 @@ _SECTION_TYPES = {
 
 def _convert(f, raw, where: str):
     name = f.name
-    if name == "decals":
-        return tuple(_build(FaultDecal, d, f"{where}[{i}]")
-                     for i, d in enumerate(raw or []))
-    if name == "obstacles":
-        return tuple(_build(Obstacle, o, f"{where}[{i}]")
-                     for i, o in enumerate(raw or []))
+    if name in ("decals", "obstacles"):
+        raw = [] if raw is None else raw
+        if not isinstance(raw, (list, tuple)):
+            raise InvalidScenario(f"{where}: expected a list")
+        cls = FaultDecal if name == "decals" else Obstacle
+        return tuple(_build(cls, d, f"{where}[{i}]")
+                     for i, d in enumerate(raw))
     if name in _SECTION_TYPES:
         return _build(_SECTION_TYPES[name], raw, where)
-    if name in _TUPLE_FIELDS and isinstance(raw, list):
+    if name in _TUPLE_FIELDS:
+        n = _TUPLE_FIELDS[name]
+        if not (isinstance(raw, (list, tuple)) and len(raw) == n
+                and all(map(_is_number, raw))):
+            raise InvalidScenario(f"{where}: expected a list of {n} numbers")
         return tuple(raw)
+    if f.type == "int" and not (_is_number(raw) and isinstance(raw, int)):
+        raise InvalidScenario(f"{where}: expected an integer")
+    if f.type == "float | None" and raw is None:
+        return raw
+    if f.type.startswith("float") and not _is_number(raw):
+        raise InvalidScenario(f"{where}: expected a number")
     return raw
 
 

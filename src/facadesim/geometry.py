@@ -25,11 +25,6 @@ def wrap_angle(a: float) -> float:
     return r
 
 
-def angle_diff(a: float, b: float) -> float:
-    """Shortest signed rotation taking b to a, in (-pi, pi]."""
-    return wrap_angle(a - b)
-
-
 # -- vectors ----------------------------------------------------------------
 
 def v_norm(a: Vec3) -> float:
@@ -181,22 +176,6 @@ def ray_rect_distance(ox: float, oy: float, dx: float, dy: float, rect: Rect) ->
     if tmax < tmin or tmax < 0.0:
         return math.inf
     return tmin if tmin > 0.0 else tmax
-
-
-def ray_circle_distance(ox: float, oy: float, dx: float, dy: float,
-                        cx: float, cy: float, r: float) -> float:
-    """Distance along a unit 2D ray to a circle, inf if missed."""
-    fx, fy = ox - cx, oy - cy
-    b = fx * dx + fy * dy
-    c = fx * fx + fy * fy - r * r
-    disc = b * b - c
-    if disc < 0.0:
-        return math.inf
-    root = math.sqrt(disc)
-    t = -b - root
-    if t < 0.0:
-        t = -b + root
-    return t if t >= 0.0 else math.inf
 
 
 def segment_hits_circle(ax: float, ay: float, bx: float, by: float,

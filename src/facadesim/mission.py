@@ -31,7 +31,7 @@ from .estimation import (
     _reckon,
     _to_world,
 )
-from .geometry import Vec3, quat_from_euler, v_dist, yaw_of
+from .geometry import Quat, Vec3, quat_from_euler, v_dist, yaw_of
 from .perception import (
     CaptureRecord,
     Classifier,
@@ -114,12 +114,12 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
 
     Returns sense() -> (est position, dr position, est quat, est yaw),
     track(wp) -> (v_body, yaw_rate), reset_track() for a fresh tracking PID,
-    fly(v_body, yaw_rate) -> true position, and true_state() (with
-    pose_only=True, just the true (position, attitude)).  They call the
-    private cores that Imu.measure, InertialEstimator.step,
-    DeadReckoner.step, track_waypoint and step_dynamics wrap, so they equal
-    composing those.  Both IMUs read one pair of world -> body rotations,
-    and IMU 2's gyro and magnetometer, which nothing reads, are skipped.
+    fly(v_body, yaw_rate) -> true (position, attitude), and true_state() for
+    the whole true state.  They call the private cores that Imu.measure,
+    InertialEstimator.step, DeadReckoner.step, track_waypoint and
+    step_dynamics wrap, so they equal composing those.  Both IMUs read one
+    pair of world -> body rotations, and IMU 2's gyro and magnetometer,
+    which nothing reads, are skipped.
     """
     noise1 = Imu(sensors, seed, imu_id=0)._noise
     noise2 = Imu(sensors, seed, imu_id=1)._noise
@@ -167,16 +167,14 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
         nonlocal pid
         pid = fresh_pid
 
-    def fly(v_body: Vec3, yaw_rate: float) -> Vec3:
+    def fly(v_body: Vec3, yaw_rate: float) -> tuple[Vec3, Quat]:
         nonlocal pos, vel, att, rates, accel, t_true
         pos, vel, att, rates, accel = _fly(pos, vel, att, v_body, yaw_rate,
                                            vehicle, lag, dt)
         t_true += dt
-        return pos
+        return pos, att
 
-    def true_state(pose_only: bool = False):
-        if pose_only:
-            return pos, att
+    def true_state() -> TrueState:
         return TrueState(pos, vel, att, rates, accel, t_true)
 
     return sense, track, reset_track, fly, true_state
@@ -194,7 +192,6 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
     home = cfg.home
     home_yaw = facing_yaw(fp, home[0], home[1])
 
-    path = generate_perimeter_path(cfg.building, cfg.plan, home)
     sense, track, reset_track, fly, true_state = _step_kernel(
         cfg.sensors, seed, cfg.kalman(), cfg.alpha, home, home_yaw, dt,
         cfg.gains, cfg.vehicle, mp.kp_yaw)
@@ -202,16 +199,14 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
 
     phase = MissionPhase.INSPECTING
     transitions = [(0.0, MissionPhase.IDLE.value, phase.value)]
-    wps: list[Waypoint] = list(path)
+    wps = generate_perimeter_path(cfg.building, cfg.plan, home)
     idx = 0
     last_advance = 0.0
     last_capture = -mp.capture_interval_s
     captures: list[CaptureRecord] = []
     fault_poses: list[tuple[Vec3, float]] = []
-    faults: list[FaultEntry] = []
     detect_i = 0
     leg_start = 0.0
-    home_leg = False
     hold_until = 0.0
     inspection_duration = 0.0
     detection_durations: list[float] = []
@@ -222,6 +217,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
     entered_fp = False
     avoid_state = _FRESH_AVOIDANCE
     scan_step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (cfg.scan_n_bins - 1)
+    true_pos, true_att = home, true_state().attitude
     steps = 0
 
     def shift(to: MissionPhase, t: float) -> None:
@@ -229,16 +225,21 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
         transitions.append((t, phase.value, to.value))
         phase = to
 
-    def start_leg(t: float, start: Vec3, target: Vec3, yaw: float) -> None:
-        nonlocal wps, idx, last_advance
-        wps = list(plan_return_path(start, target, yaw))
+    def next_leg(t: float, start: Vec3) -> None:
+        """Fly to fault detect_i's capture pose, or home after the last."""
+        nonlocal wps, idx, last_advance, leg_start
+        if detect_i < len(fault_poses):
+            wps = plan_return_path(start, *fault_poses[detect_i])
+        else:
+            wps = (Waypoint((home[0], home[1], start[2]), home_yaw, -1),
+                   Waypoint((home[0], home[1], 0.0), home_yaw, -1))
         idx = 0
-        last_advance = t
+        last_advance = leg_start = t
+        shift(MissionPhase.DETECTING, t)
 
-    while phase is not MissionPhase.DONE:
+    while True:
         t = steps * dt
         est_pos, dr_pos, est_quat, est_yaw = sense()
-        true_pos, true_att = true_state(pose_only=True)
 
         if phase in (MissionPhase.INSPECTING, MissionPhase.RETURNING_HOME):
             if capture_tick(t, last_capture, mp.capture_interval_s):
@@ -251,66 +252,38 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                     visible_decals=seen, label=label))
 
         # phase machine; a single step may retire several coincident waypoints
-        progressed = True
-        while progressed and phase is not MissionPhase.DONE:
-            progressed = False
+        while phase is not MissionPhase.DONE:
             if phase is MissionPhase.HOLDING:
-                if t >= hold_until - 1e-9:
-                    detection_durations.append(t - leg_start)
-                    hold_end_poses.append(
-                        (detect_i, t, true_pos, yaw_of(true_att)))
-                    detect_i += 1
-                    if detect_i < len(fault_poses):
-                        pos, yaw = fault_poses[detect_i]
-                        leg_start = t
-                        start_leg(t, est_pos, pos, yaw)
-                        shift(MissionPhase.DETECTING, t)
-                    else:
-                        home_leg = True
-                        wps = [
-                            Waypoint((home[0], home[1], est_pos[2]),
-                                     home_yaw, -1),
-                            Waypoint((home[0], home[1], 0.0), home_yaw, -1),
-                        ]
-                        idx = 0
-                        last_advance = t
-                        shift(MissionPhase.DETECTING, t)
-                    progressed = True
+                if t < hold_until - 1e-9:
+                    break
+                detection_durations.append(t - leg_start)
+                hold_end_poses.append(
+                    (detect_i, t, true_pos, yaw_of(true_att)))
+                detect_i += 1
+                next_leg(t, est_pos)
                 continue
-            wp = wps[idx]
-            if v_dist(est_pos, wp.position) >= mp.arrival_tol:
-                continue
+            if v_dist(est_pos, wps[idx].position) >= mp.arrival_tol:
+                break
+            last_advance = t
             if idx + 1 < len(wps):
                 idx += 1
-                last_advance = t
-                progressed = True
                 if (phase is MissionPhase.INSPECTING
                         and wps[idx].layer == -1):
                     shift(MissionPhase.RETURNING_HOME, t)
-                continue
-            last_advance = t
-            if phase in (MissionPhase.INSPECTING, MissionPhase.RETURNING_HOME):
+            elif phase is MissionPhase.DETECTING:
+                if detect_i < len(fault_poses):
+                    hold_until = t + mp.hold_s
+                    shift(MissionPhase.HOLDING, t)
+                else:
+                    shift(MissionPhase.DONE, t)
+            else:   # the inspection ring and its return leg are flown
                 inspection_duration = t
                 fault_poses = filter_fault_coordinates(captures,
                                                        mp.merge_radius)
-                faults = [FaultEntry(i, p, y)
-                          for i, (p, y) in enumerate(fault_poses)]
                 if fault_poses and not inspection_only:
-                    pos, yaw = fault_poses[0]
-                    detect_i = 0
-                    leg_start = t
-                    start_leg(t, est_pos, pos, yaw)
-                    shift(MissionPhase.DETECTING, t)
-                    progressed = True
+                    next_leg(t, est_pos)
                 else:
                     shift(MissionPhase.DONE, t)
-            elif phase is MissionPhase.DETECTING:
-                if home_leg:
-                    shift(MissionPhase.DONE, t)
-                else:
-                    hold_until = t + mp.hold_s
-                    shift(MissionPhase.HOLDING, t)
-                    progressed = True
 
         trajectory.append((t,) + true_pos + est_pos + dr_pos
                           + (phase.value,))
@@ -346,14 +319,15 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                 and fp.contains(true_pos[0], true_pos[1]):
             entered_fp = True
 
-        fly(v_body, yaw_rate)
+        true_pos, true_att = fly(v_body, yaw_rate)
         steps += 1
 
     min_clear = None
     if clearances:
         min_clear = min(min(c) for c in clearances)
     report = MissionReport(
-        faults=tuple(faults),
+        faults=tuple(FaultEntry(i, p, y)
+                     for i, (p, y) in enumerate(fault_poses)),
         inspection_duration=inspection_duration,
         detection_durations=tuple(detection_durations),
         min_obstacle_clearance=min_clear,
@@ -408,5 +382,5 @@ def run_hover(duration_s: float = 120.0, seed: int = 0,
         res.est_err.append(v_dist(est_pos, setpoint))
         res.dr_err.append(v_dist(dr_pos, setpoint))
         res.true_err.append(v_dist(true_pos, setpoint))
-        true_pos = fly(*track(wp))
+        true_pos, _ = fly(*track(wp))
     return res

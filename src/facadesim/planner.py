@@ -132,13 +132,3 @@ def plan_return_path(start: Vec3, fault_position: Vec3,
     if v_dist(climb, fault_position) < 1e-9:
         return (Waypoint(climb, yaw, -1),)
     return (Waypoint(climb, yaw, -1), target)
-
-
-def path_length(path: WaypointPath, start: Vec3 | None = None) -> float:
-    total = 0.0
-    prev = start
-    for wp in path:
-        if prev is not None:
-            total += v_dist(prev, wp.position)
-        prev = wp.position
-    return total

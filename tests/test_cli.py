@@ -237,6 +237,19 @@ def test_unknown_key_exits_2(tiny_yaml, tmp_path, capsys):
     assert "turbo_mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    "seed=abc", "home=[14,-6]", "kalman_q_diag=[1,2]",
+    "sensors.gyro_bias=[1]", "scan_n_bins=2.5", "alpha=abc", "home=abc",
+    "decals=5", "camera_hfov_deg=abc"])
+def test_wrong_typed_value_exits_2(tiny_yaml, tmp_path, capsys, override):
+    rc = main(["plan", "--config", str(tiny_yaml), "--out",
+               str(tmp_path / "never"), "--set", override])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ")
+    assert override.partition("=")[0] in line
+
+
 def test_missing_config_exits_4(tmp_path, capsys):
     rc = main(["mission", "--config", str(tmp_path / "ghost.yaml"),
                "--out", str(tmp_path / "never")])

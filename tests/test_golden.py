@@ -43,6 +43,16 @@ GOLDEN_FILES = {
         "report.json":
             "a2164534f3b7d1f61f95c68e3386b66ede1989893e1bc28a06dc1972be66349a",
     },
+    "multi_fault_run": {
+        "plan.csv":
+            "05750b93bb25a36acd2bcd75e2da6569740ce4739064882d9d432f00caf4f8ca",
+        "trajectory.csv":
+            "8455b0a74a6c12352b0433672d9e28da07c7ad0e9c4b93284f807f113c0fd489",
+        "captures.csv":
+            "47fadb940b8fc31a12fc744d0f3e005c9d205b37d40b033c709299daec7f3fb2",
+        "report.json":
+            "18fd2b2fbf82d26a5a56aee09e4f631e4c1ea120bba8523bf1f1b700693bd6b8",
+    },
     "coverage_run": {   # inspection only: no report
         "plan.csv":
             "058275f2998034713fd8f99f97cdd372137a427f0db977cb3cce5e5447471f1b",

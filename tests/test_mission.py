@@ -218,6 +218,23 @@ def test_coverage_inspection_only_skips_detection(coverage_run):
     assert result.hold_end_poses == []
 
 
+# -- multi-fault scenario ----------------------------------------------------------
+
+def test_multi_fault_holds_each_fault_in_order(multi_fault_run):
+    """Each expiring hold starts the next fault's leg; the last flies home."""
+    _, result = multi_fault_run
+    rep = result.report
+    assert len(result.hold_end_poses) == len(rep.faults) == 5
+    assert len(rep.detection_durations) == 5
+    assert [h[0] for h in result.hold_end_poses] == list(range(5))
+    assert [f.id for f in rep.faults] == list(range(5))
+    seq = phases_in_order(result.transitions)
+    assert seq == (["Idle", "Inspecting", "ReturningHome"]
+                   + ["Detecting", "Holding"] * 5 + ["Detecting", "Done"])
+    assert result.trajectory[-1][-1] == "Done"
+    assert not result.entered_footprint
+
+
 # -- hover and failure paths ---------------------------------------------------------
 
 def test_hover_kalman_beats_dead_reckoning():

@@ -14,7 +14,6 @@ from facadesim.planner import (
     facing_yaw,
     generate_perimeter_path,
     layer_altitudes,
-    path_length,
     plan_return_path,
 )
 from facadesim.world import BuildingSpec
@@ -174,12 +173,3 @@ def test_plan_return_path_branches():
     # yaw is stored wrapped
     wrapped = plan_return_path(start, fault, fault_yaw=7.0)
     assert wrapped[0].yaw == pytest.approx(wrap_angle(7.0))
-
-
-def test_path_length():
-    path = (Waypoint((0.0, 0.0, 0.0), 0.0, 0),
-            Waypoint((3.0, 4.0, 0.0), 0.0, 0),
-            Waypoint((3.0, 4.0, 2.0), 0.0, 0))
-    assert path_length(path) == pytest.approx(7.0)
-    assert path_length(path, start=(0.0, -1.0, 0.0)) == pytest.approx(8.0)
-    assert path_length((), start=(1.0, 1.0, 1.0)) == 0.0
