@@ -39,35 +39,29 @@ def _fmt(x: float) -> str:
     return "%.9g" % x
 
 
-def write_plan_csv(path: Path, plan: WaypointPath) -> None:
+def _write_rows(path: Path, header: str, row_format: str, rows) -> None:
+    """CSV of one %-format per row: no id, label or phase name needs quoting,
+    so this writes what csv.writer would, with floats as _fmt gives them."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["layer", "x_m", "y_m", "z_m", "yaw_rad"])
-        for wp in plan:
-            w.writerow([wp.layer, _fmt(wp.position[0]), _fmt(wp.position[1]),
-                        _fmt(wp.position[2]), _fmt(wp.yaw)])
+        fh.write(header + "\r\n")
+        fh.writelines(row_format % row for row in rows)
+
+
+def write_plan_csv(path: Path, plan: WaypointPath) -> None:
+    _write_rows(path, "layer,x_m,y_m,z_m,yaw_rad", "%s" + ",%.9g" * 4 + "\r\n",
+                ((wp.layer, *wp.position, wp.yaw) for wp in plan))
 
 
 def write_trajectory_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_s", "true_x", "true_y", "true_z", "est_x", "est_y",
-                    "est_z", "dr_x", "dr_y", "dr_z", "phase"])
-        for row in rows:
-            w.writerow([_fmt(v) for v in row[:10]] + [row[10]])
+    _write_rows(path, "t_s,true_x,true_y,true_z,est_x,est_y,est_z,dr_x,dr_y,"
+                "dr_z,phase", "%.9g," * 10 + "%s\r\n", rows)
 
 
 def write_capture_csv(path: Path, captures) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["image_id", "t_s", "x_m", "y_m", "z_m",
-                    "qw", "qx", "qy", "qz", "label"])
-        for c in captures:
-            w.writerow([c.image_id, _fmt(c.time),
-                        _fmt(c.est_position[0]), _fmt(c.est_position[1]),
-                        _fmt(c.est_position[2]),
-                        _fmt(c.est_quat[0]), _fmt(c.est_quat[1]),
-                        _fmt(c.est_quat[2]), _fmt(c.est_quat[3]), c.label])
+    _write_rows(path, "image_id,t_s,x_m,y_m,z_m,qw,qx,qy,qz,label",
+                "%s" + ",%.9g" * 8 + ",%s\r\n",
+                ((c.image_id, c.time, *c.est_position, *c.est_quat, c.label)
+                 for c in captures))
 
 
 def report_to_dict(report: MissionReport) -> dict:

@@ -27,7 +27,7 @@ from .estimation import (
     DeadReckoner,
     InertialEstimator,
     KalmanConfig,
-    _filter,
+    _axes_step,
     _reckon,
     _to_world,
 )
@@ -119,7 +119,8 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     InertialEstimator.step, DeadReckoner.step, track_waypoint and
     step_dynamics wrap, so they equal composing those.  Both IMUs read one
     pair of world -> body rotations, and IMU 2's gyro and magnetometer,
-    which nothing reads, are skipped.
+    which nothing reads, are skipped.  The Kalman gains come from the
+    estimator's replayed schedule, so a step updates only the three axes.
     """
     noise1 = Imu(sensors, seed, imu_id=0)._noise
     noise2 = Imu(sensors, seed, imu_id=1)._noise
@@ -131,16 +132,16 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     gb, sg, ab, sa, sm = (sensors.gyro_bias, sensors.gyro_noise_std,
                           sensors.accel_bias, sensors.accel_noise_std,
                           sensors.mag_noise_std)
-    h, lag, R, q = 0.5 * dt * dt, _lag(vehicle.tau, dt), kalman.R, est._q
+    h, lag = 0.5 * dt * dt, _lag(vehicle.tau, dt)
     v_max, yaw_rate_max = vehicle.v_max, vehicle.yaw_rate_max
     roll, pitch, yaw, quat, _ = astuple(est.attitude)
-    col, row, axes = est._col, est._row, est.axes
+    axes, next_gain = est.axes, est._gains.__next__
     dr_quat, dr_pos, dr_vel = dr.quat, dr.position, dr.velocity
     dr_accel = dr._prev_accel
     pid = fresh_pid = astuple(PidState())
 
     def sense():
-        nonlocal roll, pitch, yaw, quat, col, row, axes
+        nonlocal roll, pitch, yaw, quat, axes
         nonlocal dr_quat, dr_pos, dr_vel, dr_accel
         f, m = _body_fields(att, accel)
         n = next(noise1)   # IMU 1 alone drives attitude and dead reckoning
@@ -150,8 +151,8 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
         acc2 = _corrupt(f, ab, sa, next(noise2), 3)
         roll, pitch, yaw, quat = _complementary(roll, pitch, yaw, gyro, acc1,
                                                 mag, alpha, dt)
-        col, row, axes = _filter(col, row, q, R, axes, _to_world(quat, acc1),
-                                 _to_world(quat, acc2), dt, h)
+        axes = _axes_step(next_gain(), axes, _to_world(quat, acc1),
+                          _to_world(quat, acc2), dt, h)
         dr_quat, dr_pos, dr_vel, dr_accel = _reckon(
             dr_quat, dr_pos, dr_vel, dr_accel, gyro, acc1, dt)
         return (axes[0][0], axes[1][0], axes[2][0]), dr_pos, quat, yaw
@@ -290,7 +291,9 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
         if phase is MissionPhase.DONE:
             break
 
-        if t - last_advance > mp.watchdog_s:
+        # a hold is not a leg: next_leg restarts the watchdog when it ends
+        if (phase is not MissionPhase.HOLDING
+                and t - last_advance > mp.watchdog_s):
             raise MissionAborted(
                 f"waypoint {idx} not reached within {mp.watchdog_s:.0f} s "
                 f"(phase {phase.value}, t={t:.2f} s)",

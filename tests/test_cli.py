@@ -309,3 +309,17 @@ def test_watchdog_abort_exits_3(tiny_yaml, tmp_path, capsys):
     assert rc == 3
     assert "watchdog abort" in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
+
+
+def test_hold_longer_than_watchdog_completes(tiny_yaml, tmp_path, capsys):
+    """The watchdog times legs, not holds: a hold that outlasts it ends the
+    mission normally, with the hold in the one detection duration."""
+    out = tmp_path / "long_hold"
+    rc = main(["mission", "--config", str(tiny_yaml), "--out", str(out),
+               "--set", "mission.watchdog_s=20.0",
+               "--set", "mission.hold_s=30.0"])
+    assert rc == 0
+    assert "mission complete" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    (duration,) = report["detection_durations_s"]
+    assert duration >= 30.0 - 1e-6

@@ -1,6 +1,9 @@
 """Kalman filter against a dense numpy oracle; dead-reckoning drift laws."""
 
+import itertools
 import math
+import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -8,13 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facadesim.attitude import AttitudeEstimate, ComplementaryGain
+from facadesim.config import load_config
 from facadesim.errors import InvalidScenario
 from facadesim.estimation import (
+    SCHEDULE_STATES,
     DeadReckoner,
     EstimatedState,
     InertialEstimator,
     KalmanConfig,
     KalmanState,
+    _covariance_step,
+    _gain_schedule,
     dead_reckon,
     diag3,
     kalman_predict,
@@ -38,6 +45,9 @@ from facadesim.vehicle import (
 
 DT = 0.01
 SINGULAR = "measurement covariance is singular"
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+# run_hover's filter: R from the default accelerometer noise
+HOVER_KALMAN = KalmanConfig.for_accel_noise(SensorParams().accel_noise_std)
 
 F = np.array([[1.0, DT, 0.5 * DT * DT], [0.0, 1.0, DT], [0.0, 0.0, 1.0]])
 H = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
@@ -366,6 +376,8 @@ def _kalman_configs(draw):
 @example(cfg=KalmanConfig(P0=((1e-4, 0.0, 2e-5), (0.0, 1e-4, -3e-5),
                               (2e-5 + 5e-10, -3e-5 - 4e-10, 1e-2))),
          dt=DT)
+# the hover filter's gains reach a fixed point at step 19 and are replayed
+@example(cfg=HOVER_KALMAN, dt=DT)
 @settings(deadline=None)
 def test_estimator_exact_for_any_config(cfg, dt):
     """The estimator carries only the covariance column and row the gain
@@ -374,6 +386,65 @@ def test_estimator_exact_for_any_config(cfg, dt):
     start = (4.0, 1.0, -2.0)
     _assert_estimator_matches_full_p_chains(
         cfg, dt, _manoeuvre(150, dt, -0.7, start), start, -0.7)
+
+
+def _schedule_inputs(cfg, dt):
+    """The (col, row, q, r, d, h) the estimator starts its schedule from."""
+    p, q = cfg.P0, cfg.Q
+    return ((p[0][2], p[1][2], p[2][2]), (p[2][0], p[2][1]),
+            (q[0][2], q[1][2], q[2][2], q[2][0], q[2][1]), cfg.R, dt,
+            0.5 * dt * dt)
+
+
+def _first_repeat(col, row, q, r, d, h, n):
+    """(first step of the cycle, period) of the covariance states, compared
+    bit for bit over the first n states, or None if none of them repeats."""
+    seen = {}
+    for k in range(n):
+        key = struct.pack("5d", *col, *row)
+        if key in seen:
+            return seen[key], k - seen[key]
+        seen[key] = k
+        _, col, row = _covariance_step(col, row, q, r, d, h)
+    return None
+
+
+def _default_yaml_kalman():
+    cfg = load_config(CONFIG_DIR / "default.yaml")
+    return cfg.kalman(), cfg.mission.dt
+
+
+# name -> () -> (config, dt); the cycle each config's covariance enters
+_SCHEDULES = {
+    "hover_fixed_point": (lambda: (HOVER_KALMAN, DT), (19, 1)),
+    "default_yaml_6_cycle": (_default_yaml_kalman, (4, 6)),
+    "late_50_cycle": (lambda: (KalmanConfig(
+        Q=diag3(0.004, 0.002, 0.03), R=((3e-12, 0.0), (0.0, 3e-12)),
+        P0=diag3(0.2, 9e-05, 0.04)), DT), (3388, 50)),
+    "no_repeat_within_cap": (lambda: (KalmanConfig(
+        Q=((0.04, 0.0, -3e-05), (0.0, 5e-06, -4e-07),
+           (-3e-05, -4e-07, 2e-07)),
+        R=((0.1, 0.0), (0.0, 0.1)), P0=diag3(2e-06, 2e-06, 0.04)), 0.02),
+        None),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCHEDULES))
+def test_gain_schedule_equals_covariance_steps(name):
+    """The replayed schedule yields what iterating _covariance_step does,
+    bit for bit, past the cap and a whole cycle beyond it."""
+    make, cycle = _SCHEDULES[name]
+    args = _schedule_inputs(*make())
+    assert _first_repeat(*args, SCHEDULE_STATES) == cycle
+    n = SCHEDULE_STATES + 200   # every period here is at most 50
+    col, row, q, r, d, h = args
+    want = []
+    for _ in range(n):
+        gain, col, row = _covariance_step(col, row, q, r, d, h)
+        want.append([g.hex() for g in gain])
+    got = [[g.hex() for g in gain]
+           for gain in itertools.islice(_gain_schedule(*args), n)]
+    assert got == want
 
 
 def test_estimator_singular_innovation_raises():

@@ -169,6 +169,11 @@ _POINTS = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
                               (0.0, 0.0, 0.0)),
          kalman=KalmanConfig(), alpha=1.0, start=(5.0, 5.0, 5.0),
          setpoint=(5.0, 5.0, 5.0), yaw=0.0, dt=0.01, seed=4)
+# run_hover's filter: its gains reach a fixed point at step 19 and replay
+@example(sensors=SensorParams(),
+         kalman=KalmanConfig.for_accel_noise(SensorParams().accel_noise_std),
+         alpha=0.98, start=(0.0, 0.0, 2.0), setpoint=(0.0, 0.0, 2.0),
+         yaw=0.0, dt=0.01, seed=0)
 @settings(max_examples=60, deadline=None)
 def test_kernel_equals_composed_api(sensors, kalman, alpha, start, setpoint,
                                     yaw, dt, seed):
