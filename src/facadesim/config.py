@@ -98,6 +98,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         scene = self.scene()
         fp = scene.building.footprint()
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if fp.distance_to(self.home[0], self.home[1]) <= 0.0:
             raise ValueError("home must lie outside the building footprint")
         if not 0.0 <= self.alpha <= 1.0:
@@ -122,7 +124,9 @@ _TUPLE_FIELDS = {"home": 3, "kalman_q_diag": 3, "kalman_p0_diag": 3,
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """An int or a finite float: YAML's .nan and .inf are not numbers here."""
+    return (isinstance(x, int) and not isinstance(x, bool)
+            or isinstance(x, float) and math.isfinite(x))
 
 
 def _to_plain(value):
@@ -176,14 +180,15 @@ def _convert(f, raw, where: str):
         n = _TUPLE_FIELDS[name]
         if not (isinstance(raw, (list, tuple)) and len(raw) == n
                 and all(map(_is_number, raw))):
-            raise InvalidScenario(f"{where}: expected a list of {n} numbers")
+            raise InvalidScenario(
+                f"{where}: expected a list of {n} finite numbers")
         return tuple(raw)
     if f.type == "int" and not (_is_number(raw) and isinstance(raw, int)):
         raise InvalidScenario(f"{where}: expected an integer")
     if f.type == "float | None" and raw is None:
         return raw
     if f.type.startswith("float") and not _is_number(raw):
-        raise InvalidScenario(f"{where}: expected a number")
+        raise InvalidScenario(f"{where}: expected a finite number")
     return raw
 
 

@@ -31,7 +31,7 @@ from .estimation import (
     _reckon,
     _to_world,
 )
-from .geometry import Quat, Vec3, quat_from_euler, v_dist, yaw_of
+from .geometry import Quat, Vec3, quat_from_euler, v_dist, wrap_angle, yaw_of
 from .perception import (
     CaptureRecord,
     Classifier,
@@ -105,6 +105,39 @@ def _cylinder_clearance(o, p: Vec3) -> float:
     if dz <= 0.0:
         return horiz
     return math.sqrt(horiz * horiz + dz * dz)
+
+
+# [m] Added to the slack of `_occluders`: it covers the 1e-6 m floor of a
+# scan range and the rounding of the ray and mask arithmetic (under 1e-12 m
+# at scene scale).
+_MASK_MARGIN = 1e-3
+
+
+def _mask_insets(mask, footprint, obstacles) -> list[tuple]:
+    """(solid, inset) of the solids lying wholly inside the mask.
+
+    The inset is the least distance, along x or along y, from a point of
+    the solid to the mask's edge; the footprint's is the plan's buffer.
+    """
+    boxes = [(footprint, *astuple(footprint))]   # (cx, cy, hx, hy)
+    boxes += [(o, *o.center_xy, o.radius, o.radius) for o in obstacles]
+    insets = [(solid, min(mask.hx - abs(cx - mask.cx) - hx,
+                          mask.hy - abs(cy - mask.cy) - hy))
+              for solid, cx, cy, hx, hy in boxes]
+    return [(solid, d) for solid, d in insets if d > 0.0]
+
+
+def _occluders(insets, est_pos, est_yaw: float, true_pos, true_yaw: float,
+               d_engage: float) -> list:
+    """The solids every return of which below d_engage maps into the mask.
+
+    `_sectors` tests the point est + r u(est_yaw + angle) for r < d_engage.
+    It lies within the slack (Chebyshev distance) of the true hit point, so
+    a solid whose inset exceeds the slack only hides other solids' returns.
+    """
+    slack = (max(abs(est_pos[0] - true_pos[0]), abs(est_pos[1] - true_pos[1]))
+             + d_engage * abs(wrap_angle(est_yaw - true_yaw)) + _MASK_MARGIN)
+    return [solid for solid, d in insets if slack < d]
 
 
 def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
@@ -187,6 +220,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
     scene = cfg.scene()
     fp = scene.building.footprint()
     mask = avoidance_polygon(cfg.building, cfg.plan)
+    insets = _mask_insets(mask, fp, scene.obstacles)
     camera = cfg.camera()
     mp = cfg.mission
     dt = mp.dt
@@ -302,7 +336,10 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
 
         hits = _scan_hits(scene, fp, *true_pos, true_att, SCAN_ANGLE_MIN,
                           SCAN_ANGLE_MAX, cfg.scan_n_bins, cfg.scan_range_max,
-                          mp.d_engage)
+                          mp.d_engage,
+                          insets and _occluders(insets, est_pos, est_yaw,
+                                                true_pos, yaw_of(true_att),
+                                                mp.d_engage))
         sectors = _sectors(hits, SCAN_ANGLE_MIN, scan_step, mask, est_pos[0],
                            est_pos[1], est_yaw, mp.d_engage)
         cmd, avoid_state = avoidance_command(sectors, cfg.gains, avoid_state,

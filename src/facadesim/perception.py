@@ -44,6 +44,8 @@ class ClassifierSpec:
                              f"got {self.kind!r}")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError("accuracy must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def capture_tick(clock: float, last_capture: float,

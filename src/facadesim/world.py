@@ -241,27 +241,25 @@ def _slab(lo: float, hi: float, d: float, inside: bool):
 
 def _scan_hits(scene: Scene, footprint: Rect, x: float, y: float, z: float,
                attitude, angle_min: float, angle_max: float, n_bins: int,
-               range_max: float, reach: float) -> list[tuple[int, float]]:
+               range_max: float, reach: float,
+               occluders=()) -> list[tuple[int, float]]:
     """(bin, range) of the bins that `simulate_scan` ray-casts and that hit.
 
     A cylinder at centre distance D > r is cast within asin(r/D) of its
     bearing, the footprint within `_rect_window`, a solid around the pose
-    at every bin.
+    at every bin.  Solids in `occluders` (the footprint or obstacles) are
+    cast after the others, only in the bins those hit, and drop each bin
+    they meet at or before its range: every other bin reads as without
+    them.
     """
     cull = reach + _REACH_MARGIN
-    casts: list = []
+    solids: list = []
     if z <= scene.building.height and footprint.distance_to(x, y) < cull:
-        casts.append((footprint, _rect_window(footprint, x, y, cull)))
-    for o in scene.obstacles:
-        ocx, ocy = o.center_xy[0] - x, o.center_xy[1] - y
-        dist = math.hypot(ocx, ocy)
-        if z <= o.height and dist - o.radius < cull:
-            c = ocx * ocx + ocy * ocy - o.radius * o.radius
-            half = (math.inf if c <= 0.0 or dist <= o.radius
-                    else math.asin(o.radius / dist))
-            bearing = math.atan2(ocy, ocx)
-            casts.append(((ocx, ocy, c), (bearing - half, bearing + half)))
-    if not casts:
+        solids.append(footprint)
+    solids += [o for o in scene.obstacles if z <= o.height and math.hypot(
+        o.center_xy[0] - x, o.center_xy[1] - y) - o.radius < cull]
+    solids.sort(key=occluders.__contains__)   # fully cast solids first
+    if not solids or solids[0] in occluders:
         return []
 
     cos_b, sin_b = _bin_trig(angle_min, angle_max, n_bins)
@@ -270,11 +268,26 @@ def _scan_hits(scene: Scene, footprint: Rect, x: float, y: float, z: float,
     cy, sy = math.cos(yaw), math.sin(yaw)
     step = (angle_max - angle_min) / (n_bins - 1)
     best: dict[int, float] = {}
-    for solid, window in casts:
-        for i in _window_bins(window, yaw, angle_min, step, n_bins):
+    for solid in solids:
+        rect = isinstance(solid, Rect)
+        if rect:
+            window = _rect_window(solid, x, y, cull)
+        else:
+            ocx, ocy = solid.center_xy[0] - x, solid.center_xy[1] - y
+            dist, radius = math.hypot(ocx, ocy), solid.radius
+            c = ocx * ocx + ocy * ocy - radius * radius
+            half = (math.inf if c <= 0.0 or dist <= radius
+                    else math.asin(radius / dist))
+            bearing = math.atan2(ocy, ocx)
+            window = (bearing - half, bearing + half)
+        bins = _window_bins(window, yaw, angle_min, step, n_bins)
+        hide = solid in occluders
+        if hide:
+            bins = [i for i in bins if i in best]
+        for i in bins:
             dx = cy * cos_b[i] - sy * sin_b[i]
             dy = sy * cos_b[i] + cy * sin_b[i]
-            if isinstance(solid, Rect):
+            if rect:
                 x_in, x_out = _slab(solid.cx - solid.hx - x,
                                     solid.cx + solid.hx - x, dx,
                                     abs(x - solid.cx) <= solid.hx)
@@ -286,7 +299,6 @@ def _scan_hits(scene: Scene, footprint: Rect, x: float, y: float, z: float,
                     continue
                 t = t_near if t_near > 0.0 else t_far
             else:
-                ocx, ocy, c = solid
                 b = ocx * dx + ocy * dy
                 disc = b * b - c
                 if disc < 0.0:
@@ -295,7 +307,10 @@ def _scan_hits(scene: Scene, footprint: Rect, x: float, y: float, z: float,
                 t = b - root if c > 0.0 else b + root
                 if t <= 0.0:
                     continue
-            if t < best.get(i, math.inf):
+            if hide:
+                if t <= best[i]:
+                    del best[i]
+            elif t < best.get(i, math.inf):
                 best[i] = t
     return [(i, max(min(t, range_max), 1e-6)) for i, t in best.items()]
 

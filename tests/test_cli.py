@@ -250,6 +250,38 @@ def test_wrong_typed_value_exits_2(tiny_yaml, tmp_path, capsys, override):
     assert override.partition("=")[0] in line
 
 
+@pytest.mark.parametrize("args, key", [
+    (["--set", "mission.d_engage=.nan"], "mission.d_engage"),
+    (["--set", "mission.dt=.nan"], "mission.dt"),
+    (["--set", "vehicle.v_max=.inf"], "vehicle.v_max"),
+    (["--set", "home=[6, 0, -.inf]"], "home"),
+    (["--seed", "-1"], "seed"), (["--set", "seed=-1"], "seed")],
+    ids=["d_engage_nan", "dt_nan", "v_max_inf", "home_inf", "seed_flag",
+         "seed_key"])
+def test_non_finite_or_negative_seed_exits_2(tiny_yaml, tmp_path, capsys,
+                                              args, key):
+    out = tmp_path / "never"
+    rc = main(["mission", "--config", str(tiny_yaml), "--out", str(out),
+               *args])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ")
+    assert key in line
+    assert not out.exists()
+
+
+def test_negative_seed_in_yaml_exits_2(tiny_yaml, tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(tiny_yaml.read_text().replace("\nseed: 0\n",
+                                                 "\nseed: -1\n"))
+    assert bad.read_text() != tiny_yaml.read_text()
+    rc = main(["mission", "--config", str(bad), "--out",
+               str(tmp_path / "never")])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "config error: seed must be non-negative, got -1"
+
+
 def test_missing_config_exits_4(tmp_path, capsys):
     rc = main(["mission", "--config", str(tmp_path / "ghost.yaml"),
                "--out", str(tmp_path / "never")])

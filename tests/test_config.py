@@ -85,6 +85,34 @@ def test_missing_building_rejected():
         config_from_dict({"name": "x"})
 
 
+@pytest.mark.parametrize("override", [
+    "mission.d_engage=.nan", "mission.dt=.nan", "mission.dt=.inf",
+    "scan_range_max=-.inf", "kalman_r_std=.nan", "alpha=.nan",
+    "building.length=.inf", "home=[9, 0, .nan]",
+    "kalman_q_diag=[1.0e-4, .inf, 1.0e-4]", "sensors.gyro_bias=[0, .nan, 0]",
+    "obstacles=[{id: 0, center_xy: [8, .inf], radius: 0.3, height: 2}]"])
+def test_non_finite_numbers_rejected(override):
+    """NaN fails every comparison, so a NaN field would pass the range
+    checks and switch features off; infinities are no scene's numbers."""
+    data = apply_overrides(config_to_dict(small_config()), [override])
+    key = override.partition("=")[0]
+    with pytest.raises(InvalidScenario, match=f"{key}.*finite"):
+        config_from_dict(data)
+
+
+def test_huge_integers_still_count_as_numbers():
+    data = apply_overrides(config_to_dict(small_config()),
+                           ["building.height=" + "9" * 400])
+    assert config_from_dict(data).building.height == int("9" * 400)
+
+
+@pytest.mark.parametrize("override", ["seed=-1", "classifier.seed=-1"])
+def test_negative_seed_rejected(override):
+    data = apply_overrides(config_to_dict(small_config()), [override])
+    with pytest.raises(InvalidScenario, match="seed must be non-negative"):
+        config_from_dict(data)
+
+
 # -- validate() ---------------------------------------------------------------------
 
 def test_home_inside_footprint_rejected():

@@ -5,7 +5,8 @@ The oracle below is the earlier numpy scan: every solid at the scan's
 altitude, every bin, no cull.  Below `reach` the two must agree bit for
 bit; at or beyond it the windowed scan may only read further.  The mission
 feeds the hits straight into `control._sectors`, which must give the same
-sectors as the public `simulate_scan` -> `classify_sectors` chain.
+sectors as the public `simulate_scan` -> `classify_sectors` chain, also
+when it casts the solids lying deep inside the mask only as occluders.
 """
 
 import math
@@ -15,9 +16,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facadesim.config import load_config
+from facadesim.config import apply_overrides, config_from_dict, load_raw
 from facadesim.control import _sectors, classify_sectors
 from facadesim.geometry import Rect, quat_from_euler, yaw_of
+from facadesim.mission import _MASK_MARGIN, _mask_insets, _occluders
 from facadesim.planner import avoidance_polygon
 from facadesim.vehicle import TrueState
 from facadesim.world import (
@@ -107,8 +109,9 @@ def scan_scene():
                             Obstacle(1, (-8.0, -4.0), 0.8, 8.0)))
 
 
-def _shipped(name):
-    cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+def _shipped(name, *overrides):
+    cfg = config_from_dict(apply_overrides(
+        load_raw(CONFIG_DIR / f"{name}.yaml"), list(overrides)))
     return cfg.scene(), avoidance_polygon(cfg.building, cfg.plan)
 
 
@@ -210,3 +213,89 @@ def test_sparse_sectors_match_public_api(name, x, y, z, yaw, d_engage, ex,
                               mask, est, yaw + eyaw, d_engage)
     assert sparse == public
 
+
+# -- occluder-only solids keep the sectors ------------------------------------
+
+def occluded_scene():
+    """Obstacle 1 stands inside the mask (inset 0.4 m) on the line from the
+    footprint's north-east corner to obstacle 0, which stands outside it."""
+    return Scene(BuildingSpec(10.0, 6.0, 5.0),
+                 obstacles=(Obstacle(0, (6.8, 4.8), 0.3, 3.0),
+                            Obstacle(1, (5.4, 3.4), 0.2, 3.0)))
+
+
+OCCLUDER_SCENES = {
+    **SCENES,
+    "occluded": (occluded_scene(),
+                 BuildingSpec(10.0, 6.0, 5.0).footprint().expanded(1.0)),
+    # the mask is the footprint, so no solid has a positive inset
+    "no_buffer": _shipped("obstacle_course", "plan.buffer=0"),
+}
+
+
+# The first four examples put the slack (error + margin) within 1e-9 of an
+# inset: the footprint's 1 m in "default", obstacle 1's 0.4 m in
+# "occluded", each side.  The next two put the pose 5e-7 m inside the
+# footprint's east wall, facing out, so the bins ahead read the 1e-6 m
+# floor, 5e-7 m beyond the wall; the estimate is off by 1 m less or more
+# than 1e-9, so without the margin the footprint would be cast only as an
+# occluder, and the floored return lands outside the mask.  Then obstacle 1
+# hides obstacle 0 in the bins ahead; obstacle 0 hides obstacle 1; and a
+# pose by the wall with no buffer.
+@given(st.sampled_from(sorted(OCCLUDER_SCENES)), st.floats(-14.0, 14.0),
+       st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
+       st.floats(-math.pi, math.pi), st.floats(0.5, 6.0),
+       st.floats(-1.2, 1.2), st.floats(-1.2, 1.2), st.floats(-0.2, 0.2))
+@example("default", 7.2, 1.0, 1.5, math.pi, 3.0,
+         -(1.0 - _MASK_MARGIN - 1e-9), 0.3, 0.0)
+@example("default", 7.2, 1.0, 1.5, math.pi, 3.0,
+         -(1.0 - _MASK_MARGIN + 1e-9), 0.3, 0.0)
+@example("occluded", 5.9, 3.4, 1.5, math.pi, 3.0,
+         0.4 - _MASK_MARGIN - 1e-9, 0.0, 0.0)
+@example("occluded", 5.9, 3.4, 1.5, math.pi, 3.0,
+         0.4 - _MASK_MARGIN + 1e-9, 0.0, 0.0)
+@example("default", 6.0 - 5e-7, 0.0, 1.5, 0.0, 3.0, 1.0 - 1e-9, 0.0, 0.0)
+@example("default", 6.0 - 5e-7, 0.0, 1.5, 0.0, 3.0, 1.0 + 1e-9, 0.0, 0.0)
+@example("occluded", 5.1, 3.1, 1.5, math.pi / 4, 3.0, 0.01, -0.01, 0.0)
+@example("occluded", 8.0, 6.0, 1.5, -0.75 * math.pi, 4.0, 0.05, 0.0, 0.01)
+@example("no_buffer", 4.2, 0.5, 1.5, math.pi, 3.0, 0.0, 0.0, 0.0)
+@settings(max_examples=200, deadline=None)
+def test_occluder_only_solids_keep_the_sectors(name, x, y, z, yaw, d_engage,
+                                               ex, ey, eyaw):
+    scene, mask = OCCLUDER_SCENES[name]
+    state = pose(x, y, z, yaw)
+    est, est_yaw = (x + ex, y + ey), yaw + eyaw
+    fp = scene.building.footprint()
+    hidden = _occluders(_mask_insets(mask, fp, scene.obstacles), est,
+                        est_yaw, (x, y), yaw_of(state.attitude), d_engage)
+    hits = _scan_hits(scene, fp, x, y, z, state.attitude, SCAN_ANGLE_MIN,
+                      SCAN_ANGLE_MAX, SCAN_N_BINS, SCAN_RANGE_MAX, d_engage,
+                      hidden)
+    step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (SCAN_N_BINS - 1)
+    sparse = _sectors(hits, SCAN_ANGLE_MIN, step, mask, est[0], est[1],
+                      est_yaw, d_engage)
+    public = classify_sectors(simulate_scan(scene, state, reach=d_engage),
+                              mask, est, est_yaw, d_engage)
+    assert sparse == public
+
+
+def test_mask_insets_and_occluders():
+    scene, mask = OCCLUDER_SCENES["occluded"]
+    fp = scene.building.footprint()
+    insets = _mask_insets(mask, fp, scene.obstacles)
+    assert [(s, round(d, 12)) for s, d in insets] == [
+        (fp, 1.0), (scene.obstacles[1], 0.4)]
+    no_buffer, flush = OCCLUDER_SCENES["no_buffer"]
+    assert _mask_insets(flush, no_buffer.building.footprint(),
+                        no_buffer.obstacles) == []
+    origin = (0.0, 0.0)
+    # slack: position error 0.5 m, or 3 m times a yaw error of 0.1 rad taken
+    # the short way round, plus the margin
+    assert _occluders(insets, (0.0, 0.5), 0.0, origin, 0.0, 3.0) == [fp]
+    assert _occluders(insets, origin, math.pi - 0.05, origin,
+                      0.05 - math.pi, 3.0) == [fp, scene.obstacles[1]]
+    assert _occluders(insets, origin, 0.2, origin, 0.0, 3.0) == [fp]
+    assert _occluders(insets, origin, 0.0, origin, 0.0, 3.0) == [
+        fp, scene.obstacles[1]]
+    # a diverged estimate gives a NaN slack: every solid is cast in full
+    assert _occluders(insets, (math.nan, 0.0), 0.0, origin, 0.0, 3.0) == []
