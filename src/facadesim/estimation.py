@@ -9,24 +9,17 @@ The three axes share one covariance: they have identical Q, R, P0 and H,
 and the covariance recursion never reads a measurement, so three separate
 P matrices would be equal at every step.  Only the [p, v, a] states differ.
 
-InertialEstimator carries only the part of that covariance the gain reads:
-column 2 and row 2 of P.  With H = [0, 0, 1] the gain is P[:,2] S^-1 with
-S = P22 + R, and under F = [[1,d,h],[0,1,d],[0,0,1]] these five entries
-predict and update from each other alone, so the recursion is closed and
-the filter is exact; P00, P01 and P11 are never read.  Row and column are
-kept apart because P0 and Q may be asymmetric within the symmetry check's
-tolerance.  The full P, e.g. a position sigma of sqrt(P00), is still
-available from kalman_predict / kalman_update.
-
-That recursion, _covariance_step, is a fixed map on five floats set by
-(P0, Q, R, dt) alone: once a state recurs bit for bit, every later gain
-repeats the recorded cycle, so _gain_schedule replays it exactly and a
-step then only updates the three axes (_axes_step).  States are keyed by
-bit pattern, as float equality merges -0.0 with 0.0 and never matches a
-NaN.  run_hover's filter reaches a fixed point at step 19 and the shipped
-configs a 6-step cycle at step 4; other configs may repeat only after
-thousands of steps, or never, so past SCHEDULE_STATES recorded states the
-recursion runs on at every step.
+The gain reads only P[:,2] and P[2,:2], and under
+F = [[1,d,h],[0,1,d],[0,0,1]] and H = [0, 0, 1] those five entries predict
+and update from each other alone.  The recursion is set by (P0, Q, R, dt),
+so once the five repeat bit for bit every later gain repeats the recorded
+cycle: _gain_schedule steps the full P through _predict_covariance and
+_update_covariance until then, and replays the cycle after, so a step only
+updates the three axes (_axes_step).  P00 grows without bound, so the whole
+P never repeats.  Keys are bit patterns, as float equality merges -0.0 with
+0.0 and never matches a NaN.  run_hover's filter repeats from step 19 and the
+shipped configs from step 4; a config that has not repeated within
+SCHEDULE_STATES steps pays a full-P step at every step.
 
 A naive dead-reckoning pipeline (raw gyro attitude, double-integrated
 acceleration) is kept alongside as the uncorrected baseline.
@@ -167,47 +160,23 @@ def _update_state(x: Vec3, z: tuple[float, float], gain) -> Vec3:
     return (x[0] + k0 * u, x[1] + k1 * u, x[2] + k2 * u)
 
 
-def _covariance_step(col: Vec3, row: tuple[float, float], q: tuple, r,
-                     d: float, h: float):
-    """One predict and update of P[:,2] and P[2,:2]: (gain, col, row), with
-    gain = (P02, P12, P22, c0, c1) as _axes_step reads it.  The operand
-    order is that of _predict_covariance and _update_covariance, so the
-    results are bit-identical to theirs."""
-    c02, c12, c22 = col
-    r20, r21 = row
-    q02, q12, q22, q20, q21 = q
-    p02 = c02 + d * c12 + h * c22 + q02
-    p12 = c12 + d * c22 + q12
-    p22 = c22 + q22
-    p20 = r20 + d * r21 + h * c22 + q20
-    p21 = r21 + d * c22 + q21
-    c0, c1 = _innovation_gain(p22, r)
-    cc = c0 + c1
-    k2 = p22 * cc
-    s02 = 0.5 * ((p02 - p02 * cc * p22) + (p20 - k2 * p20))
-    s12 = 0.5 * ((p12 - p12 * cc * p22) + (p21 - k2 * p21))
-    raw22 = p22 - k2 * p22
-    return ((p02, p12, p22, c0, c1), (s02, s12, 0.5 * (raw22 + raw22)),
-            (s02, s12))
-
-
-def _gain_schedule(col: Vec3, row: tuple[float, float], q: tuple, r,
-                   d: float, h: float):
-    """Each step's gain from _covariance_step, forever; the recorded cycle
-    is replayed once a state repeats (see the module docstring)."""
+def _gain_schedule(p: Mat3, q: Mat3, r, d: float, h: float):
+    """Each step's gain from _predict_covariance then _update_covariance,
+    forever; the recorded cycle is replayed once the five entries the gain
+    reads repeat (see the module docstring)."""
     first: dict[bytes, int] = {}
     gains = []
     while len(gains) < SCHEDULE_STATES:
-        key = _STATE_KEY(*col, *row)
+        key = _STATE_KEY(p[0][2], p[1][2], p[2][2], p[2][0], p[2][1])
         if key in first:
             yield from itertools.cycle(gains[first[key]:])
         first[key] = len(gains)
-        gain, col, row = _covariance_step(col, row, q, r, d, h)
+        gain, p = _update_covariance(_predict_covariance(p, q, d, h), r)
         gains.append(gain)
         yield gain
     del first, gains
     while True:
-        gain, col, row = _covariance_step(col, row, q, r, d, h)
+        gain, p = _update_covariance(_predict_covariance(p, q, d, h), r)
         yield gain
 
 
@@ -215,7 +184,7 @@ def _axes_step(gain: tuple, axes, a1: Vec3, a2: Vec3, d: float, h: float):
     """The three [p, v, a] axes predicted and updated with one step's gain
     and the two IMUs' world accelerations a1, a2; bit-identical to
     _predict_state then _update_state, whose operand order it keeps."""
-    p02, p12, p22, c0, c1 = gain
+    (p02, p12, p22), c0, c1 = gain
     (x0, v0, b0), (x1, v1, b1), (x2, v2, b2) = axes
     u0 = c0 * (a1[0] - b0) + c1 * (a2[0] - b0)
     u1 = c0 * (a1[1] - b1) + c1 * (a2[1] - b1)
@@ -285,8 +254,8 @@ class InertialEstimator:
 
     Attitude comes from IMU 1 alone; both IMUs contribute world-frame
     acceleration measurements to every axis filter.  The axes share one
-    covariance, of which only column and row 2 are carried (see the module
-    docstring), and keep their own [p, v, a].
+    replayed gain schedule (see the module docstring) and keep their own
+    [p, v, a].
     """
 
     def __init__(self, cfg: KalmanConfig, gain: ComplementaryGain,
@@ -298,13 +267,7 @@ class InertialEstimator:
         self.gain = gain
         self.dt = dt
         self.attitude = AttitudeEstimate.level(initial_yaw)
-        p, q = cfg.P0, cfg.Q
-        # P[:,2] and P[2,:2], with the Q entries they read; see the module
-        # docstring.
-        self._gains = _gain_schedule(
-            (p[0][2], p[1][2], p[2][2]), (p[2][0], p[2][1]),
-            (q[0][2], q[1][2], q[2][2], q[2][0], q[2][1]), cfg.R, dt,
-            0.5 * dt * dt)
+        self._gains = _gain_schedule(cfg.P0, cfg.Q, cfg.R, dt, 0.5 * dt * dt)
         self.axes: tuple[Vec3, Vec3, Vec3] = tuple(
             (initial_position[i] + cfg.x0[0], cfg.x0[1], cfg.x0[2])
             for i in range(3))

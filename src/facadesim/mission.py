@@ -401,8 +401,8 @@ def run_hover(duration_s: float = 120.0, seed: int = 0,
     Deviation of each position pipeline from the setpoint is the hover
     position error.
     """
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ValueError("duration_s must be positive and finite")
     sensors = sensors if sensors is not None else SensorParams()
     gains = gains if gains is not None else PidGains()
     vehicle = vehicle if vehicle is not None else VehicleParams()

@@ -31,6 +31,13 @@ class VehicleParams:
     yaw_rate_max: float = 1.0   # [rad/s]
     tau: float = 0.3            # [s] velocity tracking time constant
 
+    def __post_init__(self) -> None:
+        if self.v_max <= 0:
+            raise ValueError("v_max must be positive")
+        for name in ("yaw_rate_max", "tau"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+
 
 @dataclass(frozen=True)
 class VelocityCommand:

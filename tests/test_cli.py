@@ -282,6 +282,24 @@ def test_negative_seed_in_yaml_exits_2(tiny_yaml, tmp_path, capsys):
     assert line == "config error: seed must be non-negative, got -1"
 
 
+@pytest.mark.parametrize("override", [
+    "vehicle.v_max=-1", "vehicle.v_max=0", "vehicle.tau=-0.5",
+    "vehicle.yaw_rate_max=-1"])
+def test_impossible_vehicle_value_exits_2(config_dir, tmp_path, capsys,
+                                          override):
+    """Unchecked, a non-positive v_max or a negative tau flies until the
+    watchdog aborts, and a negative yaw_rate_max inverts the yaw clamp."""
+    out = tmp_path / "never"
+    rc = main(["mission", "--config", str(config_dir / "default.yaml"),
+               "--out", str(out), "--set", override])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ")
+    assert "vehicle" in line
+    assert override.partition("=")[0].split(".")[1] in line
+    assert not out.exists()
+
+
 def test_missing_config_exits_4(tmp_path, capsys):
     rc = main(["mission", "--config", str(tmp_path / "ghost.yaml"),
                "--out", str(tmp_path / "never")])

@@ -20,8 +20,9 @@ from facadesim.estimation import (
     InertialEstimator,
     KalmanConfig,
     KalmanState,
-    _covariance_step,
     _gain_schedule,
+    _predict_covariance,
+    _update_covariance,
     dead_reckon,
     diag3,
     kalman_predict,
@@ -380,33 +381,45 @@ def _kalman_configs(draw):
 @example(cfg=HOVER_KALMAN, dt=DT)
 @settings(deadline=None)
 def test_estimator_exact_for_any_config(cfg, dt):
-    """The estimator carries only the covariance column and row the gain
-    reads; with non-diagonal, slightly asymmetric Q and P0 and correlated R
-    it still equals the full-P chains bit for bit."""
+    """The estimator replays its gains once the covariance column and row
+    the gain reads repeat; with non-diagonal, slightly asymmetric Q and P0
+    and correlated R it still equals the full-P chains bit for bit."""
     start = (4.0, 1.0, -2.0)
     _assert_estimator_matches_full_p_chains(
         cfg, dt, _manoeuvre(150, dt, -0.7, start), start, -0.7)
 
 
 def _schedule_inputs(cfg, dt):
-    """The (col, row, q, r, d, h) the estimator starts its schedule from."""
-    p, q = cfg.P0, cfg.Q
-    return ((p[0][2], p[1][2], p[2][2]), (p[2][0], p[2][1]),
-            (q[0][2], q[1][2], q[2][2], q[2][0], q[2][1]), cfg.R, dt,
-            0.5 * dt * dt)
+    """The (P0, Q, R, d, h) the estimator starts its schedule from."""
+    return cfg.P0, cfg.Q, cfg.R, dt, 0.5 * dt * dt
 
 
-def _first_repeat(col, row, q, r, d, h, n):
-    """(first step of the cycle, period) of the covariance states, compared
-    bit for bit over the first n states, or None if none of them repeats."""
+def _full_p_steps(p, q, r, d, h):
+    """(P before the step, gain) from the chained full-P cores, forever."""
+    while True:
+        gain, p_next = _update_covariance(_predict_covariance(p, q, d, h), r)
+        yield p, gain
+        p = p_next
+
+
+def _first_repeat(p, q, r, d, h, n):
+    """(first step of the cycle, period) of the five covariance entries the
+    gain reads, compared bit for bit over the first n states, or None if
+    none of them repeats."""
     seen = {}
-    for k in range(n):
-        key = struct.pack("5d", *col, *row)
+    steps = itertools.islice(_full_p_steps(p, q, r, d, h), n)
+    for k, (pk, _) in enumerate(steps):
+        key = struct.pack("5d", pk[0][2], pk[1][2], pk[2][2], pk[2][0],
+                          pk[2][1])
         if key in seen:
             return seen[key], k - seen[key]
         seen[key] = k
-        _, col, row = _covariance_step(col, row, q, r, d, h)
     return None
+
+
+def _gain_hex(gain):
+    (k0, k1, k2), c0, c1 = gain
+    return [g.hex() for g in (k0, k1, k2, c0, c1)]
 
 
 def _default_yaml_kalman():
@@ -431,20 +444,39 @@ _SCHEDULES = {
 
 @pytest.mark.parametrize("name", list(_SCHEDULES))
 def test_gain_schedule_equals_covariance_steps(name):
-    """The replayed schedule yields what iterating _covariance_step does,
-    bit for bit, past the cap and a whole cycle beyond it."""
+    """The replayed schedule yields what chaining _predict_covariance and
+    _update_covariance does, bit for bit, past the cap and a whole cycle
+    beyond it."""
     make, cycle = _SCHEDULES[name]
     args = _schedule_inputs(*make())
     assert _first_repeat(*args, SCHEDULE_STATES) == cycle
     n = SCHEDULE_STATES + 200   # every period here is at most 50
-    col, row, q, r, d, h = args
-    want = []
-    for _ in range(n):
-        gain, col, row = _covariance_step(col, row, q, r, d, h)
-        want.append([g.hex() for g in gain])
-    got = [[g.hex() for g in gain]
+    want = [_gain_hex(gain) for _, gain in
+            itertools.islice(_full_p_steps(*args), n)]
+    got = [_gain_hex(gain)
            for gain in itertools.islice(_gain_schedule(*args), n)]
     assert got == want
+
+
+@pytest.mark.parametrize("name", list(_SCHEDULES))
+def test_gain_schedule_ignores_entries_outside_column_and_row_2(name):
+    """The gains never read P00, P11 or P01/P10 of P0 or Q, so keying the
+    replay on column and row 2 alone is exact."""
+    make, _ = _SCHEDULES[name]
+    cfg, dt = make()
+
+    def moved(m, bump):
+        (m00, m01, m02), (m10, m11, m12), row2 = m
+        return ((m00 * 3.0 + bump, m01 + bump, m02),
+                (m10 + bump, m11 * 0.5 + bump, m12), row2)
+
+    def gains(c):
+        return [_gain_hex(g) for g in itertools.islice(
+            _gain_schedule(*_schedule_inputs(c, dt)), 300)]
+
+    other = KalmanConfig(Q=moved(cfg.Q, 1e-3), R=cfg.R,
+                         P0=moved(cfg.P0, 2e-2))
+    assert gains(other) == gains(cfg)
 
 
 def test_estimator_singular_innovation_raises():

@@ -248,8 +248,9 @@ def test_hover_kalman_beats_dead_reckoning():
 
 
 def test_hover_rejects_bad_duration():
-    with pytest.raises(ValueError):
-        run_hover(duration_s=0.0)
+    for duration_s in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration_s"):
+            run_hover(duration_s=duration_s)
 
 
 def test_watchdog_aborts_unreachable_waypoint(config_dir):
