@@ -15,6 +15,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "src"))
 
 from facadesim import run_hover  # noqa: E402
+from facadesim.attitude import ComplementaryGain  # noqa: E402
 
 
 def main() -> int:
@@ -22,14 +23,18 @@ def main() -> int:
     parser.add_argument("--duration", type=float, default=120.0,
                         help="hover length in seconds (default 120)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--alpha", type=float, default=0.98,
-                        help="complementary blend gain (default 0.98)")
+    parser.add_argument("--alpha", type=float,
+                        default=ComplementaryGain.alpha,
+                        help="complementary blend gain (default %(default)s)")
     parser.add_argument("--out", default="-",
                         help="output CSV path, - for stdout (default)")
     args = parser.parse_args()
 
-    res = run_hover(duration_s=args.duration, seed=args.seed,
-                    alpha=args.alpha)
+    try:
+        res = run_hover(duration_s=args.duration, seed=args.seed,
+                        alpha=args.alpha)
+    except ValueError as e:
+        parser.error(str(e))
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     try:

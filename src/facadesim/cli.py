@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .config import (
     ScenarioConfig,
+    _is_number,
     apply_overrides,
     config_from_dict,
     load_raw,
@@ -169,10 +170,6 @@ def _read_captures(path: Path) -> tuple[int, int]:
     with open(path, newline="") as fh:
         labels = [c["label"] for c in csv.DictReader(fh)]
     return len(labels), labels.count("crack")
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _read_report(path: Path) -> tuple[float | None, list[tuple]]:

@@ -14,14 +14,17 @@ from pathlib import Path
 
 import yaml
 
-from .control import D_ENGAGE, PidGains
+from .attitude import ComplementaryGain
+from .control import D_ENGAGE, KP_YAW, PidGains
 from .errors import InvalidScenario
 from .estimation import P0_DIAG, Q_DIAG, KalmanConfig, diag3
-from .perception import ClassifierSpec
+from .perception import CAPTURE_INTERVAL_S, MERGE_RADIUS, ClassifierSpec
 from .sensors import SensorParams
 from .planner import PlanParams
 from .vehicle import VehicleParams
 from .world import (
+    CAMERA_HFOV_DEG,
+    CAMERA_VFOV_DEG,
     SCAN_N_BINS,
     SCAN_RANGE_MAX,
     BuildingSpec,
@@ -38,10 +41,10 @@ class MissionParams:
     arrival_tol: float = 0.3          # [m] on the estimated position
     hold_s: float = 5.0
     watchdog_s: float = 120.0         # per-waypoint time limit
-    capture_interval_s: float = 10.0
-    merge_radius: float = 2.0
+    capture_interval_s: float = CAPTURE_INTERVAL_S
+    merge_radius: float = MERGE_RADIUS
     d_engage: float = D_ENGAGE
-    kp_yaw: float = 1.0
+    kp_yaw: float = KP_YAW
 
     def __post_init__(self) -> None:
         for name in ("dt", "arrival_tol", "hold_s", "watchdog_s",
@@ -68,13 +71,13 @@ class ScenarioConfig:
     classifier: ClassifierSpec = field(default_factory=ClassifierSpec)
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     mission: MissionParams = field(default_factory=MissionParams)
-    alpha: float = 0.98
+    alpha: float = ComplementaryGain.alpha
     kalman_q_diag: tuple[float, float, float] = Q_DIAG
     kalman_r_std: float | None = None   # None: use sensors.accel_noise_std
     kalman_p0_diag: tuple[float, float, float] = P0_DIAG
-    camera_hfov_deg: float = 90.0
-    camera_vfov_deg: float = 60.0
-    camera_max_range: float = 15.0
+    camera_hfov_deg: float = CAMERA_HFOV_DEG
+    camera_vfov_deg: float = CAMERA_VFOV_DEG
+    camera_max_range: float = CameraModel.max_range
     scan_n_bins: int = SCAN_N_BINS
     scan_range_max: float = SCAN_RANGE_MAX
 
@@ -102,8 +105,7 @@ class ScenarioConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if fp.distance_to(self.home[0], self.home[1]) <= 0.0:
             raise ValueError("home must lie outside the building footprint")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
+        ComplementaryGain(self.alpha)
         if any(q < 0 for q in self.kalman_q_diag):
             raise ValueError("kalman_q_diag entries must be non-negative")
         if any(p < 0 for p in self.kalman_p0_diag):

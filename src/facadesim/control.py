@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from .estimation import EstimatedState
 from .geometry import Quat, Rect, Vec3, quat_rotate_inverse, wrap_angle
 from .planner import Waypoint
-from .vehicle import VelocityCommand
+from .vehicle import VehicleParams, VelocityCommand
 from .world import LaserScan
 
 D_ENGAGE = 3.0          # [m] sector activation threshold
 SECTOR_EDGE = math.pi / 4.0   # front is |angle| <= 45 deg
+KP_YAW = 1.0            # [1/s] yaw-rate gain on the heading error
+I_MAX = 100.0           # PID integral clamp
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,7 @@ class PidState:
 
 
 def _pid(gains: PidGains, pid: tuple[float, float, bool], error: float,
-         dt: float, i_max: float = 100.0) -> tuple[float, tuple]:
+         dt: float, i_max: float = I_MAX) -> tuple[float, tuple]:
     """Output and the next (integral, prev_error, initialized) of a PID."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -53,7 +55,7 @@ def _pid(gains: PidGains, pid: tuple[float, float, bool], error: float,
 
 
 def pid_step(gains: PidGains, state: PidState, error: float, dt: float,
-             i_max: float = 100.0) -> tuple[float, PidState]:
+             i_max: float = I_MAX) -> tuple[float, PidState]:
     out, pid = _pid(gains, (state.integral, state.prev_error,
                             state.initialized), error, dt, i_max)
     return out, PidState(*pid)
@@ -80,8 +82,9 @@ def _track(position: Vec3, quat: Quat, yaw: float, wp: Waypoint,
 
 
 def track_waypoint(est: EstimatedState, wp: Waypoint, gains: PidGains,
-                   state: PidState, dt: float, v_max: float = 3.0,
-                   kp_yaw: float = 1.0, yaw_rate_max: float = 1.0,
+                   state: PidState, dt: float,
+                   v_max: float = VehicleParams.v_max, kp_yaw: float = KP_YAW,
+                   yaw_rate_max: float = VehicleParams.yaw_rate_max,
                    ) -> tuple[VelocityCommand, PidState]:
     """Scalar PID on distance gives speed; direction is straight at the goal."""
     v_body, yaw_rate, pid = _track(
@@ -170,7 +173,8 @@ _FRESH_AVOIDANCE = AvoidanceState()   # frozen, so one instance serves all
 
 
 def avoidance_command(sectors: ObstacleSectors, gains: PidGains,
-                      state: AvoidanceState, dt: float, v_max: float = 3.0,
+                      state: AvoidanceState, dt: float,
+                      v_max: float = VehicleParams.v_max,
                       ) -> tuple[VelocityCommand | None, AvoidanceState]:
     """Repulsive body-frame command, or None when no sector is active.
 

@@ -41,7 +41,7 @@ from .geometry import (
     quat_normalize,
     quat_rotate,
 )
-from .sensors import ImuSample
+from .sensors import ImuSample, SensorParams
 from .vehicle import G_VEC
 
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -54,6 +54,12 @@ _STATE_KEY = struct.Struct("5d").pack
 
 def diag3(a: float, b: float, c: float) -> Mat3:
     return ((a, 0.0, 0.0), (0.0, b, 0.0), (0.0, 0.0, c))
+
+
+def _accel_r(accel_noise_std: float):
+    """R for two accelerometers of this noise std, floored at 1e-6."""
+    r = max(accel_noise_std, 1e-6) ** 2
+    return ((r, 0.0), (0.0, r))
 
 
 def _check_symmetric(m, name: str, tol: float = 1e-9) -> None:
@@ -73,8 +79,8 @@ class KalmanConfig:
     """Per-axis filter tuning; shared by all three world axes."""
 
     Q: Mat3 = diag3(*Q_DIAG)
-    R: tuple[tuple[float, float], tuple[float, float]] = ((0.0025, 0.0),
-                                                          (0.0, 0.0025))
+    R: tuple[tuple[float, float], tuple[float, float]] = _accel_r(
+        SensorParams.accel_noise_std)
     x0: Vec3 = (0.0, 0.0, 0.0)
     P0: Mat3 = diag3(*P0_DIAG)
 
@@ -85,8 +91,7 @@ class KalmanConfig:
 
     @staticmethod
     def for_accel_noise(accel_noise_std: float) -> "KalmanConfig":
-        r = max(accel_noise_std, 1e-6) ** 2
-        return KalmanConfig(R=((r, 0.0), (0.0, r)))
+        return KalmanConfig(R=_accel_r(accel_noise_std))
 
 
 @dataclass(frozen=True)
@@ -215,32 +220,6 @@ def kalman_update(state: KalmanState, z: tuple[float, float],
                        time=state.time)
 
 
-def dead_reckon(accel_stream, dt: float) -> list[Vec3]:
-    """Trapezoidal double integration of world accelerations from the origin."""
-    stream = list(accel_stream)
-    if not stream:
-        raise ValueError("accel_stream must be nonempty")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    trace = [(0.0, 0.0, 0.0)]
-    vel = (0.0, 0.0, 0.0)
-    for prev, a in zip(stream, stream[1:]):
-        pos, vel = _trapezoid(trace[-1], vel, prev, a, dt)
-        trace.append(pos)
-    return trace
-
-
-def _trapezoid(pos: Vec3, vel: Vec3, prev_accel: Vec3, accel: Vec3,
-               dt: float) -> tuple[Vec3, Vec3]:
-    """One trapezoid-rule step of velocity, then position: (pos, vel)."""
-    vx = vel[0] + 0.5 * (prev_accel[0] + accel[0]) * dt
-    vy = vel[1] + 0.5 * (prev_accel[1] + accel[1]) * dt
-    vz = vel[2] + 0.5 * (prev_accel[2] + accel[2]) * dt
-    return (pos[0] + 0.5 * (vel[0] + vx) * dt,
-            pos[1] + 0.5 * (vel[1] + vy) * dt,
-            pos[2] + 0.5 * (vel[2] + vz) * dt), (vx, vy, vz)
-
-
 @dataclass(frozen=True)
 class EstimatedState:
     position: Vec3
@@ -259,8 +238,8 @@ class InertialEstimator:
     """
 
     def __init__(self, cfg: KalmanConfig, gain: ComplementaryGain,
-                 initial_position: Vec3, initial_yaw: float = 0.0,
-                 dt: float = 0.01):
+                 initial_position: Vec3, initial_yaw: float = 0.0, *,
+                 dt: float):
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         self.cfg = cfg
@@ -294,7 +273,7 @@ class DeadReckoner:
     """Uncorrected baseline: raw gyro attitude, double-integrated accel."""
 
     def __init__(self, initial_position: Vec3, initial_attitude: Quat,
-                 dt: float = 0.01):
+                 dt: float):
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         self.dt = dt
@@ -313,11 +292,18 @@ class DeadReckoner:
 def _reckon(quat: Quat, pos: Vec3, vel: Vec3, prev_accel: Vec3 | None,
             gyro: Vec3, accel: Vec3, dt: float):
     """One dead-reckoning step: (quat, pos, vel, world accel) after it; the
-    first step (no prev_accel) only records the acceleration."""
+    first step (no prev_accel) only records the acceleration.  Velocity,
+    then position, follow the trapezoid rule."""
     gx, gy, gz = gyro
     dq = quat_from_rotvec((gx * dt, gy * dt, gz * dt))
     quat = quat_normalize(quat_multiply(quat, dq))
     a = _to_world(quat, accel)
     if prev_accel is not None:
-        pos, vel = _trapezoid(pos, vel, prev_accel, a, dt)
+        vx = vel[0] + 0.5 * (prev_accel[0] + a[0]) * dt
+        vy = vel[1] + 0.5 * (prev_accel[1] + a[1]) * dt
+        vz = vel[2] + 0.5 * (prev_accel[2] + a[2]) * dt
+        pos = (pos[0] + 0.5 * (vel[0] + vx) * dt,
+               pos[1] + 0.5 * (vel[1] + vy) * dt,
+               pos[2] + 0.5 * (vel[2] + vz) * dt)
+        vel = (vx, vy, vz)
     return quat, pos, vel, a

@@ -154,41 +154,6 @@ class Rect:
         return px, py
 
 
-def ray_rect_distance(ox: float, oy: float, dx: float, dy: float, rect: Rect) -> float:
-    """Distance along a unit 2D ray to an axis-aligned rectangle, inf if missed.
-
-    Origins inside the rectangle report the exit distance.
-    """
-    tmin, tmax = -math.inf, math.inf
-    for o, d, lo, hi in (
-        (ox, dx, rect.cx - rect.hx, rect.cx + rect.hx),
-        (oy, dy, rect.cy - rect.hy, rect.cy + rect.hy),
-    ):
-        if d == 0.0:
-            if o < lo or o > hi:
-                return math.inf
-            continue
-        t1, t2 = (lo - o) / d, (hi - o) / d
-        if t1 > t2:
-            t1, t2 = t2, t1
-        tmin = max(tmin, t1)
-        tmax = min(tmax, t2)
-    if tmax < tmin or tmax < 0.0:
-        return math.inf
-    return tmin if tmin > 0.0 else tmax
-
-
-def segment_hits_circle(ax: float, ay: float, bx: float, by: float,
-                        cx: float, cy: float, r: float) -> bool:
-    """True if the 2D segment a-b passes within r of (cx, cy)."""
-    vx, vy = bx - ax, by - ay
-    wx, wy = cx - ax, cy - ay
-    vv = vx * vx + vy * vy
-    t = 0.0 if vv == 0.0 else max(0.0, min(1.0, (wx * vx + wy * vy) / vv))
-    ex, ey = ax + t * vx - cx, ay + t * vy - cy
-    return ex * ex + ey * ey <= r * r
-
-
 def segment_circle_interval(a: tuple[float, float], b: tuple[float, float],
                             center: tuple[float, float],
                             r: float) -> tuple[float, float] | None:

@@ -9,7 +9,7 @@ the loggers.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 from .attitude import ComplementaryGain, _complementary
@@ -91,8 +91,7 @@ class MissionResult:
     clearances: list[tuple[float, ...]]    # per obstacle, per step
     entered_footprint: bool
     # ground truth sampled as each fault hold expires: (fault id, t, xyz, yaw)
-    hold_end_poses: list[tuple[int, float, Vec3, float]] = field(
-        default_factory=list)
+    hold_end_poses: list[tuple[int, float, Vec3, float]]
 
 
 def _cylinder_clearance(o, p: Vec3) -> float:
@@ -155,6 +154,8 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     which nothing reads, are skipped.  The Kalman gains come from the
     estimator's replayed schedule, so a step updates only the three axes.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     noise1 = Imu(sensors, seed, imu_id=0)._noise
     noise2 = Imu(sensors, seed, imu_id=1)._noise
     est = InertialEstimator(kalman, ComplementaryGain(alpha), start,
@@ -390,33 +391,29 @@ class HoverResult:
 
 
 def run_hover(duration_s: float = 120.0, seed: int = 0,
-              sensors: SensorParams | None = None,
-              setpoint: Vec3 = (0.0, 0.0, 2.0), dt: float = 0.01,
-              gains: PidGains | None = None, alpha: float = 0.98,
-              kalman: KalmanConfig | None = None,
-              vehicle: VehicleParams | None = None) -> HoverResult:
-    """Hold a hover setpoint with control closed on the Kalman estimate.
+              alpha: float = ComplementaryGain.alpha) -> HoverResult:
+    """Hold a hover at (0, 0, 2) with control closed on the Kalman estimate.
 
     The drone starts at rest on the setpoint; both estimators start exact.
+    Sensors, gains, plant, filter and dt are the defaults a scenario gets.
     Deviation of each position pipeline from the setpoint is the hover
     position error.
     """
-    if not 0 < duration_s < math.inf:
-        raise ValueError("duration_s must be positive and finite")
-    sensors = sensors if sensors is not None else SensorParams()
-    gains = gains if gains is not None else PidGains()
-    vehicle = vehicle if vehicle is not None else VehicleParams()
-    if kalman is None:
-        kalman = KalmanConfig.for_accel_noise(sensors.accel_noise_std)
-
+    dt = MissionParams.dt
+    if not (0 < duration_s < math.inf and round(duration_s / dt) >= 1):
+        raise ValueError(f"duration_s must be finite and round to at least "
+                         f"one step of {dt} s, got {duration_s}")
+    sensors = SensorParams()
+    setpoint = (0.0, 0.0, 2.0)
     sense, track, _, fly, _ = _step_kernel(
-        sensors, seed, kalman, alpha, setpoint, 0.0, dt, gains, vehicle,
+        sensors, seed, KalmanConfig.for_accel_noise(sensors.accel_noise_std),
+        alpha, setpoint, 0.0, dt, PidGains(), VehicleParams(),
         MissionParams.kp_yaw)
     wp = Waypoint(setpoint, 0.0, 0)
     true_pos = setpoint
 
     res = HoverResult(times=[], est_err=[], dr_err=[], true_err=[])
-    for k in range(int(round(duration_s / dt))):
+    for k in range(round(duration_s / dt)):
         est_pos, dr_pos, _, _ = sense()
         res.times.append(k * dt)
         res.est_err.append(v_dist(est_pos, setpoint))

@@ -16,6 +16,8 @@ from .geometry import Quat, Vec3, yaw_of
 
 LABEL_CRACK = "crack"
 LABEL_NOT_CRACK = "not_crack"
+CAPTURE_INTERVAL_S = 10.0   # [s] of sim time between captures
+MERGE_RADIUS = 2.0          # [m] crack sightings this close are one fault
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class ClassifierSpec:
 
 
 def capture_tick(clock: float, last_capture: float,
-                 interval: float = 10.0) -> bool:
+                 interval: float = CAPTURE_INTERVAL_S) -> bool:
     """True when a capture is due.  Seed last_capture = -interval for t=0."""
     if interval <= 0.0:
         raise ValueError("interval must be positive")
@@ -76,7 +78,7 @@ class Classifier:
         return LABEL_CRACK if truth == LABEL_NOT_CRACK else LABEL_NOT_CRACK
 
 
-def filter_fault_coordinates(records, merge_radius: float = 2.0,
+def filter_fault_coordinates(records, merge_radius: float = MERGE_RADIUS,
                              ) -> list[tuple[Vec3, float]]:
     """Estimated (position, yaw) of crack captures, nearby repeats merged.
 

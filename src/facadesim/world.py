@@ -37,6 +37,9 @@ SCAN_ANGLE_MIN = -0.75 * math.pi
 SCAN_ANGLE_MAX = 0.75 * math.pi
 SCAN_N_BINS = 271
 SCAN_RANGE_MAX = 20.0
+# degrees, as the config file gives them: radians would not round-trip
+CAMERA_HFOV_DEG = 90.0
+CAMERA_VFOV_DEG = 60.0
 # [m] A ray never meets a solid nearer than the solid's horizontal distance
 # from the pose, but the computed slab and circle distances can undershoot
 # it by float rounding (under 1e-12 m at scene scale), so the scan's
@@ -98,8 +101,8 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class CameraModel:
-    hfov: float = math.radians(90.0)
-    vfov: float = math.radians(60.0)
+    hfov: float = math.radians(CAMERA_HFOV_DEG)
+    vfov: float = math.radians(CAMERA_VFOV_DEG)
     max_range: float = 15.0
 
     def __post_init__(self) -> None:
@@ -141,10 +144,6 @@ class Scene:
             if fp.distance_to(o.center_xy[0], o.center_xy[1]) < o.radius:
                 raise ValueError(
                     f"obstacle {o.id} intersects the building footprint")
-
-
-def face_normal(face: str) -> Vec3:
-    return _FACE_NORMALS[face]
 
 
 def decal_world_center(building: BuildingSpec, decal: FaultDecal) -> Vec3:

@@ -25,7 +25,6 @@ from facadesim.estimation import (
 from facadesim.geometry import (
     quat_from_euler,
     quat_rotate_inverse,
-    ray_rect_distance,
     v_dist,
     wrap_angle,
     yaw_of,
@@ -36,6 +35,7 @@ from facadesim.planner import PlanParams, Waypoint, generate_perimeter_path
 from facadesim.sensors import ImuSample
 from facadesim.vehicle import GRAVITY, TrueState, VehicleParams, step_dynamics
 from facadesim.world import BuildingSpec
+from oracles import ray_rect_distance
 
 DT = 0.01
 

@@ -1,5 +1,6 @@
 """Scenario config loading, validation, overrides, round-trips."""
 
+import inspect
 import math
 from pathlib import Path
 
@@ -15,8 +16,14 @@ from facadesim.config import (
     load_raw,
     save_config,
 )
+from facadesim.control import _pid, avoidance_command, pid_step, track_waypoint
 from facadesim.errors import InvalidScenario
-from facadesim.world import BuildingSpec, FaultDecal, Obstacle
+from facadesim.estimation import KalmanConfig
+from facadesim.mission import run_hover
+from facadesim.perception import capture_tick, filter_fault_coordinates
+from facadesim.sensors import SensorParams
+from facadesim.vehicle import VehicleParams
+from facadesim.world import BuildingSpec, CameraModel, FaultDecal, Obstacle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -224,3 +231,27 @@ def test_mission_params_validation():
         MissionParams(capture_interval_s=0.0)
     with pytest.raises(ValueError):
         MissionParams(watchdog_s=0.0)
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_each_shared_default_has_one_source():
+    """A default that a function signature repeats is exactly the config's."""
+    vehicle, mission = VehicleParams(), MissionParams()
+    cfg = small_config()
+    assert _default(track_waypoint, "v_max") == vehicle.v_max
+    assert _default(track_waypoint, "yaw_rate_max") == vehicle.yaw_rate_max
+    assert _default(track_waypoint, "kp_yaw") == mission.kp_yaw
+    assert _default(avoidance_command, "v_max") == vehicle.v_max
+    assert _default(pid_step, "i_max") == _default(_pid, "i_max")
+    assert _default(capture_tick, "interval") == mission.capture_interval_s
+    assert (_default(filter_fault_coordinates, "merge_radius")
+            == mission.merge_radius)
+    assert _default(run_hover, "alpha") == cfg.alpha
+    assert _default(run_hover, "seed") == cfg.seed
+    assert cfg.camera() == CameraModel()
+    assert cfg.kalman() == KalmanConfig()
+    assert KalmanConfig().R == KalmanConfig.for_accel_noise(
+        SensorParams().accel_noise_std).R

@@ -23,7 +23,6 @@ from facadesim.estimation import (
     _gain_schedule,
     _predict_covariance,
     _update_covariance,
-    dead_reckon,
     diag3,
     kalman_predict,
     kalman_update,
@@ -43,6 +42,7 @@ from facadesim.vehicle import (
     VelocityCommand,
     step_dynamics,
 )
+from oracles import dead_reckon
 
 DT = 0.01
 SINGULAR = "measurement covariance is singular"

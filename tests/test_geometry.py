@@ -18,12 +18,11 @@ from facadesim.geometry import (
     quat_normalize,
     quat_rotate,
     quat_rotate_inverse,
-    ray_rect_distance,
     segment_circle_interval,
-    segment_hits_circle,
     wrap_angle,
     yaw_of,
 )
+from oracles import ray_rect_distance, segment_hits_circle
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 unit_range = st.floats(-1.0, 1.0, allow_nan=False)

@@ -248,9 +248,18 @@ def test_hover_kalman_beats_dead_reckoning():
 
 
 def test_hover_rejects_bad_duration():
-    for duration_s in (0.0, math.nan, math.inf):
+    for duration_s in (0.0, math.nan, math.inf, 0.004):
         with pytest.raises(ValueError, match="duration_s"):
             run_hover(duration_s=duration_s)
+
+
+def test_negative_seed_override_is_rejected_before_any_draw(config_dir):
+    cfg = load_config(config_dir / "default.yaml")
+    for run in (lambda: run_hover(duration_s=1.0, seed=-1),
+                lambda: run_mission(cfg, seed=-1)):
+        with pytest.raises(ValueError,
+                           match="^seed must be non-negative, got -1$"):
+            run()
 
 
 def test_watchdog_aborts_unreachable_waypoint(config_dir):

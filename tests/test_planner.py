@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facadesim.geometry import ray_rect_distance, v_dist, wrap_angle
+from facadesim.geometry import v_dist, wrap_angle
 from facadesim.planner import (
     PlanParams,
     Waypoint,
@@ -17,6 +17,7 @@ from facadesim.planner import (
     plan_return_path,
 )
 from facadesim.world import BuildingSpec
+from oracles import ray_rect_distance
 
 
 def ring_waypoints(path):

@@ -21,6 +21,14 @@ def test_hover_filter_comparison_writes_one_row_per_step():
     assert all(len(r.split(",")) == 4 for r in rows)
 
 
+def test_hover_filter_comparison_rejects_a_too_short_hover():
+    proc = _run(SCRIPTS / "hover_filter_comparison.py", "--duration", "0.004")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: duration_s" in proc.stderr.splitlines()[-1]
+
+
 def test_run_default_mission_help():
     proc = _run(SCRIPTS / "run_default_mission.py", "--help")
     assert proc.returncode == 0, proc.stderr

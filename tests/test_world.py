@@ -20,10 +20,10 @@ from facadesim.world import (
     Obstacle,
     Scene,
     decal_world_center,
-    face_normal,
     simulate_scan,
     visible_decals,
 )
+from oracles import face_normal
 
 
 def pose(x, y, z, yaw=0.0, roll=0.0, pitch=0.0):
