@@ -188,7 +188,7 @@ def _read_report(path: Path) -> tuple[float | None, list[tuple]]:
         pos = f.get("position") if isinstance(f, dict) else None
         if not (isinstance(pos, list) and len(pos) == 3
                 and all(map(_is_number, pos + [f.get("yaw")]))
-                and isinstance(f.get("id"), int)):
+                and _is_number(f.get("id")) and isinstance(f["id"], int)):
             raise ValueError(f"fault {f!r} needs an int id, a 3-number "
                              f"position and a numeric yaw")
         out.append((f["id"], *pos, f["yaw"]))

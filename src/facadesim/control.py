@@ -3,12 +3,15 @@
 One deterministic control decision is made per simulation step: if any laser
 sector is active after masking out the building, the avoidance command fully
 replaces the tracking command; tracking resumes the step all sectors clear.
+
+Tracking and each avoidance lane step the scalar PID core `_pid` on an
+`(integral, prev_error, initialized)` tuple, the fields of `PidState`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .estimation import EstimatedState
 from .geometry import Quat, Rect, Vec3, quat_rotate_inverse, wrap_angle
@@ -40,6 +43,10 @@ class PidState:
     initialized: bool = False
 
 
+_FRESH_PID = astuple(PidState())   # the (integral, prev_error, initialized)
+_FRESH_LANES = (_FRESH_PID,) * 3    # of each (left, right, front) lane
+
+
 def _pid(gains: PidGains, pid: tuple[float, float, bool], error: float,
          dt: float, i_max: float = I_MAX) -> tuple[float, tuple]:
     """Output and the next (integral, prev_error, initialized) of a PID."""
@@ -52,13 +59,6 @@ def _pid(gains: PidGains, pid: tuple[float, float, bool], error: float,
     derivative = (error - prev) / dt
     out = gains.kp * error + gains.ki * integral + gains.kd * derivative
     return out, (integral, error, True)
-
-
-def pid_step(gains: PidGains, state: PidState, error: float, dt: float,
-             i_max: float = I_MAX) -> tuple[float, PidState]:
-    out, pid = _pid(gains, (state.integral, state.prev_error,
-                            state.initialized), error, dt, i_max)
-    return out, PidState(*pid)
 
 
 def _track(position: Vec3, quat: Quat, yaw: float, wp: Waypoint,
@@ -96,16 +96,16 @@ def track_waypoint(est: EstimatedState, wp: Waypoint, gains: PidGains,
 
 @dataclass(frozen=True)
 class ObstacleSectors:
-    left: bool = False
-    right: bool = False
-    front: bool = False
+    """Nearest sub-threshold return per sector; math.inf means clear."""
+
     dist_left: float = math.inf
     dist_right: float = math.inf
     dist_front: float = math.inf
 
     @property
     def any_active(self) -> bool:
-        return self.left or self.right or self.front
+        return (self.dist_left < math.inf or self.dist_right < math.inf
+                or self.dist_front < math.inf)
 
 
 _CLEAR_SECTORS = ObstacleSectors()   # frozen, so one instance serves all
@@ -115,7 +115,6 @@ def _sectors(hits, angle_min: float, step: float, mask: Rect | None,
              px: float, py: float, yaw: float,
              d_engage: float) -> ObstacleSectors:
     """Sectors from (bin, range) pairs; the core of `classify_sectors`."""
-    left = right = front = False
     d_left = d_right = d_front = math.inf
     for i, r in hits:
         if r >= d_engage:
@@ -126,22 +125,16 @@ def _sectors(hits, angle_min: float, step: float, mask: Rect | None,
             if mask.contains(px + r * math.cos(w), py + r * math.sin(w)):
                 continue
         if -SECTOR_EDGE <= angle <= SECTOR_EDGE:
-            front = True
             if r < d_front:
                 d_front = r
         elif angle > SECTOR_EDGE:
-            left = True
             if r < d_left:
                 d_left = r
-        else:
-            right = True
-            if r < d_right:
-                d_right = r
-    if not (left or right or front):
+        elif r < d_right:
+            d_right = r
+    if d_left == d_right == d_front == math.inf:
         return _CLEAR_SECTORS
-    return ObstacleSectors(left=left, right=right, front=front,
-                           dist_left=d_left, dist_right=d_right,
-                           dist_front=d_front)
+    return ObstacleSectors(d_left, d_right, d_front)
 
 
 def classify_sectors(scan: LaserScan, mask: Rect | None, position,
@@ -160,47 +153,27 @@ def classify_sectors(scan: LaserScan, mask: Rect | None, position,
                     position[0], position[1], yaw, d_engage)
 
 
-@dataclass(frozen=True)
-class AvoidanceState:
-    """One PID lane per sector; inactive lanes reset to fresh state."""
+def avoidance_command(sectors: ObstacleSectors, gains: PidGains, lanes: tuple,
+                      dt: float, v_max: float = VehicleParams.v_max,
+                      ) -> tuple[Vec3 | None, tuple]:
+    """Repulsive body-frame velocity (None when clear) and the next lanes.
 
-    left: PidState = PidState()
-    right: PidState = PidState()
-    front: PidState = PidState()
-
-
-_FRESH_AVOIDANCE = AvoidanceState()   # frozen, so one instance serves all
-
-
-def avoidance_command(sectors: ObstacleSectors, gains: PidGains,
-                      state: AvoidanceState, dt: float,
-                      v_max: float = VehicleParams.v_max,
-                      ) -> tuple[VelocityCommand | None, AvoidanceState]:
-    """Repulsive body-frame command, or None when no sector is active.
-
-    Error is 1/distance, so closer obstacles push harder.  Right obstacles
-    push left (+y), left obstacles push right (-y), a front obstacle drifts
-    the drone left, and all three together back it straight out (-x).
+    `lanes` holds one `_pid` state per sector, (left, right, front); a clear
+    sector's lane restarts from `_FRESH_PID`.  Error is 1/distance, so
+    closer obstacles push harder.  Right obstacles push left (+y), left
+    obstacles push right (-y), a front obstacle drifts the drone left, and
+    all three together back it straight out (-x).  Avoidance never yaws.
     """
     if not sectors.any_active:
-        return None, _FRESH_AVOIDANCE
+        return None, _FRESH_LANES
 
-    out_left, st_left = ((0.0, PidState()) if not sectors.left else
-                         pid_step(gains, state.left, 1.0 / sectors.dist_left,
-                                  dt))
-    out_right, st_right = ((0.0, PidState()) if not sectors.right else
-                           pid_step(gains, state.right,
-                                    1.0 / sectors.dist_right, dt))
-    out_front, st_front = ((0.0, PidState()) if not sectors.front else
-                           pid_step(gains, state.front,
-                                    1.0 / sectors.dist_front, dt))
-    new_state = AvoidanceState(left=st_left, right=st_right, front=st_front)
+    dists = (sectors.dist_left, sectors.dist_right, sectors.dist_front)
+    steps = [(0.0, _FRESH_PID) if d == math.inf else
+             _pid(gains, pid, 1.0 / d, dt) for d, pid in zip(dists, lanes)]
     # repulsion only; derivative transients must not pull toward the obstacle
-    out_left = max(0.0, out_left)
-    out_right = max(0.0, out_right)
-    out_front = max(0.0, out_front)
+    out_left, out_right, out_front = (max(0.0, out) for out, _ in steps)
 
-    if sectors.left and sectors.right and sectors.front:
+    if max(dists) < math.inf:   # all three sectors active
         vx = -max(out_left, out_right, out_front)
         vy = 0.0
     else:
@@ -210,4 +183,4 @@ def avoidance_command(sectors: ObstacleSectors, gains: PidGains,
     if speed > v_max and speed > 0.0:
         k = v_max / speed
         vx, vy = vx * k, vy * k
-    return VelocityCommand(v_body=(vx, vy, 0.0), yaw_rate=0.0), new_state
+    return (vx, vy, 0.0), tuple(pid for _, pid in steps)

@@ -15,23 +15,22 @@ from enum import Enum
 from .attitude import ComplementaryGain, _complementary
 from .config import MissionParams, ScenarioConfig
 from .control import (
-    _FRESH_AVOIDANCE,
+    _FRESH_LANES,
+    _FRESH_PID,
     PidGains,
-    PidState,
     _sectors,
     _track,
     avoidance_command,
 )
 from .errors import MissionAborted
 from .estimation import (
-    DeadReckoner,
     InertialEstimator,
     KalmanConfig,
     _axes_step,
     _reckon,
     _to_world,
 )
-from .geometry import Quat, Vec3, quat_from_euler, v_dist, wrap_angle, yaw_of
+from .geometry import Quat, Vec3, v_dist, wrap_angle, yaw_of
 from .perception import (
     CaptureRecord,
     Classifier,
@@ -45,7 +44,13 @@ from .planner import (
     generate_perimeter_path,
     plan_return_path,
 )
-from .sensors import Imu, SensorParams, _body_fields, _corrupt, _mag_reading
+from .sensors import (
+    SensorParams,
+    _body_fields,
+    _corrupt,
+    _mag_reading,
+    _noise_stream,
+)
 from .vehicle import TrueState, VehicleParams, _fly, _lag
 from .world import SCAN_ANGLE_MAX, SCAN_ANGLE_MIN, _scan_hits, visible_decals
 
@@ -156,11 +161,9 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    noise1 = Imu(sensors, seed, imu_id=0)._noise
-    noise2 = Imu(sensors, seed, imu_id=1)._noise
+    noise1, noise2 = _noise_stream(seed, 0), _noise_stream(seed, 1)
     est = InertialEstimator(kalman, ComplementaryGain(alpha), start,
                             initial_yaw=yaw, dt=dt)
-    dr = DeadReckoner(start, quat_from_euler(0.0, 0.0, yaw), dt=dt)
     pos, vel, att, rates, accel, t_true = astuple(
         TrueState.at_rest(start, yaw=yaw))
     gb, sg, ab, sa, sm = (sensors.gyro_bias, sensors.gyro_noise_std,
@@ -170,9 +173,8 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     v_max, yaw_rate_max = vehicle.v_max, vehicle.yaw_rate_max
     roll, pitch, yaw, quat, _ = astuple(est.attitude)
     axes, next_gain = est.axes, est._gains.__next__
-    dr_quat, dr_pos, dr_vel = dr.quat, dr.position, dr.velocity
-    dr_accel = dr._prev_accel
-    pid = fresh_pid = astuple(PidState())
+    dr_quat, dr_pos, dr_vel, dr_accel = att, start, vel, None   # at rest
+    pid = _FRESH_PID
 
     def sense():
         nonlocal roll, pitch, yaw, quat, axes
@@ -200,7 +202,7 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
 
     def reset_track() -> None:
         nonlocal pid
-        pid = fresh_pid
+        pid = _FRESH_PID
 
     def fly(v_body: Vec3, yaw_rate: float) -> tuple[Vec3, Quat]:
         nonlocal pos, vel, att, rates, accel, t_true
@@ -251,7 +253,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
     clearances: list[tuple[float, ...]] = []
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
     entered_fp = False
-    avoid_state = _FRESH_AVOIDANCE
+    lanes = _FRESH_LANES
     scan_step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (cfg.scan_n_bins - 1)
     true_pos, true_att = home, true_state().attitude
     steps = 0
@@ -343,14 +345,14 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                                                 mp.d_engage))
         sectors = _sectors(hits, SCAN_ANGLE_MIN, scan_step, mask, est_pos[0],
                            est_pos[1], est_yaw, mp.d_engage)
-        cmd, avoid_state = avoidance_command(sectors, cfg.gains, avoid_state,
-                                             dt, cfg.vehicle.v_max)
+        cmd, lanes = avoidance_command(sectors, cfg.gains, lanes, dt,
+                                       cfg.vehicle.v_max)
         if cmd is None:
             v_body, yaw_rate = track(wps[idx])
             engaged.append(False)
         else:
             reset_track()
-            v_body, yaw_rate = cmd.v_body, cmd.yaw_rate
+            v_body, yaw_rate = cmd, 0.0
             engaged.append(True)
 
         if scene.obstacles:

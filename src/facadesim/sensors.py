@@ -55,12 +55,7 @@ class Imu:
 
     def __init__(self, params: SensorParams, seed: int, imu_id: int = 0):
         self.params = params
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(imu_id,)))
-        # one sample's nine normals per next(), drawn _CHUNK samples at once
-        self._noise = itertools.chain.from_iterable(
-            rng.standard_normal((_CHUNK, 9)).tolist()
-            for _ in itertools.count())
+        self._noise = _noise_stream(seed, imu_id)
 
     def measure(self, state: TrueState) -> ImuSample:
         n = next(self._noise)
@@ -72,6 +67,14 @@ class Imu:
             accel=_corrupt(f, p.accel_bias, p.accel_noise_std, n, 3),
             mag=_mag_reading(m, p.mag_noise_std, n, 6),
             time=state.time)
+
+
+def _noise_stream(seed: int, imu_id: int):
+    """Nine normals per next() (one IMU sample), drawn _CHUNK at a time."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(imu_id,)))
+    return itertools.chain.from_iterable(
+        rng.standard_normal((_CHUNK, 9)).tolist() for _ in itertools.count())
 
 
 def _body_fields(attitude: Quat, accel_world: Vec3) -> tuple[Vec3, Vec3]:

@@ -337,9 +337,11 @@ _GOOD_ROW = "0,1,2,3,1,2,3,1,2,3,Done"
     {"report.json": '{"faults": [], "min_obstacle_clearance_m": NaN}'},
     {"report.json":
         '{"faults": [{"id": 0, "position": [1, 2, 3], "yaw": Infinity}]}'},
+    {"report.json":
+        '{"faults": [{"id": true, "position": [1, 2, 3], "yaw": 0}]}'},
 ], ids=["missing_column", "non_numeric", "short_row", "captures_no_label",
         "bad_json", "fault_no_position", "position_len_2", "yaw_not_number",
-        "top_level_list", "clearance_nan", "yaw_infinite"])
+        "top_level_list", "clearance_nan", "yaw_infinite", "id_true"])
 def test_report_on_malformed_file_exits_4(tmp_path, capsys, files):
     run = tmp_path / "run"
     run.mkdir()

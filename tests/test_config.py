@@ -16,7 +16,7 @@ from facadesim.config import (
     load_raw,
     save_config,
 )
-from facadesim.control import _pid, avoidance_command, pid_step, track_waypoint
+from facadesim.control import avoidance_command, track_waypoint
 from facadesim.errors import InvalidScenario
 from facadesim.estimation import KalmanConfig
 from facadesim.mission import run_hover
@@ -245,7 +245,6 @@ def test_each_shared_default_has_one_source():
     assert _default(track_waypoint, "yaw_rate_max") == vehicle.yaw_rate_max
     assert _default(track_waypoint, "kp_yaw") == mission.kp_yaw
     assert _default(avoidance_command, "v_max") == vehicle.v_max
-    assert _default(pid_step, "i_max") == _default(_pid, "i_max")
     assert _default(capture_tick, "interval") == mission.capture_interval_s
     assert (_default(filter_fault_coordinates, "merge_radius")
             == mission.merge_radius)

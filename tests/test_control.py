@@ -6,13 +6,14 @@ import pytest
 
 from facadesim.attitude import AttitudeEstimate
 from facadesim.control import (
-    AvoidanceState,
+    _FRESH_LANES,
+    _FRESH_PID,
     ObstacleSectors,
     PidGains,
     PidState,
+    _pid,
     avoidance_command,
     classify_sectors,
-    pid_step,
     track_waypoint,
 )
 from facadesim.estimation import EstimatedState
@@ -49,41 +50,48 @@ def test_gains_validation():
         PidGains(kd=-2.0)
 
 
+def test_fresh_pid_is_the_default_pid_state():
+    assert _FRESH_PID == (0.0, 0.0, False)
+    assert PidState(*_FRESH_PID) == PidState()
+    assert _FRESH_LANES == (_FRESH_PID,) * 3
+
+
 def test_pid_first_step_has_no_derivative_kick():
     g = PidGains(kp=2.0, ki=0.5, kd=10.0)
-    out, st = pid_step(g, PidState(), 3.0, DT)
+    out, st = _pid(g, _FRESH_PID, 3.0, DT)
+    integral, prev_error, initialized = st
     assert out == pytest.approx(2.0 * 3.0 + 0.5 * 3.0 * DT)
-    assert st.initialized
-    assert st.prev_error == 3.0
-    assert st.integral == pytest.approx(3.0 * DT)
+    assert initialized
+    assert prev_error == 3.0
+    assert integral == pytest.approx(3.0 * DT)
 
 
 def test_pid_second_step_arithmetic():
     g = PidGains(kp=2.0, ki=0.5, kd=0.25)
-    _, st = pid_step(g, PidState(), 3.0, DT)
-    out, st2 = pid_step(g, st, 2.0, DT)
+    _, st = _pid(g, _FRESH_PID, 3.0, DT)
+    out, st2 = _pid(g, st, 2.0, DT)
     integral = 3.0 * DT + 2.0 * DT
     assert out == pytest.approx(2.0 * 2.0 + 0.5 * integral
                                 + 0.25 * (2.0 - 3.0) / DT)
-    assert st2.integral == pytest.approx(integral)
+    assert st2[0] == pytest.approx(integral)
 
 
 def test_pid_integral_windup_clamp():
     g = PidGains(kp=0.0, ki=1.0, kd=0.0)
-    st = PidState()
+    st = _FRESH_PID
     for _ in range(3):
-        out, st = pid_step(g, st, 1000.0, 1.0)
-    assert st.integral == 100.0
+        out, st = _pid(g, st, 1000.0, 1.0)
+    assert st[0] == 100.0
     assert out == pytest.approx(100.0)
-    out, st = pid_step(g, PidState(), 1000.0, 1.0, i_max=5.0)
-    assert st.integral == 5.0
+    out, st = _pid(g, _FRESH_PID, 1000.0, 1.0, i_max=5.0)
+    assert st[0] == 5.0
 
 
 def test_pid_rejects_bad_dt():
     with pytest.raises(ValueError):
-        pid_step(PidGains(), PidState(), 1.0, 0.0)
+        _pid(PidGains(), _FRESH_PID, 1.0, 0.0)
     with pytest.raises(ValueError):
-        pid_step(PidGains(), PidState(), 1.0, -0.01)
+        _pid(PidGains(), _FRESH_PID, 1.0, -0.01)
 
 
 # -- waypoint tracking ----------------------------------------------------------
@@ -156,30 +164,27 @@ def test_step_response_settles_quickly_without_overshoot():
 
 def test_single_front_return():
     s = classify_sectors(scan_of({4: 1.5}), None, (0, 0), 0.0)
-    assert s == ObstacleSectors(front=True, dist_front=1.5)
+    assert s == ObstacleSectors(dist_front=1.5)
     assert s.any_active
 
 
 def test_left_and_right_sectors():
     s = classify_sectors(scan_of({0: 2.0, 8: 2.5}), None, (0, 0), 0.0)
-    assert s.right and s.left and not s.front
-    assert s.dist_right == 2.0
-    assert s.dist_left == 2.5
+    assert s == ObstacleSectors(dist_left=2.5, dist_right=2.0)
 
 
 def test_sector_edges_are_inclusive_front():
     # 7 bins puts returns exactly on the +-45 deg sector edges
     s = classify_sectors(scan_of({2: 1.0, 4: 1.2}, n_bins=7), None,
                          (0, 0), 0.0)
-    assert s.front and not s.left and not s.right
-    assert s.dist_front == 1.0
+    assert s == ObstacleSectors(dist_front=1.0)
 
 
 def test_engage_threshold_is_strict():
     s = classify_sectors(scan_of({4: 3.0}), None, (0, 0), 0.0, d_engage=3.0)
     assert not s.any_active
     s = classify_sectors(scan_of({4: 2.999}), None, (0, 0), 0.0, d_engage=3.0)
-    assert s.front
+    assert s == ObstacleSectors(dist_front=2.999)
 
 
 def test_scan_beyond_engage_is_clear():
@@ -200,9 +205,9 @@ def test_building_returns_masked_out():
     # hit point (1.5, 0) lands inside the mask: ignored
     assert not classify_sectors(scan, mask, (0, 0), 0.0).any_active
     # same scan rotated away from the building engages normally
-    assert classify_sectors(scan, mask, (0, 0), math.pi / 2).front
+    assert classify_sectors(scan, mask, (0, 0), math.pi / 2).dist_front == 1.5
     # and so does the same pose with the drone shifted off the mask
-    assert classify_sectors(scan, mask, (0, 5.0), 0.0).front
+    assert classify_sectors(scan, mask, (0, 5.0), 0.0).dist_front == 1.5
 
 
 # -- avoidance ------------------------------------------------------------------
@@ -212,66 +217,73 @@ def first_out(dist):
     return PidGains().kp * e + PidGains().ki * e * DT
 
 
+def test_any_active_reads_the_distances():
+    assert not ObstacleSectors().any_active
+    for field in ("dist_left", "dist_right", "dist_front"):
+        assert ObstacleSectors(**{field: 2.0}).any_active
+
+
 def test_avoidance_idle_when_clear():
-    cmd, st = avoidance_command(ObstacleSectors(), PidGains(),
-                                AvoidanceState(), DT)
+    cmd, lanes = avoidance_command(ObstacleSectors(), PidGains(),
+                                   _FRESH_LANES, DT)
     assert cmd is None
-    assert st == AvoidanceState()
+    assert lanes == _FRESH_LANES
 
 
 def test_avoidance_direction_table():
     g = PidGains()
-    left, _ = avoidance_command(ObstacleSectors(left=True, dist_left=2.0),
-                                g, AvoidanceState(), DT)
-    assert left.v_body[1] == pytest.approx(-first_out(2.0))
-    right, _ = avoidance_command(ObstacleSectors(right=True, dist_right=2.0),
-                                 g, AvoidanceState(), DT)
-    assert right.v_body[1] == pytest.approx(first_out(2.0))
-    front, _ = avoidance_command(ObstacleSectors(front=True, dist_front=1.0),
-                                 g, AvoidanceState(), DT)
-    assert front.v_body[1] == pytest.approx(first_out(1.0))
-    for cmd in (left, right, front):
-        assert cmd.v_body[0] == 0.0
-        assert cmd.v_body[2] == 0.0
-        assert cmd.yaw_rate == 0.0
+    left, _ = avoidance_command(ObstacleSectors(dist_left=2.0),
+                                g, _FRESH_LANES, DT)
+    assert left[1] == pytest.approx(-first_out(2.0))
+    right, _ = avoidance_command(ObstacleSectors(dist_right=2.0),
+                                 g, _FRESH_LANES, DT)
+    assert right[1] == pytest.approx(first_out(2.0))
+    front, _ = avoidance_command(ObstacleSectors(dist_front=1.0),
+                                 g, _FRESH_LANES, DT)
+    assert front[1] == pytest.approx(first_out(1.0))
+    for v_body in (left, right, front):
+        assert v_body[0] == 0.0
+        assert v_body[2] == 0.0
+        # avoidance never yaws: it returns a body velocity and no yaw rate
+        assert isinstance(v_body, tuple) and len(v_body) == 3
 
 
 def test_avoidance_backs_out_when_boxed_in():
-    sectors = ObstacleSectors(left=True, right=True, front=True,
-                              dist_left=1.0, dist_right=2.0, dist_front=4.0)
-    cmd, _ = avoidance_command(sectors, PidGains(), AvoidanceState(), DT)
-    assert cmd.v_body[0] == pytest.approx(-first_out(1.0))
-    assert cmd.v_body[1] == 0.0
+    sectors = ObstacleSectors(dist_left=1.0, dist_right=2.0, dist_front=4.0)
+    v_body, _ = avoidance_command(sectors, PidGains(), _FRESH_LANES, DT)
+    assert v_body[0] == pytest.approx(-first_out(1.0))
+    assert v_body[1] == 0.0
 
 
 def test_avoidance_opposing_sectors_combine():
-    sectors = ObstacleSectors(left=True, front=True,
-                              dist_left=1.0, dist_front=2.0)
-    cmd, _ = avoidance_command(sectors, PidGains(), AvoidanceState(), DT)
-    assert cmd.v_body[1] == pytest.approx(first_out(2.0) - first_out(1.0))
+    sectors = ObstacleSectors(dist_left=1.0, dist_front=2.0)
+    v_body, _ = avoidance_command(sectors, PidGains(), _FRESH_LANES, DT)
+    assert v_body[1] == pytest.approx(first_out(2.0) - first_out(1.0))
 
 
 def test_avoidance_speed_clamped():
-    sectors = ObstacleSectors(front=True, dist_front=0.1)
-    cmd, _ = avoidance_command(sectors, PidGains(), AvoidanceState(), DT,
-                               v_max=3.0)
-    assert cmd.v_body[1] == pytest.approx(3.0)
+    sectors = ObstacleSectors(dist_front=0.1)
+    v_body, _ = avoidance_command(sectors, PidGains(), _FRESH_LANES, DT,
+                                  v_max=3.0)
+    assert v_body[1] == pytest.approx(3.0)
 
 
 def test_avoidance_threads_state_and_resets_idle_lanes():
-    sectors = ObstacleSectors(right=True, dist_right=2.0)
-    _, st = avoidance_command(sectors, PidGains(), AvoidanceState(), DT)
-    assert st.right.initialized
-    assert st.left == PidState()
-    assert st.front == PidState()
-    _, st2 = avoidance_command(sectors, PidGains(), st, DT)
-    assert st2.right.integral == pytest.approx(2 * 0.5 * DT)
+    sectors = ObstacleSectors(dist_right=2.0)
+    _, lanes = avoidance_command(sectors, PidGains(), _FRESH_LANES, DT)
+    left, (_, _, initialized), front = lanes
+    assert initialized
+    assert left == _FRESH_PID
+    assert front == _FRESH_PID
+    _, (_, (integral, _, _), _) = avoidance_command(sectors, PidGains(),
+                                                    lanes, DT)
+    assert integral == pytest.approx(2 * 0.5 * DT)
 
 
 def test_avoidance_never_pulls_toward_obstacle():
     # receding obstacle: derivative term would go negative, output clamps at 0
-    near = ObstacleSectors(front=True, dist_front=0.5)
-    far = ObstacleSectors(front=True, dist_front=10.0)
-    _, st = avoidance_command(near, PidGains(), AvoidanceState(), DT)
-    cmd, _ = avoidance_command(far, PidGains(), st, DT)
-    assert cmd.v_body[1] == 0.0
+    near = ObstacleSectors(dist_front=0.5)
+    far = ObstacleSectors(dist_front=10.0)
+    _, lanes = avoidance_command(near, PidGains(), _FRESH_LANES, DT)
+    v_body, _ = avoidance_command(far, PidGains(), lanes, DT)
+    assert v_body[1] == 0.0

@@ -1,10 +1,15 @@
 """Closed-loop mission runs on the shipped scenarios."""
 
+import collections
 import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import pytest
 
+import facadesim
 from facadesim.config import MissionParams, load_config
 from facadesim.errors import MissionAborted
 from facadesim.geometry import v_dist, wrap_angle
@@ -178,6 +183,42 @@ def test_obstacle_clearance_log_matches_geometry(obstacle_run):
                 d = math.hypot(dh, dv)
             best = min(best, d)
     assert reported == pytest.approx(best, abs=1e-12)
+
+
+def test_obstacle_run_builds_no_dataclass_per_step_beyond_sectors(
+        config_dir, monkeypatch):
+    """Avoidance steps `_pid` tuples and returns a bare velocity: an engaged
+    step builds one `ObstacleSectors` and no `PidState` or
+    `VelocityCommand`."""
+    counts = collections.Counter()
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(obj, *args, **kwargs):
+            counts[cls.__name__] += 1
+            init(obj, *args, **kwargs)
+        return counted
+
+    cfg = load_config(config_dir / "obstacle_course.yaml")
+    modules = [importlib.import_module(f"facadesim.{m.name}")
+               for m in pkgutil.iter_modules(facadesim.__path__)
+               if m.name != "__main__"]   # importing it runs the CLI
+    frozen = {cls for mod in modules for cls in vars(mod).values()
+              if inspect.isclass(cls) and cls.__module__ == mod.__name__
+              and dataclasses.is_dataclass(cls)
+              and cls.__dataclass_params__.frozen}
+    inits = {cls: cls.__init__ for cls in frozen}
+    with monkeypatch.context() as patch:
+        for cls in frozen:
+            patch.setattr(cls, "__init__", counting(cls))
+        result = run_mission(cfg)
+    assert all(cls.__init__ is init for cls, init in inits.items())
+    assert {"ObstacleSectors", "PidState", "VelocityCommand"} <= {
+        cls.__name__ for cls in frozen}
+    assert counts["PidState"] == 0
+    assert counts["VelocityCommand"] == 0
+    assert 0 < counts["ObstacleSectors"] <= sum(result.engaged)
 
 
 # -- coverage scenario -------------------------------------------------------------
