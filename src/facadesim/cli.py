@@ -16,13 +16,15 @@ from pathlib import Path
 
 from .config import (
     ScenarioConfig,
+    _build,
     _is_number,
     apply_overrides,
     config_from_dict,
     load_raw,
 )
 from .errors import InvalidScenario, MissionAborted
-from .mission import MissionReport, MissionResult, run_mission
+from .mission import FaultEntry, MissionReport, MissionResult, run_mission
+from .perception import LABEL_CRACK
 from .planner import WaypointPath, generate_perimeter_path
 
 EXIT_OK = 0
@@ -34,6 +36,10 @@ PLAN_CSV = "plan.csv"
 TRAJECTORY_CSV = "trajectory.csv"
 CAPTURE_CSV = "captures.csv"
 REPORT_JSON = "report.json"
+
+TRAJ_COLUMNS = ("t_s", "true_x", "true_y", "true_z", "est_x", "est_y",
+                "est_z", "dr_x", "dr_y", "dr_z", "phase")
+_TRAJ_FLOATS = TRAJ_COLUMNS[:-1]
 
 
 def _fmt(x: float) -> str:
@@ -54,8 +60,8 @@ def write_plan_csv(path: Path, plan: WaypointPath) -> None:
 
 
 def write_trajectory_csv(path: Path, rows) -> None:
-    _write_rows(path, "t_s,true_x,true_y,true_z,est_x,est_y,est_z,dr_x,dr_y,"
-                "dr_z,phase", "%.9g," * 10 + "%s\r\n", rows)
+    _write_rows(path, ",".join(TRAJ_COLUMNS),
+                "%.9g," * len(_TRAJ_FLOATS) + "%s\r\n", rows)
 
 
 def write_capture_csv(path: Path, captures) -> None:
@@ -135,10 +141,6 @@ def cmd_mission(args) -> int:
     return EXIT_OK
 
 
-_TRAJ_FLOATS = ("t_s", "true_x", "true_y", "true_z", "est_x", "est_y",
-                "est_z", "dr_x", "dr_y", "dr_z")
-
-
 def _read_trajectory(path: Path) -> list[list[float]]:
     """Rows of `_TRAJ_FLOATS` values, each float parsed once."""
     with open(path, newline="") as fh:
@@ -169,12 +171,12 @@ def _read_captures(path: Path) -> tuple[int, int]:
     """Number of captures and of crack-labeled captures."""
     with open(path, newline="") as fh:
         labels = [c["label"] for c in csv.DictReader(fh)]
-    return len(labels), labels.count("crack")
+    return len(labels), labels.count(LABEL_CRACK)
 
 
-def _read_report(path: Path) -> tuple[float | None, list[tuple]]:
-    """Clearance and (id, x, y, z, yaw) per fault from `report.json`;
-    ValueError for JSON of another shape, so nothing half-prints."""
+def _read_report(path: Path) -> tuple[float | None, list[FaultEntry]]:
+    """Clearance and the faults of `report.json`; ValueError for JSON of
+    another shape, so nothing half-prints."""
     with open(path) as fh:
         rep = json.load(fh)
     if not isinstance(rep, dict):
@@ -183,16 +185,8 @@ def _read_report(path: Path) -> tuple[float | None, list[tuple]]:
     if not ((clear is None or _is_number(clear))
             and isinstance(faults, list)):
         raise ValueError("min_obstacle_clearance_m or faults has a wrong type")
-    out = []
-    for f in faults:
-        pos = f.get("position") if isinstance(f, dict) else None
-        if not (isinstance(pos, list) and len(pos) == 3
-                and all(map(_is_number, pos + [f.get("yaw")]))
-                and _is_number(f.get("id")) and isinstance(f["id"], int)):
-            raise ValueError(f"fault {f!r} needs an int id, a 3-number "
-                             f"position and a numeric yaw")
-        out.append((f["id"], *pos, f["yaw"]))
-    return clear, out
+    return clear, [_build(FaultEntry, f, f"faults[{i}]")
+                   for i, f in enumerate(faults)]
 
 
 def cmd_report(args) -> int:
@@ -226,9 +220,9 @@ def cmd_report(args) -> int:
         clear, faults = rep
         print("min obstacle clearance: "
               + ("n/a (no obstacles)" if clear is None else f"{clear:.3f} m"))
-        for fid, x, y, z, yaw in faults:
-            print(f"fault {fid}: ({x:.3f}, {y:.3f}, {z:.3f}) m, "
-                  f"yaw {math.degrees(yaw):.1f} deg")
+        for f in faults:
+            print("fault %d: (%.3f, %.3f, %.3f) m, yaw %.1f deg"
+                  % (f.id, *f.position, math.degrees(f.yaw)))
     return EXIT_OK
 
 

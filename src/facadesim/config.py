@@ -1,16 +1,18 @@
 """Scenario configuration: one YAML file describes a full run.
 
-The dataclass mirrors the file schema field for field (angles in degrees stay
-degrees here) so that parse -> serialize -> parse is the identity; module
-objects with derived units are built by the accessor methods.  All validation
-failures surface as InvalidScenario with the offending key in the message.
+The dataclass annotations are the file schema, checked value by value by the
+reader.  Degrees stay degrees so parse -> serialize -> parse is the identity;
+objects with derived units come from the accessor methods.  Every validation
+failure is an InvalidScenario naming the offending key.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -119,12 +121,6 @@ class ScenarioConfig:
             raise ValueError("scan_range_max must exceed d_engage")
 
 
-# field name -> how many numbers its list holds
-_TUPLE_FIELDS = {"home": 3, "kalman_q_diag": 3, "kalman_p0_diag": 3,
-                 "gyro_bias": 3, "accel_bias": 3, "center_xy": 2,
-                 "center_uv": 2, "extent_uv": 2}
-
-
 def _is_number(x) -> bool:
     """An int or a finite float: YAML's .nan and .inf are not numbers here."""
     return (isinstance(x, int) and not isinstance(x, bool)
@@ -140,57 +136,52 @@ def _to_plain(value):
     return value
 
 
+@cache
+def _kinds(cls) -> dict:
+    """Field name -> resolved annotation: the schema of one section."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
 def _build(cls, data, where: str):
     if not isinstance(data, dict):
         raise InvalidScenario(f"{where}: expected a mapping")
-    spec = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(spec)
+    kinds = _kinds(cls)
+    unknown = set(data) - set(kinds)
     if unknown:
         raise InvalidScenario(f"{where}: unknown key(s) {sorted(unknown)}")
-    kwargs = {}
-    for name, raw in data.items():
-        kwargs[name] = _convert(spec[name], raw, f"{where}.{name}")
+    kwargs = {name: _convert(kinds[name], raw, f"{where}.{name}")
+              for name, raw in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
         raise InvalidScenario(f"{where}: {e}") from e
 
 
-_SECTION_TYPES = {
-    "building": BuildingSpec,
-    "plan": PlanParams,
-    "gains": PidGains,
-    "sensors": SensorParams,
-    "classifier": ClassifierSpec,
-    "vehicle": VehicleParams,
-    "mission": MissionParams,
-}
-
-
-def _convert(f, raw, where: str):
-    name = f.name
-    if name in ("decals", "obstacles"):
+def _convert(kind, raw, where: str):
+    if is_dataclass(kind):
+        return _build(kind, raw, where)
+    args = get_args(kind)
+    if get_origin(kind) is tuple and args[-1] is Ellipsis:
         raw = [] if raw is None else raw
         if not isinstance(raw, (list, tuple)):
             raise InvalidScenario(f"{where}: expected a list")
-        cls = FaultDecal if name == "decals" else Obstacle
-        return tuple(_build(cls, d, f"{where}[{i}]")
-                     for i, d in enumerate(raw))
-    if name in _SECTION_TYPES:
-        return _build(_SECTION_TYPES[name], raw, where)
-    if name in _TUPLE_FIELDS:
-        n = _TUPLE_FIELDS[name]
-        if not (isinstance(raw, (list, tuple)) and len(raw) == n
+        return tuple(_convert(args[0], x, f"{where}[{i}]")
+                     for i, x in enumerate(raw))
+    if get_origin(kind) is tuple:
+        if not (isinstance(raw, (list, tuple)) and len(raw) == len(args)
                 and all(map(_is_number, raw))):
             raise InvalidScenario(
-                f"{where}: expected a list of {n} finite numbers")
+                f"{where}: expected a list of {len(args)} finite numbers")
         return tuple(raw)
-    if f.type == "int" and not (_is_number(raw) and isinstance(raw, int)):
-        raise InvalidScenario(f"{where}: expected an integer")
-    if f.type == "float | None" and raw is None:
+    if raw is None and type(None) in args:
         return raw
-    if f.type.startswith("float") and not _is_number(raw):
+    if kind is int and not (_is_number(raw) and isinstance(raw, int)):
+        raise InvalidScenario(f"{where}: expected an integer")
+    if float in (kind, *args) and not _is_number(raw):
         raise InvalidScenario(f"{where}: expected a finite number")
+    if kind is str and not isinstance(raw, str):
+        raise InvalidScenario(f"{where}: expected a string")
     return raw
 
 

@@ -42,6 +42,7 @@ from .planner import (
     avoidance_polygon,
     facing_yaw,
     generate_perimeter_path,
+    home_leg,
     plan_return_path,
 )
 from .sensors import (
@@ -269,8 +270,7 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
         if detect_i < len(fault_poses):
             wps = plan_return_path(start, *fault_poses[detect_i])
         else:
-            wps = (Waypoint((home[0], home[1], start[2]), home_yaw, -1),
-                   Waypoint((home[0], home[1], 0.0), home_yaw, -1))
+            wps = home_leg(home, home_yaw, start[2])
         idx = 0
         last_advance = leg_start = t
         shift(MissionPhase.DETECTING, t)

@@ -110,10 +110,13 @@ def generate_perimeter_path(building: BuildingSpec, params: PlanParams,
     for k, z in enumerate(alts):
         for x, y in loop:
             path.append(Waypoint((x, y, z), facing_yaw(fp, x, y), k))
-    z_top = alts[-1]
-    path.append(Waypoint((hx, hy, z_top), home_yaw, -1))
-    path.append(Waypoint((hx, hy, 0.0), home_yaw, -1))
-    return tuple(path)
+    return tuple(path) + home_leg(home, home_yaw, alts[-1])
+
+
+def home_leg(home: Vec3, yaw: float, z: float) -> WaypointPath:
+    """Across to above home at altitude z, then straight down."""
+    return (Waypoint((home[0], home[1], z), yaw, -1),
+            Waypoint((home[0], home[1], 0.0), yaw, -1))
 
 
 def avoidance_polygon(building: BuildingSpec, params: PlanParams) -> Rect:

@@ -240,7 +240,7 @@ def test_unknown_key_exits_2(tiny_yaml, tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "seed=abc", "home=[14,-6]", "kalman_q_diag=[1,2]",
     "sensors.gyro_bias=[1]", "scan_n_bins=2.5", "alpha=abc", "home=abc",
-    "decals=5", "camera_hfov_deg=abc"])
+    "decals=5", "camera_hfov_deg=abc", "name=5", "name=[1, 2]"])
 def test_wrong_typed_value_exits_2(tiny_yaml, tmp_path, capsys, override):
     rc = main(["plan", "--config", str(tiny_yaml), "--out",
                str(tmp_path / "never"), "--set", override])
@@ -339,9 +339,13 @@ _GOOD_ROW = "0,1,2,3,1,2,3,1,2,3,Done"
         '{"faults": [{"id": 0, "position": [1, 2, 3], "yaw": Infinity}]}'},
     {"report.json":
         '{"faults": [{"id": true, "position": [1, 2, 3], "yaw": 0}]}'},
+    {"report.json": '{"faults": [{"id": 0, "position": [1, 2, 3], '
+                    '"yaw": 0, "label": "crack"}]}'},
+    {"report.json": '{"faults": [7]}'},
 ], ids=["missing_column", "non_numeric", "short_row", "captures_no_label",
         "bad_json", "fault_no_position", "position_len_2", "yaw_not_number",
-        "top_level_list", "clearance_nan", "yaw_infinite", "id_true"])
+        "top_level_list", "clearance_nan", "yaw_infinite", "id_true",
+        "fault_unknown_key", "fault_not_object"])
 def test_report_on_malformed_file_exits_4(tmp_path, capsys, files):
     run = tmp_path / "run"
     run.mkdir()

@@ -1,5 +1,6 @@
 """Scenario config loading, validation, overrides, round-trips."""
 
+import dataclasses
 import inspect
 import math
 from pathlib import Path
@@ -118,6 +119,60 @@ def test_negative_seed_rejected(override):
     data = apply_overrides(config_to_dict(small_config()), [override])
     with pytest.raises(InvalidScenario, match="seed must be non-negative"):
         config_from_dict(data)
+
+
+def _wrong_leaves(obj, path=()):
+    """(key path, value of the wrong kind) for every field of `obj`, walked
+    down through each section and into the first element of each list."""
+    for f in dataclasses.fields(obj):
+        value, here = getattr(obj, f.name), path + (f.name,)
+        if dataclasses.is_dataclass(value):
+            yield here, 5
+            yield from _wrong_leaves(value, here)
+        elif isinstance(value, tuple) and dataclasses.is_dataclass(value[0]):
+            yield here, 5
+            yield from _wrong_leaves(value[0], here + (0,))
+        elif isinstance(value, tuple):
+            yield here, [1]
+        elif isinstance(value, str):
+            yield here, 5
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield here, "x"
+        else:   # a field of a kind this walk cannot yet feed a wrong value
+            yield here, None
+
+
+_WALKED = small_config(
+    decals=(FaultDecal(0, "east", (0.5, 1.5)),),
+    obstacles=(Obstacle(1, (8.0, 2.0), 0.4, 3.0),), kalman_r_std=0.01)
+_WRONG = list(_wrong_leaves(_WALKED))
+
+
+def _dotted(keys):
+    return "scenario" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                for k in keys)
+
+
+@pytest.mark.parametrize("keys, wrong", _WRONG,
+                         ids=[_dotted(k) for k, _ in _WRONG])
+def test_every_field_rejects_a_value_of_the_wrong_kind(keys, wrong):
+    """A field the reader lets through unchecked fails here by name."""
+    assert wrong is not None, f"no wrong value known for {_dotted(keys)}"
+    data = config_to_dict(_WALKED)
+    node = data
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = wrong
+    with pytest.raises(InvalidScenario) as err:
+        config_from_dict(data)
+    assert str(err.value).startswith(_dotted(keys) + ": ")
+
+
+def test_wrong_kind_walk_reaches_list_elements():
+    walked = {_dotted(k) for k, _ in _WRONG}
+    assert {"scenario.name", "scenario.decals[0].face",
+            "scenario.obstacles[0].center_xy", "scenario.sensors.gyro_bias",
+            "scenario.kalman_r_std"} <= walked
 
 
 # -- validate() ---------------------------------------------------------------------
