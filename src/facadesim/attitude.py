@@ -36,10 +36,10 @@ class AttitudeEstimate:
     time: float
 
     @staticmethod
-    def level(yaw: float = 0.0, time: float = 0.0) -> "AttitudeEstimate":
+    def level(yaw: float = 0.0) -> "AttitudeEstimate":
         yaw = wrap_angle(yaw)
         return AttitudeEstimate(0.0, 0.0, yaw, quat_from_euler(0.0, 0.0, yaw),
-                                time)
+                                0.0)
 
 
 def accel_roll_pitch(accel: Vec3) -> tuple[float, float]:

@@ -48,13 +48,13 @@ _FRESH_LANES = (_FRESH_PID,) * 3    # of each (left, right, front) lane
 
 
 def _pid(gains: PidGains, pid: tuple[float, float, bool], error: float,
-         dt: float, i_max: float = I_MAX) -> tuple[float, tuple]:
+         dt: float) -> tuple[float, tuple]:
     """Output and the next (integral, prev_error, initialized) of a PID."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     integral, prev_error, initialized = pid
     integral = integral + error * dt
-    integral = max(-i_max, min(i_max, integral))
+    integral = max(-I_MAX, min(I_MAX, integral))
     prev = error if not initialized else prev_error
     derivative = (error - prev) / dt
     out = gains.kp * error + gains.ki * integral + gains.kd * derivative

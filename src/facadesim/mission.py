@@ -94,7 +94,6 @@ class MissionResult:
     trajectory: list[tuple]
     transitions: list[tuple[float, str, str]]
     engaged: list[bool]                    # avoidance active, per step
-    clearances: list[tuple[float, ...]]    # per obstacle, per step
     entered_footprint: bool
     # ground truth sampled as each fault hold expires: (fault id, t, xyz, yaw)
     hold_end_poses: list[tuple[int, float, Vec3, float]]
@@ -251,13 +250,13 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
     detection_durations: list[float] = []
     trajectory: list[tuple] = []
     engaged: list[bool] = []
-    clearances: list[tuple[float, ...]] = []
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
     entered_fp = False
     lanes = _FRESH_LANES
     scan_step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (cfg.scan_n_bins - 1)
     true_pos, true_att = home, true_state().attitude
     steps = 0
+    min_clear = math.inf   # until a step is taken among obstacles
 
     def shift(to: MissionPhase, t: float) -> None:
         nonlocal phase
@@ -355,9 +354,8 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
             v_body, yaw_rate = cmd, 0.0
             engaged.append(True)
 
-        if scene.obstacles:
-            clearances.append(tuple(_cylinder_clearance(o, true_pos)
-                                    for o in scene.obstacles))
+        for o in scene.obstacles:
+            min_clear = min(min_clear, _cylinder_clearance(o, true_pos))
         if not entered_fp and true_pos[2] <= scene.building.height \
                 and fp.contains(true_pos[0], true_pos[1]):
             entered_fp = True
@@ -365,19 +363,16 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
         true_pos, true_att = fly(v_body, yaw_rate)
         steps += 1
 
-    min_clear = None
-    if clearances:
-        min_clear = min(min(c) for c in clearances)
     report = MissionReport(
         faults=tuple(FaultEntry(i, p, y)
                      for i, (p, y) in enumerate(fault_poses)),
         inspection_duration=inspection_duration,
         detection_durations=tuple(detection_durations),
-        min_obstacle_clearance=min_clear,
+        min_obstacle_clearance=min_clear if min_clear < math.inf else None,
     )
     return MissionResult(report=report, captures=tuple(captures),
                          trajectory=trajectory, transitions=transitions,
-                         engaged=engaged, clearances=clearances,
+                         engaged=engaged,
                          entered_footprint=entered_fp,
                          hold_end_poses=hold_end_poses)
 

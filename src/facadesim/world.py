@@ -246,10 +246,8 @@ def _scan_hits(scene: Scene, footprint: Rect, x: float, y: float, z: float,
 
     A cylinder at centre distance D > r is cast within asin(r/D) of its
     bearing, the footprint within `_rect_window`, a solid around the pose
-    at every bin.  Solids in `occluders` (the footprint or obstacles) are
-    cast after the others, only in the bins those hit, and drop each bin
-    they meet at or before its range: every other bin reads as without
-    them.
+    at every bin.  If every solid in reach is in `occluders` (the footprint
+    or obstacles), nothing is cast; otherwise every one is, as without them.
     """
     cull = reach + _REACH_MARGIN
     solids: list = []
@@ -257,8 +255,7 @@ def _scan_hits(scene: Scene, footprint: Rect, x: float, y: float, z: float,
         solids.append(footprint)
     solids += [o for o in scene.obstacles if z <= o.height and math.hypot(
         o.center_xy[0] - x, o.center_xy[1] - y) - o.radius < cull]
-    solids.sort(key=occluders.__contains__)   # fully cast solids first
-    if not solids or solids[0] in occluders:
+    if all(solid in occluders for solid in solids):
         return []
 
     cos_b, sin_b = _bin_trig(angle_min, angle_max, n_bins)
@@ -279,11 +276,7 @@ def _scan_hits(scene: Scene, footprint: Rect, x: float, y: float, z: float,
                     else math.asin(radius / dist))
             bearing = math.atan2(ocy, ocx)
             window = (bearing - half, bearing + half)
-        bins = _window_bins(window, yaw, angle_min, step, n_bins)
-        hide = solid in occluders
-        if hide:
-            bins = [i for i in bins if i in best]
-        for i in bins:
+        for i in _window_bins(window, yaw, angle_min, step, n_bins):
             dx = cy * cos_b[i] - sy * sin_b[i]
             dy = sy * cos_b[i] + cy * sin_b[i]
             if rect:
@@ -306,10 +299,7 @@ def _scan_hits(scene: Scene, footprint: Rect, x: float, y: float, z: float,
                 t = b - root if c > 0.0 else b + root
                 if t <= 0.0:
                     continue
-            if hide:
-                if t <= best[i]:
-                    del best[i]
-            elif t < best.get(i, math.inf):
+            if t < best.get(i, math.inf):
                 best[i] = t
     return [(i, max(min(t, range_max), 1e-6)) for i, t in best.items()]
 

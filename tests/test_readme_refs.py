@@ -1,17 +1,25 @@
-"""Every `<module>._<name>` that README.md names exists in facadesim.
+"""Every `<module>._<name>` that README.md names exists in facadesim, and
+every `<name>(..., <param>...)` names a facadesim function with that
+parameter.
 
-README points readers at private cores by name, so a rename or a deletion
-would otherwise leave it naming code that is gone.
+README points readers at private cores and parameters by name, so a rename
+or a deletion would otherwise leave it naming code that is gone.
 """
 
 import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import facadesim
+
 _README = Path(__file__).resolve().parents[1] / "README.md"
 _REFS = sorted(set(re.findall(r"`(\w+)\.(_\w+)`", _README.read_text())))
+_PARAMS = sorted(set(re.findall(r"`(\w+)\(\.\.\., (\w+)[^`]*\)`",
+                                _README.read_text())))
 
 
 def test_readme_names_private_cores():
@@ -22,3 +30,19 @@ def test_readme_names_private_cores():
 def test_readme_reference_resolves(module, attr):
     owner = importlib.import_module(f"facadesim.{module}")
     assert hasattr(owner, attr), f"facadesim.{module}.{attr}"
+
+
+def test_readme_names_parameters():
+    assert _PARAMS, "no `<name>(..., <param>...)` reference found in README.md"
+
+
+@pytest.mark.parametrize("name,param", _PARAMS, ids=lambda v: v)
+def test_readme_parameter_exists(name, param):
+    modules = [importlib.import_module(f"facadesim.{m.name}")
+               for m in pkgutil.iter_modules(facadesim.__path__)
+               if m.name != "__main__"]   # importing it runs the CLI
+    functions = [getattr(m, name) for m in modules
+                 if inspect.isfunction(getattr(m, name, None))]
+    assert functions, f"no facadesim function {name}"
+    assert any(param in inspect.signature(f).parameters
+               for f in functions), f"{name} has no parameter {param}"

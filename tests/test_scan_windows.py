@@ -6,7 +6,8 @@ altitude, every bin, no cull.  Below `reach` the two must agree bit for
 bit; at or beyond it the windowed scan may only read further.  The mission
 feeds the hits straight into `control._sectors`, which must give the same
 sectors as the public `simulate_scan` -> `classify_sectors` chain, also
-when it casts the solids lying deep inside the mask only as occluders.
+when it skips the scans in which every solid in reach lies deep inside the
+mask.
 """
 
 import math
@@ -27,6 +28,7 @@ from facadesim.world import (
     SCAN_ANGLE_MIN,
     SCAN_N_BINS,
     SCAN_RANGE_MAX,
+    _REACH_MARGIN,
     BuildingSpec,
     Obstacle,
     Scene,
@@ -214,7 +216,7 @@ def test_sparse_sectors_match_public_api(name, x, y, z, yaw, d_engage, ex,
     assert sparse == public
 
 
-# -- occluder-only solids keep the sectors ------------------------------------
+# -- hidden solids: every one in reach is cast, or none ----------------------
 
 def occluded_scene():
     """Obstacle 1 stands inside the mask (inset 0.4 m) on the line from the
@@ -233,15 +235,68 @@ OCCLUDER_SCENES = {
 }
 
 
+def _in_reach(scene, fp, x, y, z, reach):
+    """The solids `_scan_hits` would cast: at the scan's altitude, nearer
+    than reach plus its margin."""
+    cull = reach + _REACH_MARGIN
+    solids = [fp] if (z <= scene.building.height
+                      and fp.distance_to(x, y) < cull) else []
+    return solids + [o for o in scene.obstacles if z <= o.height
+                     and math.hypot(o.center_xy[0] - x, o.center_xy[1] - y)
+                     - o.radius < cull]
+
+
+# The example is the pose of `test_occluders_leave_a_visible_solid_cast`:
+# the footprint and obstacle 1 are hidden, obstacle 0 ahead is not.
+@given(st.sampled_from(sorted(OCCLUDER_SCENES)), st.floats(-14.0, 14.0),
+       st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
+       st.floats(-math.pi, math.pi), reaches, st.sets(st.integers(-1, 1)))
+@example("occluded", 5.1, 3.1, 1.5, math.pi / 4, 3.0, {-1, 1})
+@settings(max_examples=150, deadline=None)
+def test_hidden_solids_cast_all_or_none(name, x, y, z, yaw, reach, picks):
+    """Hiding a set of solids (-1 picks the footprint, i obstacle i) gives
+    no pairs if it holds every solid in reach, else the pairs without it."""
+    scene = OCCLUDER_SCENES[name][0]
+    fp = scene.building.footprint()
+    solids = [fp, *scene.obstacles]
+    hidden = [solids[i + 1] for i in sorted(picks) if i + 1 < len(solids)]
+    state = pose(x, y, z, yaw)
+    args = (scene, fp, x, y, z, state.attitude, SCAN_ANGLE_MIN,
+            SCAN_ANGLE_MAX, SCAN_N_BINS, SCAN_RANGE_MAX, reach)
+    got = _scan_hits(*args, hidden)
+    if all(s in hidden for s in _in_reach(scene, fp, x, y, z, reach)):
+        assert got == []
+    else:
+        assert sorted(got) == sorted(_scan_hits(*args))
+
+
+def test_occluders_leave_a_visible_solid_cast():
+    scene, mask = OCCLUDER_SCENES["occluded"]
+    fp = scene.building.footprint()
+    x, y, z, d_engage = 5.1, 3.1, 1.5, 3.0
+    state = pose(x, y, z, math.pi / 4)
+    yaw = yaw_of(state.attitude)
+    hidden = _occluders(_mask_insets(mask, fp, scene.obstacles), (x, y), yaw,
+                        (x, y), yaw, d_engage)
+    assert hidden == [fp, scene.obstacles[1]]
+    assert _in_reach(scene, fp, x, y, z, d_engage) == [fp, *scene.obstacles]
+    args = (scene, fp, x, y, z, state.attitude, SCAN_ANGLE_MIN,
+            SCAN_ANGLE_MAX, SCAN_N_BINS, SCAN_RANGE_MAX, d_engage)
+    full = sorted(_scan_hits(*args))
+    assert len(full) == 57
+    assert sorted(_scan_hits(*args, hidden)) == full
+
+
 # The first four examples put the slack (error + margin) within 1e-9 of an
 # inset: the footprint's 1 m in "default", obstacle 1's 0.4 m in
 # "occluded", each side.  The next two put the pose 5e-7 m inside the
 # footprint's east wall, facing out, so the bins ahead read the 1e-6 m
 # floor, 5e-7 m beyond the wall; the estimate is off by 1 m less or more
-# than 1e-9, so without the margin the footprint would be cast only as an
-# occluder, and the floored return lands outside the mask.  Then obstacle 1
-# hides obstacle 0 in the bins ahead; obstacle 0 hides obstacle 1; and a
-# pose by the wall with no buffer.
+# than 1e-9, so without the margin the footprint, the one solid in reach,
+# would be hidden and its scan skipped, and the floored return lands
+# outside the mask.  Then obstacle 1 stands between the pose and obstacle 0
+# in the bins ahead; obstacle 0 stands between the pose and obstacle 1; and
+# a pose by the wall with no buffer.
 @given(st.sampled_from(sorted(OCCLUDER_SCENES)), st.floats(-14.0, 14.0),
        st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
        st.floats(-math.pi, math.pi), st.floats(0.5, 6.0),
@@ -262,6 +317,10 @@ OCCLUDER_SCENES = {
 @settings(max_examples=200, deadline=None)
 def test_occluder_only_solids_keep_the_sectors(name, x, y, z, yaw, d_engage,
                                                ex, ey, eyaw):
+    """Hiding the solids `_occluders` names keeps the sectors: a scan is
+    skipped only if every solid in reach is hidden, and a hidden solid cast
+    in full gives only returns the mask drops, though it still shadows the
+    solids behind it."""
     scene, mask = OCCLUDER_SCENES[name]
     state = pose(x, y, z, yaw)
     est, est_yaw = (x + ex, y + ey), yaw + eyaw
