@@ -66,13 +66,15 @@ def mag_yaw(mag: Vec3, roll: float, pitch: float) -> float:
     return math.atan2(-hy, hx)
 
 
-def _complementary(roll: float, pitch: float, yaw: float, gyro: Vec3,
-                   accel: Vec3, mag: Vec3, alpha: float, dt: float,
-                   ) -> tuple[float, float, float, Quat]:
-    """One filter step: (roll, pitch, yaw, quat), with quat built from the
-    blended angles before they are brought to canonical ranges."""
+def complementary_step(prev: AttitudeEstimate, imu: ImuSample,
+                       gain: ComplementaryGain, dt: float) -> AttitudeEstimate:
+    """One filter step; the quat is built from the blended angles before
+    they are brought to canonical ranges."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    roll, pitch, yaw, alpha = prev.roll, prev.pitch, prev.yaw, gain.alpha
     # gyro rates to Euler-angle rates at the previous roll and pitch
-    p, q, r = gyro
+    p, q, r = imu.gyro
     sr, cr = math.sin(roll), math.cos(roll)
     sp, cp = math.sin(pitch), math.cos(pitch)
     if abs(cp) < 1e-9:  # gimbal lock: yaw/roll rates undefined
@@ -87,14 +89,14 @@ def _complementary(roll: float, pitch: float, yaw: float, gyro: Vec3,
 
     alpha_rp = alpha
     try:
-        m_roll, m_pitch = accel_roll_pitch(accel)
+        m_roll, m_pitch = accel_roll_pitch(imu.accel)
     except GravityUnobservable:
         m_roll, m_pitch = g_roll, g_pitch
         alpha_rp = 1.0
 
     alpha_y = alpha
     try:
-        m_yaw = mag_yaw(mag, m_roll, m_pitch)
+        m_yaw = mag_yaw(imu.mag, m_roll, m_pitch)
     except MagneticDegeneracy:
         m_yaw = g_yaw
         alpha_y = 1.0
@@ -107,14 +109,4 @@ def _complementary(roll: float, pitch: float, yaw: float, gyro: Vec3,
 
     quat = quat_from_euler(roll, pitch, yaw)
     roll, pitch, yaw = euler_from_quat(quat)  # canonical ranges
-    return roll, pitch, yaw, quat
-
-
-def complementary_step(prev: AttitudeEstimate, imu: ImuSample,
-                       gain: ComplementaryGain, dt: float) -> AttitudeEstimate:
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    roll, pitch, yaw, quat = _complementary(
-        prev.roll, prev.pitch, prev.yaw, imu.gyro, imu.accel, imu.mag,
-        gain.alpha, dt)
     return AttitudeEstimate(roll, pitch, yaw, quat, prev.time + dt)

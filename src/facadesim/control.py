@@ -14,7 +14,7 @@ import math
 from dataclasses import astuple, dataclass
 
 from .estimation import EstimatedState
-from .geometry import Quat, Rect, Vec3, quat_rotate_inverse, wrap_angle
+from .geometry import Rect, Vec3, quat_rotate_inverse, wrap_angle
 from .planner import Waypoint
 from .vehicle import VehicleParams, VelocityCommand
 from .world import LaserScan
@@ -61,36 +61,28 @@ def _pid(gains: PidGains, pid: tuple[float, float, bool], error: float,
     return out, (integral, error, True)
 
 
-def _track(position: Vec3, quat: Quat, yaw: float, wp: Waypoint,
-           gains: PidGains, pid: tuple, dt: float, v_max: float,
-           kp_yaw: float, yaw_rate_max: float) -> tuple[Vec3, float, tuple]:
-    """(v_body, yaw_rate, next PID state) toward wp from the estimate."""
-    dx = wp.position[0] - position[0]
-    dy = wp.position[1] - position[1]
-    dz = wp.position[2] - position[2]
-    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    speed, pid = _pid(gains, pid, dist, dt)
-    speed = max(0.0, min(v_max, speed))
-    if dist > 1e-9 and speed > 0.0:
-        k = speed / dist
-        v_body = quat_rotate_inverse(quat, (dx * k, dy * k, dz * k))
-    else:
-        v_body = (0.0, 0.0, 0.0)
-    yaw_err = wrap_angle(wp.yaw - yaw)
-    yaw_rate = max(-yaw_rate_max, min(yaw_rate_max, kp_yaw * yaw_err))
-    return v_body, yaw_rate, pid
-
-
 def track_waypoint(est: EstimatedState, wp: Waypoint, gains: PidGains,
                    state: PidState, dt: float,
                    v_max: float = VehicleParams.v_max, kp_yaw: float = KP_YAW,
                    yaw_rate_max: float = VehicleParams.yaw_rate_max,
                    ) -> tuple[VelocityCommand, PidState]:
     """Scalar PID on distance gives speed; direction is straight at the goal."""
-    v_body, yaw_rate, pid = _track(
-        est.position, est.attitude.quat, est.attitude.yaw, wp, gains,
-        (state.integral, state.prev_error, state.initialized), dt, v_max,
-        kp_yaw, yaw_rate_max)
+    position = est.position
+    dx = wp.position[0] - position[0]
+    dy = wp.position[1] - position[1]
+    dz = wp.position[2] - position[2]
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    speed, pid = _pid(gains, (state.integral, state.prev_error,
+                              state.initialized), dist, dt)
+    speed = max(0.0, min(v_max, speed))
+    if dist > 1e-9 and speed > 0.0:
+        k = speed / dist
+        v_body = quat_rotate_inverse(est.attitude.quat,
+                                     (dx * k, dy * k, dz * k))
+    else:
+        v_body = (0.0, 0.0, 0.0)
+    yaw_err = wrap_angle(wp.yaw - est.attitude.yaw)
+    yaw_rate = max(-yaw_rate_max, min(yaw_rate_max, kp_yaw * yaw_err))
     return VelocityCommand(v_body=v_body, yaw_rate=yaw_rate), PidState(*pid)
 
 

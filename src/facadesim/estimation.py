@@ -15,7 +15,7 @@ and update from each other alone.  The recursion is set by (P0, Q, R, dt),
 so once the five repeat bit for bit every later gain repeats the recorded
 cycle: _gain_schedule steps the full P through _predict_covariance and
 _update_covariance until then, and replays the cycle after, so a step only
-updates the three axes (_axes_step).  P00 grows without bound, so the whole
+updates the three axes.  P00 grows without bound, so the whole
 P never repeats.  Keys are bit patterns, as float equality merges -0.0 with
 0.0 and never matches a NaN.  run_hover's filter repeats from step 19 and the
 shipped configs from step 4; a config that has not repeated within
@@ -185,23 +185,6 @@ def _gain_schedule(p: Mat3, q: Mat3, r, d: float, h: float):
         yield gain
 
 
-def _axes_step(gain: tuple, axes, a1: Vec3, a2: Vec3, d: float, h: float):
-    """The three [p, v, a] axes predicted and updated with one step's gain
-    and the two IMUs' world accelerations a1, a2; bit-identical to
-    _predict_state then _update_state, whose operand order it keeps."""
-    (p02, p12, p22), c0, c1 = gain
-    (x0, v0, b0), (x1, v1, b1), (x2, v2, b2) = axes
-    u0 = c0 * (a1[0] - b0) + c1 * (a2[0] - b0)
-    u1 = c0 * (a1[1] - b1) + c1 * (a2[1] - b1)
-    u2 = c0 * (a1[2] - b2) + c1 * (a2[2] - b2)
-    return ((x0 + d * v0 + h * b0 + p02 * u0, v0 + d * b0 + p12 * u0,
-             b0 + p22 * u0),
-            (x1 + d * v1 + h * b1 + p02 * u1, v1 + d * b1 + p12 * u1,
-             b1 + p22 * u1),
-            (x2 + d * v2 + h * b2 + p02 * u2, v2 + d * b2 + p12 * u2,
-             b2 + p22 * u2))
-
-
 def kalman_predict(state: KalmanState, cfg: KalmanConfig,
                    dt: float) -> KalmanState:
     if dt <= 0.0:
@@ -252,11 +235,21 @@ class InertialEstimator:
             for i in range(3))
 
     def step(self, imu1: ImuSample, imu2: ImuSample) -> EstimatedState:
+        """Each axis predicted and updated with the step's gain from the
+        two IMUs' world accelerations; bit-identical to _predict_state then
+        _update_state, whose operand order it keeps."""
         d = self.dt
+        h = 0.5 * d * d
         self.attitude = complementary_step(self.attitude, imu1, self.gain, d)
-        self.axes = _axes_step(
-            next(self._gains), self.axes, world_accel(imu1, self.attitude),
-            world_accel(imu2, self.attitude), d, 0.5 * d * d)
+        a1 = world_accel(imu1, self.attitude)
+        a2 = world_accel(imu2, self.attitude)
+        (p02, p12, p22), c0, c1 = next(self._gains)
+        axes = []
+        for (x, v, b), z1, z2 in zip(self.axes, a1, a2):
+            u = c0 * (z1 - b) + c1 * (z2 - b)
+            axes.append((x + d * v + h * b + p02 * u, v + d * b + p12 * u,
+                         b + p22 * u))
+        self.axes = tuple(axes)
         return self.state()
 
     def state(self) -> EstimatedState:
@@ -283,27 +276,22 @@ class DeadReckoner:
         self._prev_accel: Vec3 | None = None
 
     def step(self, imu: ImuSample) -> Vec3:
-        self.quat, self.position, self.velocity, self._prev_accel = _reckon(
-            self.quat, self.position, self.velocity, self._prev_accel,
-            imu.gyro, imu.accel, self.dt)
+        """Turn by the gyro's rotation vector, then integrate the world
+        acceleration: velocity, then position, by the trapezoid rule.  The
+        first step only records the acceleration."""
+        dt = self.dt
+        gx, gy, gz = imu.gyro
+        dq = quat_from_rotvec((gx * dt, gy * dt, gz * dt))
+        self.quat = quat_normalize(quat_multiply(self.quat, dq))
+        a = _to_world(self.quat, imu.accel)
+        prev, self._prev_accel = self._prev_accel, a
+        if prev is not None:
+            vel, pos = self.velocity, self.position
+            vx = vel[0] + 0.5 * (prev[0] + a[0]) * dt
+            vy = vel[1] + 0.5 * (prev[1] + a[1]) * dt
+            vz = vel[2] + 0.5 * (prev[2] + a[2]) * dt
+            self.position = (pos[0] + 0.5 * (vel[0] + vx) * dt,
+                             pos[1] + 0.5 * (vel[1] + vy) * dt,
+                             pos[2] + 0.5 * (vel[2] + vz) * dt)
+            self.velocity = (vx, vy, vz)
         return self.position
-
-
-def _reckon(quat: Quat, pos: Vec3, vel: Vec3, prev_accel: Vec3 | None,
-            gyro: Vec3, accel: Vec3, dt: float):
-    """One dead-reckoning step: (quat, pos, vel, world accel) after it; the
-    first step (no prev_accel) only records the acceleration.  Velocity,
-    then position, follow the trapezoid rule."""
-    gx, gy, gz = gyro
-    dq = quat_from_rotvec((gx * dt, gy * dt, gz * dt))
-    quat = quat_normalize(quat_multiply(quat, dq))
-    a = _to_world(quat, accel)
-    if prev_accel is not None:
-        vx = vel[0] + 0.5 * (prev_accel[0] + a[0]) * dt
-        vy = vel[1] + 0.5 * (prev_accel[1] + a[1]) * dt
-        vz = vel[2] + 0.5 * (prev_accel[2] + a[2]) * dt
-        pos = (pos[0] + 0.5 * (vel[0] + vx) * dt,
-               pos[1] + 0.5 * (vel[1] + vy) * dt,
-               pos[2] + 0.5 * (vel[2] + vz) * dt)
-        vel = (vx, vy, vz)
-    return quat, pos, vel, a

@@ -11,26 +11,21 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from enum import Enum
+from math import asin, atan2, cos, pi, remainder, sin, sqrt
 
-from .attitude import ComplementaryGain, _complementary
+from .attitude import ComplementaryGain
 from .config import MissionParams, ScenarioConfig
 from .control import (
     _FRESH_LANES,
     _FRESH_PID,
+    I_MAX,
     PidGains,
     _sectors,
-    _track,
     avoidance_command,
 )
 from .errors import MissionAborted
-from .estimation import (
-    InertialEstimator,
-    KalmanConfig,
-    _axes_step,
-    _reckon,
-    _to_world,
-)
-from .geometry import Quat, Vec3, v_dist, wrap_angle, yaw_of
+from .estimation import InertialEstimator, KalmanConfig
+from .geometry import TWO_PI, Quat, Vec3, v_dist, wrap_angle, yaw_of
 from .perception import (
     CaptureRecord,
     Classifier,
@@ -45,17 +40,17 @@ from .planner import (
     home_leg,
     plan_return_path,
 )
-from .sensors import (
-    SensorParams,
-    _body_fields,
-    _corrupt,
-    _mag_reading,
-    _noise_stream,
+from .sensors import MAG_WORLD, SensorParams, _noise_stream
+from .vehicle import G_VEC, GRAVITY, TrueState, VehicleParams, _lag
+from .world import (
+    SCAN_ANGLE_MAX,
+    SCAN_ANGLE_MIN,
+    _in_reach,
+    _scan_hits,
+    visible_decals,
 )
-from .vehicle import TrueState, VehicleParams, _fly, _lag
-from .world import SCAN_ANGLE_MAX, SCAN_ANGLE_MIN, _scan_hits, visible_decals
 
-# The loop calls the cores of these four, but they stay names of this module:
+# The loop does not call these four, but they stay names of this module:
 # perfbench/workloads.py wraps them here in its traced runs.
 from .control import classify_sectors, track_waypoint  # noqa: F401
 from .vehicle import step_dynamics  # noqa: F401
@@ -151,68 +146,315 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
 
     Returns sense() -> (est position, dr position, est quat, est yaw),
     track(wp) -> (v_body, yaw_rate), reset_track() for a fresh tracking PID,
-    fly(v_body, yaw_rate) -> true (position, attitude), and true_state() for
-    the whole true state.  They call the private cores that Imu.measure,
+    fly(v_body, yaw_rate) -> true (position, attitude), and true_state().
+    sense, track and fly are straight-line arithmetic calling only math
+    functions and next() on the streams.  They compute what Imu.measure,
     InertialEstimator.step, DeadReckoner.step, track_waypoint and
-    step_dynamics wrap, so they equal composing those.  Both IMUs read one
-    pair of world -> body rotations, and IMU 2's gyro and magnetometer,
-    which nothing reads, are skipped.  The Kalman gains come from the
-    estimator's replayed schedule, so a step updates only the three axes.
+    step_dynamics compute, operand for operand, each fallback a branch on
+    the same threshold; `x if x < hi else hi` is min(hi, x), NaN included.
+    Both IMUs share one world -> body rotation, IMU 2's unread gyro and
+    magnetometer are skipped, and the Kalman gains are replayed.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     noise1, noise2 = _noise_stream(seed, 0), _noise_stream(seed, 1)
+    # it rejects dt <= 0, and is the one source of the filter's first state
     est = InertialEstimator(kalman, ComplementaryGain(alpha), start,
                             initial_yaw=yaw, dt=dt)
-    pos, vel, att, rates, accel, t_true = astuple(
-        TrueState.at_rest(start, yaw=yaw))
-    gb, sg, ab, sa, sm = (sensors.gyro_bias, sensors.gyro_noise_std,
-                          sensors.accel_bias, sensors.accel_noise_std,
-                          sensors.mag_noise_std)
+    (px, py, pz), (vx, vy, vz), (qw, qx, qy, qz), (wx, wy, wz), \
+        (ax, ay, az), t_true = astuple(TrueState.at_rest(start, yaw=yaw))
+    roll, pitch, yaw, (ew, ex, ey, ez), _ = astuple(est.attitude)
+    (kpx, kvx, kax), (kpy, kvy, kay), (kpz, kvz, kaz) = est.axes
+    gain_stream = est._gains
+    # the dead reckoner starts from the true state, with no previous accel
+    dqw, dqx, dqy, dqz = qw, qx, qy, qz
+    (dpx, dpy, dpz), (dvx, dvy, dvz) = start, (vx, vy, vz)
+    dax = day = daz = 0.0
+    dr_has_accel = False
+    integral, prev_error, initialized = _FRESH_PID
+    gb0, gb1, gb2 = sensors.gyro_bias
+    ab0, ab1, ab2 = sensors.accel_bias
+    sg, sa, sm = (sensors.gyro_noise_std, sensors.accel_noise_std,
+                  sensors.mag_noise_std)
+    g0, g1, g2 = G_VEC
+    m0, m1, m2 = MAG_WORLD
+    g_floor, k_meas = 0.1 * GRAVITY, 1.0 - alpha
     h, lag = 0.5 * dt * dt, _lag(vehicle.tau, dt)
     v_max, yaw_rate_max = vehicle.v_max, vehicle.yaw_rate_max
-    roll, pitch, yaw, quat, _ = astuple(est.attitude)
-    axes, next_gain = est.axes, est._gains.__next__
-    dr_quat, dr_pos, dr_vel, dr_accel = att, start, vel, None   # at rest
-    pid = _FRESH_PID
+    kp, ki, kd = gains.kp, gains.ki, gains.kd
 
     def sense():
-        nonlocal roll, pitch, yaw, quat, axes
-        nonlocal dr_quat, dr_pos, dr_vel, dr_accel
-        f, m = _body_fields(att, accel)
-        n = next(noise1)   # IMU 1 alone drives attitude and dead reckoning
-        gyro = _corrupt(rates, gb, sg, n, 0)
-        acc1 = _corrupt(f, ab, sa, n, 3)
-        mag = _mag_reading(m, sm, n, 6)
-        acc2 = _corrupt(f, ab, sa, next(noise2), 3)
-        roll, pitch, yaw, quat = _complementary(roll, pitch, yaw, gyro, acc1,
-                                                mag, alpha, dt)
-        axes = _axes_step(next_gain(), axes, _to_world(quat, acc1),
-                          _to_world(quat, acc2), dt, h)
-        dr_quat, dr_pos, dr_vel, dr_accel = _reckon(
-            dr_quat, dr_pos, dr_vel, dr_accel, gyro, acc1, dt)
-        return (axes[0][0], axes[1][0], axes[2][0]), dr_pos, quat, yaw
+        nonlocal roll, pitch, yaw, ew, ex, ey, ez
+        nonlocal kpx, kvx, kax, kpy, kvy, kay, kpz, kvz, kaz
+        nonlocal dqw, dqx, dqy, dqz, dpx, dpy, dpz, dvx, dvy, dvz
+        nonlocal dax, day, daz, dr_has_accel
+        # Imu.measure: specific force and MAG_WORLD rotated to the body by
+        # the conjugate attitude (qw, ix, iy, iz), then bias and noise
+        ix, iy, iz = -qx, -qy, -qz
+        fx, fy, fz = ax - g0, ay - g1, az - g2
+        tx = 2.0 * (iy * fz - iz * fy)
+        ty = 2.0 * (iz * fx - ix * fz)
+        tz = 2.0 * (ix * fy - iy * fx)
+        bx = fx + qw * tx + (iy * tz - iz * ty)
+        by = fy + qw * ty + (iz * tx - ix * tz)
+        bz = fz + qw * tz + (ix * ty - iy * tx)
+        tx = 2.0 * (iy * m2 - iz * m1)
+        ty = 2.0 * (iz * m0 - ix * m2)
+        tz = 2.0 * (ix * m1 - iy * m0)
+        # IMU 1 alone drives attitude and dead reckoning
+        n0, n1, n2, n3, n4, n5, n6, n7, n8 = next(noise1)
+        p, q, r = wx + gb0 + sg * n0, wy + gb1 + sg * n1, wz + gb2 + sg * n2
+        a1x, a1y, a1z = (bx + ab0 + sa * n3, by + ab1 + sa * n4,
+                         bz + ab2 + sa * n5)
+        mx = m0 + qw * tx + (iy * tz - iz * ty) + sm * n6
+        my = m1 + qw * ty + (iz * tx - ix * tz) + sm * n7
+        mz = m2 + qw * tz + (ix * ty - iy * tx) + sm * n8
+        norm = sqrt(mx * mx + my * my + mz * mz)
+        if norm > 1e-9:   # renormalise unless noise cancelled the field
+            mx, my, mz = mx / norm, my / norm, mz / norm
+        n = next(noise2)
+        a2x, a2y, a2z = (bx + ab0 + sa * n[3], by + ab1 + sa * n[4],
+                         bz + ab2 + sa * n[5])
+
+        # complementary_step: gyro rates to Euler-angle rates at the
+        # previous roll and pitch
+        sr, cr = sin(roll), cos(roll)
+        sp, cp = sin(pitch), cos(pitch)
+        if -1e-9 < cp < 1e-9:   # gimbal lock: yaw/roll rates undefined
+            cp = 1e-9 if cp >= 0.0 else -1e-9
+        tp = sp / cp
+        qr = q * sr + r * cr
+        droll = p + qr * tp
+        dpitch = q * cr - r * sr
+        dyaw = qr / cp
+        g_roll = remainder(roll + droll * dt, TWO_PI)
+        g_roll = pi if g_roll <= -pi else g_roll
+        g_pitch = pitch + dpitch * dt
+        g_yaw = remainder(yaw + dyaw * dt, TWO_PI)
+        g_yaw = pi if g_yaw <= -pi else g_yaw
+        if sqrt(a1x * a1x + a1y * a1y + a1z * a1z) <= g_floor:
+            # gravity unobservable: roll and pitch follow the gyro
+            m_roll, m_pitch, k_rp = g_roll, g_pitch, 0.0
+        else:
+            m_roll = atan2(a1y, a1z)
+            m_pitch = atan2(-a1x, sqrt(a1y * a1y + a1z * a1z))
+            k_rp = k_meas
+        sr, cr = sin(m_roll), cos(m_roll)
+        sp, cp = sin(m_pitch), cos(m_pitch)
+        hx = cp * mx + sp * sr * my + sp * cr * mz
+        hy = cr * my - sr * mz
+        if sqrt(hx * hx + hy * hy) < 1e-6:
+            # magnetic degeneracy: yaw follows the gyro
+            m_yaw, k_y = g_yaw, 0.0
+        else:
+            m_yaw, k_y = atan2(-hy, hx), k_meas
+        # blend: gyro angle plus (1 - alpha) of the wrapped residual
+        e = remainder(m_roll - g_roll, TWO_PI)
+        e = pi if e <= -pi else e
+        roll = remainder(g_roll + k_rp * e, TWO_PI)
+        roll = pi if roll <= -pi else roll
+        e = remainder(m_pitch - g_pitch, TWO_PI)
+        e = pi if e <= -pi else e
+        pitch = remainder(g_pitch + k_rp * e, TWO_PI)
+        pitch = pi if pitch <= -pi else pitch
+        e = remainder(m_yaw - g_yaw, TWO_PI)
+        e = pi if e <= -pi else e
+        yaw = remainder(g_yaw + k_y * e, TWO_PI)
+        yaw = pi if yaw <= -pi else yaw
+        cr, sr = cos(roll * 0.5), sin(roll * 0.5)
+        cp, sp = cos(pitch * 0.5), sin(pitch * 0.5)
+        cy, sy = cos(yaw * 0.5), sin(yaw * 0.5)
+        ew = cy * cp * cr + sy * sp * sr
+        ex = cy * cp * sr - sy * sp * cr
+        ey = cy * sp * cr + sy * cp * sr
+        ez = sy * cp * cr - cy * sp * sr
+        # the angles back from the quat, in canonical ranges
+        roll = atan2(2.0 * (ew * ex + ey * ez),
+                     1.0 - 2.0 * (ex * ex + ey * ey))
+        s = 2.0 * (ew * ey - ez * ex)
+        s = s if s < 1.0 else 1.0
+        pitch = asin(s if s > -1.0 else -1.0)
+        yaw = atan2(2.0 * (ew * ez + ex * ey), 1.0 - 2.0 * (ey * ey + ez * ez))
+
+        # InertialEstimator.step: both world accelerations, gravity added
+        # back, update the three [p, v, a] axes with the step's gain
+        tx = 2.0 * (ey * a1z - ez * a1y)
+        ty = 2.0 * (ez * a1x - ex * a1z)
+        tz = 2.0 * (ex * a1y - ey * a1x)
+        w1x = a1x + ew * tx + (ey * tz - ez * ty) + g0
+        w1y = a1y + ew * ty + (ez * tx - ex * tz) + g1
+        w1z = a1z + ew * tz + (ex * ty - ey * tx) + g2
+        tx = 2.0 * (ey * a2z - ez * a2y)
+        ty = 2.0 * (ez * a2x - ex * a2z)
+        tz = 2.0 * (ex * a2y - ey * a2x)
+        w2x = a2x + ew * tx + (ey * tz - ez * ty) + g0
+        w2y = a2y + ew * ty + (ez * tx - ex * tz) + g1
+        w2z = a2z + ew * tz + (ex * ty - ey * tx) + g2
+        (p02, p12, p22), c0, c1 = next(gain_stream)
+        u = c0 * (w1x - kax) + c1 * (w2x - kax)
+        kpx, kvx, kax = (kpx + dt * kvx + h * kax + p02 * u,
+                         kvx + dt * kax + p12 * u, kax + p22 * u)
+        u = c0 * (w1y - kay) + c1 * (w2y - kay)
+        kpy, kvy, kay = (kpy + dt * kvy + h * kay + p02 * u,
+                         kvy + dt * kay + p12 * u, kay + p22 * u)
+        u = c0 * (w1z - kaz) + c1 * (w2z - kaz)
+        kpz, kvz, kaz = (kpz + dt * kvz + h * kaz + p02 * u,
+                         kvz + dt * kaz + p12 * u, kaz + p22 * u)
+
+        # DeadReckoner.step: turn by the gyro's rotation vector
+        r0, r1, r2 = p * dt, q * dt, r * dt
+        angle = sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+        if angle < 1e-12:   # first-order expansion, normalised (norm >= 1)
+            rx, ry, rz = 0.5 * r0, 0.5 * r1, 0.5 * r2
+            norm = sqrt(1.0 + rx * rx + ry * ry + rz * rz)
+            rw, rx, ry, rz = 1.0 / norm, rx / norm, ry / norm, rz / norm
+        else:
+            half = 0.5 * angle
+            s = sin(half) / angle
+            rw, rx, ry, rz = cos(half), r0 * s, r1 * s, r2 * s
+        uw = dqw * rw - dqx * rx - dqy * ry - dqz * rz
+        ux = dqw * rx + dqx * rw + dqy * rz - dqz * ry
+        uy = dqw * ry - dqx * rz + dqy * rw + dqz * rx
+        uz = dqw * rz + dqx * ry - dqy * rx + dqz * rw
+        norm = sqrt(uw * uw + ux * ux + uy * uy + uz * uz)
+        if norm == 0.0:
+            raise ValueError("cannot normalize zero quaternion")
+        dqw, dqx, dqy, dqz = uw / norm, ux / norm, uy / norm, uz / norm
+        tx = 2.0 * (dqy * a1z - dqz * a1y)
+        ty = 2.0 * (dqz * a1x - dqx * a1z)
+        tz = 2.0 * (dqx * a1y - dqy * a1x)
+        cax = a1x + dqw * tx + (dqy * tz - dqz * ty) + g0
+        cay = a1y + dqw * ty + (dqz * tx - dqx * tz) + g1
+        caz = a1z + dqw * tz + (dqx * ty - dqy * tx) + g2
+        if dr_has_accel:   # trapezoid rule: velocity, then position
+            ux = dvx + 0.5 * (dax + cax) * dt
+            uy = dvy + 0.5 * (day + cay) * dt
+            uz = dvz + 0.5 * (daz + caz) * dt
+            dpx += 0.5 * (dvx + ux) * dt
+            dpy += 0.5 * (dvy + uy) * dt
+            dpz += 0.5 * (dvz + uz) * dt
+            dvx, dvy, dvz = ux, uy, uz
+        dax, day, daz, dr_has_accel = cax, cay, caz, True
+        return (kpx, kpy, kpz), (dpx, dpy, dpz), (ew, ex, ey, ez), yaw
 
     def track(wp: Waypoint):
-        nonlocal pid
-        v_body, yaw_rate, pid = _track(
-            (axes[0][0], axes[1][0], axes[2][0]), quat, yaw, wp, gains, pid,
-            dt, v_max, kp_yaw, yaw_rate_max)
-        return v_body, yaw_rate
+        nonlocal integral, prev_error, initialized
+        # track_waypoint: a PID on the distance gives the speed, and the
+        # velocity points straight at wp, rotated to the body frame
+        sx, sy, sz = wp.position
+        dx, dy, dz = sx - kpx, sy - kpy, sz - kpz
+        dist = sqrt(dx * dx + dy * dy + dz * dz)
+        integral = integral + dist * dt
+        integral = integral if integral < I_MAX else I_MAX
+        integral = integral if integral > -I_MAX else -I_MAX
+        prev = dist if not initialized else prev_error
+        speed = kp * dist + ki * integral + kd * ((dist - prev) / dt)
+        prev_error, initialized = dist, True
+        speed = speed if speed < v_max else v_max
+        speed = speed if speed > 0.0 else 0.0
+        if dist > 1e-9 and speed > 0.0:
+            k = speed / dist
+            ux, uy, uz = dx * k, dy * k, dz * k
+            ix, iy, iz = -ex, -ey, -ez
+            tx = 2.0 * (iy * uz - iz * uy)
+            ty = 2.0 * (iz * ux - ix * uz)
+            tz = 2.0 * (ix * uy - iy * ux)
+            v_body = (ux + ew * tx + (iy * tz - iz * ty),
+                      uy + ew * ty + (iz * tx - ix * tz),
+                      uz + ew * tz + (ix * ty - iy * tx))
+        else:
+            v_body = (0.0, 0.0, 0.0)
+        yaw_err = remainder(wp.yaw - yaw, TWO_PI)
+        yaw_err = pi if yaw_err <= -pi else yaw_err
+        yaw_rate = kp_yaw * yaw_err
+        yaw_rate = yaw_rate if yaw_rate < yaw_rate_max else yaw_rate_max
+        return v_body, (yaw_rate if yaw_rate > -yaw_rate_max
+                        else -yaw_rate_max)
 
     def reset_track() -> None:
-        nonlocal pid
-        pid = _FRESH_PID
+        nonlocal integral, prev_error, initialized
+        integral, prev_error, initialized = _FRESH_PID
 
     def fly(v_body: Vec3, yaw_rate: float) -> tuple[Vec3, Quat]:
-        nonlocal pos, vel, att, rates, accel, t_true
-        pos, vel, att, rates, accel = _fly(pos, vel, att, v_body, yaw_rate,
-                                           vehicle, lag, dt)
+        nonlocal px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz
+        nonlocal ax, ay, az, t_true
+        # step_dynamics: clamp the command
+        bx, by, bz = v_body
+        speed = sqrt(bx * bx + by * by + bz * bz)
+        if speed > v_max and speed > 0.0:
+            k = v_max / speed
+            bx, by, bz = bx * k, by * k, bz * k
+        yaw_rate = yaw_rate if yaw_rate < yaw_rate_max else yaw_rate_max
+        yaw_rate = yaw_rate if yaw_rate > -yaw_rate_max else -yaw_rate_max
+        # lag toward the command rotated to the world frame
+        tx = 2.0 * (qy * bz - qz * by)
+        ty = 2.0 * (qz * bx - qx * bz)
+        tz = 2.0 * (qx * by - qy * bx)
+        v0x, v0y, v0z = vx, vy, vz
+        vx = v0x + (bx + qw * tx + (qy * tz - qz * ty) - v0x) * lag
+        vy = v0y + (by + qw * ty + (qz * tx - qx * tz) - v0y) * lag
+        vz = v0z + (bz + qw * tz + (qx * ty - qy * tx) - v0z) * lag
+        px += vx * dt
+        py += vy * dt
+        pz += vz * dt
+        if pz < 0.0:   # ground plane
+            pz = 0.0
+            vz = 0.0 if 0.0 > vz else vz
+        ax = (vx - v0x) / dt
+        ay = (vy - v0y) / dt
+        az = (vz - v0z) / dt
+        # the step-start angles; yaw integrates the rate
+        roll0 = atan2(2.0 * (qw * qx + qy * qz),
+                      1.0 - 2.0 * (qx * qx + qy * qy))
+        s = 2.0 * (qw * qy - qz * qx)
+        s = s if s < 1.0 else 1.0
+        pitch0 = asin(s if s > -1.0 else -1.0)
+        yaw0 = atan2(2.0 * (qw * qz + qx * qy),
+                     1.0 - 2.0 * (qy * qy + qz * qz))
+        yaw1 = remainder(yaw0 + yaw_rate * dt, TWO_PI)
+        yaw1 = pi if yaw1 <= -pi else yaw1
+        # roll/pitch that align body z with the thrust direction accel - g,
+        # expressed in the yaw-aligned frame
+        tz = az + GRAVITY
+        c, s = cos(-yaw1), sin(-yaw1)
+        fx = c * ax - s * ay
+        fy = s * ax + c * ay
+        n = sqrt(fx * fx + fy * fy + tz * tz)
+        if n < 1e-9:   # free fall: tilt undefined, hold previous
+            roll1, pitch1 = roll0, pitch0
+        else:
+            s = fy / n
+            s = s if s < 1.0 else 1.0
+            roll1 = -asin(s if s > -1.0 else -1.0)
+            pitch1 = atan2(fx, tz)
+        cr, sr = cos(roll1 * 0.5), sin(roll1 * 0.5)
+        cp, sp = cos(pitch1 * 0.5), sin(pitch1 * 0.5)
+        cy, sy = cos(yaw1 * 0.5), sin(yaw1 * 0.5)
+        qw = cy * cp * cr + sy * sp * sr
+        qx = cy * cp * sr - sy * sp * cr
+        qy = cy * sp * cr + sy * cp * sr
+        qz = sy * cp * cr - cy * sp * sr
+        norm = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+        if norm == 0.0:
+            raise ValueError("cannot normalize zero quaternion")
+        qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
+        # body rates from Euler-angle rates at the step-start angles
+        droll = remainder(roll1 - roll0, TWO_PI)
+        droll = pi if droll <= -pi else droll
+        dyaw = remainder(yaw1 - yaw0, TWO_PI)
+        dyaw = pi if dyaw <= -pi else dyaw
+        droll, dpitch, dyaw = droll / dt, (pitch1 - pitch0) / dt, dyaw / dt
+        sr, cr = sin(roll0), cos(roll0)
+        sp, cp = sin(pitch0), cos(pitch0)
+        wx = droll - dyaw * sp
+        wy = dpitch * cr + dyaw * cp * sr
+        wz = -dpitch * sr + dyaw * cp * cr
         t_true += dt
-        return pos, att
+        return (px, py, pz), (qw, qx, qy, qz)
 
     def true_state() -> TrueState:
-        return TrueState(pos, vel, att, rates, accel, t_true)
+        return TrueState((px, py, pz), (vx, vy, vz), (qw, qx, qy, qz),
+                         (wx, wy, wz), (ax, ay, az), t_true)
 
     return sense, track, reset_track, fly, true_state
 
@@ -336,12 +578,12 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                 time=t, phase=phase.value, waypoint_index=idx,
                 position=true_pos)
 
-        hits = _scan_hits(scene, fp, *true_pos, true_att, SCAN_ANGLE_MIN,
-                          SCAN_ANGLE_MAX, cfg.scan_n_bins, cfg.scan_range_max,
-                          mp.d_engage,
-                          insets and _occluders(insets, est_pos, est_yaw,
-                                                true_pos, yaw_of(true_att),
-                                                mp.d_engage))
+        # with no solid in reach the scan casts nothing, so no occluders
+        hits = _in_reach(scene, fp, *true_pos, mp.d_engage) and _scan_hits(
+            scene, fp, *true_pos, true_att, SCAN_ANGLE_MIN, SCAN_ANGLE_MAX,
+            cfg.scan_n_bins, cfg.scan_range_max, mp.d_engage,
+            insets and _occluders(insets, est_pos, est_yaw, true_pos,
+                                  yaw_of(true_att), mp.d_engage))
         sectors = _sectors(hits, SCAN_ANGLE_MIN, scan_step, mask, est_pos[0],
                            est_pos[1], est_yaw, mp.d_engage)
         cmd, lanes = avoidance_command(sectors, cfg.gains, lanes, dt,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Quat, Vec3, quat_conjugate, quat_rotate
+from .geometry import Vec3, quat_conjugate, quat_rotate
 from .vehicle import G_VEC, TrueState
 
 MAG_WORLD: Vec3 = (1.0, 0.0, 0.0)
@@ -60,13 +60,27 @@ class Imu:
     def measure(self, state: TrueState) -> ImuSample:
         n = next(self._noise)
         p = self.params
-        f, m = _body_fields(state.attitude, state.accel_world)
+        # the true specific force and field in the body frame, then each
+        # instrument's bias and noise
+        qc = quat_conjugate(state.attitude)
+        a = state.accel_world
+        f = quat_rotate(qc, (a[0] - G_VEC[0], a[1] - G_VEC[1],
+                             a[2] - G_VEC[2]))
+        m = quat_rotate(qc, MAG_WORLD)
+        w, gb, ab = state.angular_rate, p.gyro_bias, p.accel_bias
+        sg, sa, sm = p.gyro_noise_std, p.accel_noise_std, p.mag_noise_std
+        mx = m[0] + sm * n[6]
+        my = m[1] + sm * n[7]
+        mz = m[2] + sm * n[8]
+        norm = math.sqrt(mx * mx + my * my + mz * mz)
+        if norm > 1e-9:   # renormalise unless noise cancelled the field
+            mx, my, mz = mx / norm, my / norm, mz / norm
         return ImuSample(
-            gyro=_corrupt(state.angular_rate, p.gyro_bias, p.gyro_noise_std,
-                          n, 0),
-            accel=_corrupt(f, p.accel_bias, p.accel_noise_std, n, 3),
-            mag=_mag_reading(m, p.mag_noise_std, n, 6),
-            time=state.time)
+            gyro=(w[0] + gb[0] + sg * n[0], w[1] + gb[1] + sg * n[1],
+                  w[2] + gb[2] + sg * n[2]),
+            accel=(f[0] + ab[0] + sa * n[3], f[1] + ab[1] + sa * n[4],
+                   f[2] + ab[2] + sa * n[5]),
+            mag=(mx, my, mz), time=state.time)
 
 
 def _noise_stream(seed: int, imu_id: int):
@@ -75,30 +89,3 @@ def _noise_stream(seed: int, imu_id: int):
         np.random.SeedSequence(seed, spawn_key=(imu_id,)))
     return itertools.chain.from_iterable(
         rng.standard_normal((_CHUNK, 9)).tolist() for _ in itertools.count())
-
-
-def _body_fields(attitude: Quat, accel_world: Vec3) -> tuple[Vec3, Vec3]:
-    """True specific force and magnetic field in the body frame, which every
-    IMU on the airframe reads before its own bias and noise."""
-    qc = quat_conjugate(attitude)
-    f_world = (accel_world[0] - G_VEC[0], accel_world[1] - G_VEC[1],
-               accel_world[2] - G_VEC[2])
-    return quat_rotate(qc, f_world), quat_rotate(qc, MAG_WORLD)
-
-
-def _corrupt(v: Vec3, bias: Vec3, std: float, n: list[float],
-             i: int) -> Vec3:
-    """A gyro or accelerometer reading: v + bias + std * n[i:i+3]."""
-    return (v[0] + bias[0] + std * n[i], v[1] + bias[1] + std * n[i + 1],
-            v[2] + bias[2] + std * n[i + 2])
-
-
-def _mag_reading(m: Vec3, std: float, n: list[float], i: int) -> Vec3:
-    """m + std * n[i:i+3], renormalised unless noise cancelled the field."""
-    mx = m[0] + std * n[i]
-    my = m[1] + std * n[i + 1]
-    mz = m[2] + std * n[i + 2]
-    norm = math.sqrt(mx * mx + my * my + mz * mz)
-    if norm > 1e-9:
-        mx, my, mz = mx / norm, my / norm, mz / norm
-    return (mx, my, mz)

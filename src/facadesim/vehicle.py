@@ -76,27 +76,30 @@ def _lag(tau: float, dt: float) -> float:
     return 1.0 - math.exp(-dt / tau)
 
 
-def _fly(position: Vec3, velocity: Vec3, attitude: Quat, v_body: Vec3,
-         yaw_rate: float, params: VehicleParams, lag: float, dt: float):
-    """One plant step on scalars: (position, velocity, attitude, body rates,
-    accel_world) after it.  `lag` is _lag(params.tau, dt)."""
+def step_dynamics(state: TrueState, cmd: VelocityCommand, params: VehicleParams,
+                  dt: float) -> TrueState:
+    """Advance the plant one step of dt seconds.  Pure and deterministic."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     # clamp the command
-    vx, vy, vz = v_body
+    vx, vy, vz = cmd.v_body
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     if speed > params.v_max and speed > 0.0:
         k = params.v_max / speed
         vx, vy, vz = vx * k, vy * k, vz * k
-    yaw_rate = max(-params.yaw_rate_max, min(params.yaw_rate_max, yaw_rate))
-    v_cmd = quat_rotate(attitude, (vx, vy, vz))
+    yaw_rate = max(-params.yaw_rate_max,
+                   min(params.yaw_rate_max, cmd.yaw_rate))
+    v_cmd = quat_rotate(state.attitude, (vx, vy, vz))
 
-    v0x, v0y, v0z = velocity
+    lag = _lag(params.tau, dt)
+    v0x, v0y, v0z = state.velocity
     vx = v0x + (v_cmd[0] - v0x) * lag
     vy = v0y + (v_cmd[1] - v0y) * lag
     vz = v0z + (v_cmd[2] - v0z) * lag
 
-    px = position[0] + vx * dt
-    py = position[1] + vy * dt
-    pz = position[2] + vz * dt
+    px = state.position[0] + vx * dt
+    py = state.position[1] + vy * dt
+    pz = state.position[2] + vz * dt
     if pz < 0.0:  # ground plane
         pz = 0.0
         vz = max(vz, 0.0)
@@ -105,7 +108,7 @@ def _fly(position: Vec3, velocity: Vec3, attitude: Quat, v_body: Vec3,
     ay = (vy - v0y) / dt
     az = (vz - v0z) / dt
 
-    prev_roll, prev_pitch, prev_yaw = euler_from_quat(attitude)
+    prev_roll, prev_pitch, prev_yaw = euler_from_quat(state.attitude)
     yaw = wrap_angle(prev_yaw + yaw_rate * dt)
     # roll/pitch that align body z with the thrust direction accel - g,
     # expressed in the yaw-aligned frame
@@ -129,19 +132,8 @@ def _fly(position: Vec3, velocity: Vec3, attitude: Quat, v_body: Vec3,
     dyaw = wrap_angle(yaw - prev_yaw) / dt
     sr, cr = math.sin(prev_roll), math.cos(prev_roll)
     sp, cp = math.sin(prev_pitch), math.cos(prev_pitch)
-    return ((px, py, pz), (vx, vy, vz), attitude,
-            (droll - dyaw * sp, dpitch * cr + dyaw * cp * sr,
-             -dpitch * sr + dyaw * cp * cr), (ax, ay, az))
-
-
-def step_dynamics(state: TrueState, cmd: VelocityCommand, params: VehicleParams,
-                  dt: float) -> TrueState:
-    """Advance the plant one step of dt seconds.  Pure and deterministic."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    position, velocity, attitude, rates, accel = _fly(
-        state.position, state.velocity, state.attitude, cmd.v_body,
-        cmd.yaw_rate, params, _lag(params.tau, dt), dt)
-    return TrueState(position=position, velocity=velocity, attitude=attitude,
-                     angular_rate=rates, accel_world=accel,
-                     time=state.time + dt)
+    return TrueState(
+        position=(px, py, pz), velocity=(vx, vy, vz), attitude=attitude,
+        angular_rate=(droll - dyaw * sp, dpitch * cr + dyaw * cp * sr,
+                      -dpitch * sr + dyaw * cp * cr),
+        accel_world=(ax, ay, az), time=state.time + dt)

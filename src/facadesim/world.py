@@ -238,6 +238,19 @@ def _slab(lo: float, hi: float, d: float, inside: bool):
     return (-math.inf, math.inf) if inside else (math.inf, -math.inf)
 
 
+def _in_reach(scene: Scene, footprint: Rect, x: float, y: float, z: float,
+              reach: float) -> list:
+    """The solids `_scan_hits` casts from (x, y, z): the footprint, then the
+    obstacles, that reach up to z and lie within reach + 1e-6 m."""
+    cull = reach + _REACH_MARGIN
+    solids: list = []
+    if z <= scene.building.height and footprint.distance_to(x, y) < cull:
+        solids.append(footprint)
+    solids += [o for o in scene.obstacles if z <= o.height and math.hypot(
+        o.center_xy[0] - x, o.center_xy[1] - y) - o.radius < cull]
+    return solids
+
+
 def _scan_hits(scene: Scene, footprint: Rect, x: float, y: float, z: float,
                attitude, angle_min: float, angle_max: float, n_bins: int,
                range_max: float, reach: float,
@@ -250,11 +263,7 @@ def _scan_hits(scene: Scene, footprint: Rect, x: float, y: float, z: float,
     or obstacles), nothing is cast; otherwise every one is, as without them.
     """
     cull = reach + _REACH_MARGIN
-    solids: list = []
-    if z <= scene.building.height and footprint.distance_to(x, y) < cull:
-        solids.append(footprint)
-    solids += [o for o in scene.obstacles if z <= o.height and math.hypot(
-        o.center_xy[0] - x, o.center_xy[1] - y) - o.radius < cull]
+    solids = _in_reach(scene, footprint, x, y, z, reach)
     if all(solid in occluders for solid in solids):
         return []
 

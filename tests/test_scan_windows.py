@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from facadesim import world
 from facadesim.config import apply_overrides, config_from_dict, load_raw
 from facadesim.control import _sectors, classify_sectors
 from facadesim.geometry import Rect, quat_from_euler, yaw_of
@@ -244,6 +245,23 @@ def _in_reach(scene, fp, x, y, z, reach):
     return solids + [o for o in scene.obstacles if z <= o.height
                      and math.hypot(o.center_xy[0] - x, o.center_xy[1] - y)
                      - o.radius < cull]
+
+
+@given(st.sampled_from(sorted(OCCLUDER_SCENES)), st.floats(-14.0, 14.0),
+       st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
+       st.floats(-math.pi, math.pi), reaches)
+@settings(max_examples=100, deadline=None)
+def test_nothing_in_reach_casts_nothing(name, x, y, z, yaw, reach):
+    """`world._in_reach` is the cull above, and with no solid in it the scan
+    has no pairs: so `run_mission` may skip `_occluders` and the scan."""
+    scene = OCCLUDER_SCENES[name][0]
+    fp = scene.building.footprint()
+    solids = world._in_reach(scene, fp, x, y, z, reach)
+    assert solids == _in_reach(scene, fp, x, y, z, reach)
+    if not solids:
+        assert _scan_hits(scene, fp, x, y, z, pose(x, y, z, yaw).attitude,
+                          SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS,
+                          SCAN_RANGE_MAX, reach) == []
 
 
 # The example is the pose of `test_occluders_leave_a_visible_solid_cast`:

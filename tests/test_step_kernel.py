@@ -1,19 +1,23 @@
-"""The mission's step kernel equals the per-layer API it is built from.
+"""The mission's step kernel equals the per-layer API, and calls no helper.
 
-`run_hover` and `run_mission` drive `mission._step_kernel`, which calls the
-private scalar cores of the sensor, attitude, estimation, control and
-vehicle modules directly.  The public functions wrap the same cores, so a
-loop that composes `Imu.measure` -> `InertialEstimator.step` /
-`DeadReckoner.step` -> `track_waypoint` -> `step_dynamics` is the
-reference: every trace must match it bit for bit, sign of zero included.
+`run_hover` and `run_mission` drive `mission._step_kernel`, whose `sense`,
+`track` and `fly` steps are straight-line arithmetic of their own.  The
+public functions of the sensor, attitude, estimation, control and vehicle
+modules compute the same step separately, so a loop that composes
+`Imu.measure` -> `InertialEstimator.step` / `DeadReckoner.step` ->
+`track_waypoint` -> `step_dynamics` is the reference: every trace must
+match it bit for bit, sign of zero included.
 """
 
+import ast
+import inspect
 import math
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from facadesim import mission
 from facadesim.attitude import ComplementaryGain
 from facadesim.control import PidGains, PidState, track_waypoint
 from facadesim.estimation import DeadReckoner, InertialEstimator, KalmanConfig
@@ -26,6 +30,7 @@ from facadesim.vehicle import (
     TrueState,
     VehicleParams,
     VelocityCommand,
+    _lag,
     step_dynamics,
 )
 
@@ -33,6 +38,11 @@ STEPS = 150
 # an avoidance-like override: faster than v_max and yawing faster than
 # yaw_rate_max, so the plant's clamps run; it also resets the tracking PID
 OVERRIDE = VelocityCommand(v_body=(0.5, 4.0, -0.3), yaw_rate=2.0)
+# at dt 0.01 s from rest, straight down at the speed whose lagged step
+# accelerates at -g: the thrust vanishes and the plant holds its tilt
+FREE_FALL = VelocityCommand(
+    v_body=(0.0, 0.0, -GRAVITY * 0.01 / _lag(VehicleParams.tau, 0.01)),
+    yaw_rate=0.0)
 
 
 def _overridden(k: int) -> bool:
@@ -57,7 +67,8 @@ def kernel_traces(run: dict) -> np.ndarray:
         true = true_state()
         if _overridden(k):
             reset_track()
-            v_body, yaw_rate = OVERRIDE.v_body, OVERRIDE.yaw_rate
+            v_body, yaw_rate = (run["override"].v_body,
+                                run["override"].yaw_rate)
         else:
             v_body, yaw_rate = track(wp)
         rows.append(_row(true, est_pos, quat, yaw, dr_pos, v_body, yaw_rate))
@@ -85,7 +96,7 @@ def composed_traces(run: dict) -> np.ndarray:
         dr_pos = reckoner.step(s1)
         if _overridden(k):
             pid = PidState()
-            cmd = OVERRIDE
+            cmd = run["override"]
         else:
             cmd, pid = track_waypoint(est, wp, run["gains"], pid, dt,
                                       v_max=vehicle.v_max,
@@ -145,40 +156,90 @@ _POINTS = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
 @given(sensors=_sensor_params(), kalman=_kalman_configs(),
        alpha=st.floats(0.0, 1.0), start=_POINTS, setpoint=_POINTS,
        yaw=st.floats(-4.0, 4.0), dt=st.floats(0.002, 0.05),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1), override=st.just(OVERRIDE))
 # IMU 1's accel bias cancels gravity: the accelerometer cannot give tilt
 @example(sensors=SensorParams(0.0, 0.0, 0.0, (0.0, 0.0, 0.0),
                               (0.0, 0.0, -GRAVITY)),
          kalman=KalmanConfig(), alpha=0.98, start=(0.0, 0.0, 2.0),
-         setpoint=(0.0, 0.0, 2.0), yaw=0.0, dt=0.01, seed=0)
+         setpoint=(0.0, 0.0, 2.0), yaw=0.0, dt=0.01, seed=0,
+         override=OVERRIDE)
 # a measured pitch of 90 deg leaves the field no horizontal component
 @example(sensors=SensorParams(0.0, 0.0, 0.0, (0.0, 0.0, 0.0),
                               (-GRAVITY, 0.0, -GRAVITY)),
          kalman=KalmanConfig(), alpha=0.5, start=(1.0, 2.0, 3.0),
-         setpoint=(1.0, 2.0, 3.0), yaw=0.0, dt=0.01, seed=1)
+         setpoint=(1.0, 2.0, 3.0), yaw=0.0, dt=0.01, seed=1,
+         override=OVERRIDE)
 # a setpoint below ground: the plant clamps at z = 0
 @example(sensors=SensorParams(), kalman=KalmanConfig(), alpha=0.98,
          start=(0.0, 0.0, 0.05), setpoint=(0.0, 0.0, -1.0), yaw=0.0,
-         dt=0.01, seed=2)
+         dt=0.01, seed=2, override=OVERRIDE)
 # a far setpoint and a large yaw error: tracking speed and yaw rate clamp
 @example(sensors=SensorParams(), kalman=KalmanConfig(), alpha=0.98,
          start=(0.0, 0.0, 2.0), setpoint=(40.0, -30.0, 10.0), yaw=3.0,
-         dt=0.01, seed=3)
+         dt=0.01, seed=3, override=OVERRIDE)
 # no noise, no bias, at rest: zero gyro, the small-angle rotation branch
 @example(sensors=SensorParams(0.0, 0.0, 0.0, (0.0, 0.0, 0.0),
                               (0.0, 0.0, 0.0)),
          kalman=KalmanConfig(), alpha=1.0, start=(5.0, 5.0, 5.0),
-         setpoint=(5.0, 5.0, 5.0), yaw=0.0, dt=0.01, seed=4)
+         setpoint=(5.0, 5.0, 5.0), yaw=0.0, dt=0.01, seed=4,
+         override=OVERRIDE)
 # run_hover's filter: its gains reach a fixed point at step 19 and replay
 @example(sensors=SensorParams(),
          kalman=KalmanConfig.for_accel_noise(SensorParams().accel_noise_std),
          alpha=0.98, start=(0.0, 0.0, 2.0), setpoint=(0.0, 0.0, 2.0),
-         yaw=0.0, dt=0.01, seed=0)
+         yaw=0.0, dt=0.01, seed=0, override=OVERRIDE)
+# alpha 0 takes the measured pitch of 90 deg at once: the attitude step's
+# gimbal-lock clamp
+@example(sensors=SensorParams(0.0, 0.0, 0.0, (0.0, 0.0, 0.0),
+                              (-GRAVITY, 0.0, -GRAVITY)),
+         kalman=KalmanConfig(), alpha=0.0, start=(1.0, 2.0, 3.0),
+         setpoint=(1.0, 2.0, 3.0), yaw=0.0, dt=0.01, seed=5,
+         override=OVERRIDE)
+# no noise, no bias, at rest until the override: the plant's free fall
+@example(sensors=SensorParams(0.0, 0.0, 0.0, (0.0, 0.0, 0.0),
+                              (0.0, 0.0, 0.0)),
+         kalman=KalmanConfig(), alpha=1.0, start=(5.0, 5.0, 5.0),
+         setpoint=(5.0, 5.0, 5.0), yaw=0.0, dt=0.01, seed=6,
+         override=FREE_FALL)
 @settings(max_examples=60, deadline=None)
 def test_kernel_equals_composed_api(sensors, kalman, alpha, start, setpoint,
-                                    yaw, dt, seed):
+                                    yaw, dt, seed, override):
     assert_kernel_matches_api(dict(
         sensors=sensors, seed=seed, kalman=kalman, alpha=alpha, start=start,
         setpoint=setpoint, yaw=yaw, dt=dt, gains=PidGains(),
-        vehicle=VehicleParams(), kp_yaw=0.8))
+        vehicle=VehicleParams(), kp_yaw=0.8, override=override))
+
+
+def _is_math_or_builtin(call: ast.Call) -> bool:
+    """`math.f(...)`, or a bare name bound in `mission` to a math function,
+    or min, max, abs or next."""
+    f = call.func
+    if isinstance(f, ast.Attribute):
+        return (isinstance(f.value, ast.Name) and f.value.id == "math"
+                and callable(getattr(math, f.attr, None)))
+    if not isinstance(f, ast.Name):
+        return False
+    if f.id in ("min", "max", "abs", "next"):
+        return f.id not in vars(mission)   # the builtin, not a shadow
+    return vars(mission).get(f.id, None) is getattr(math, f.id, False)
+
+
+def test_kernel_steps_call_only_math_and_streams():
+    """sense, track and fly call no helper: a call added back to a core or a
+    geometry function fails here.  Building the exception of a `raise` is
+    not a step's arithmetic and is exempt."""
+    tree = ast.parse(inspect.getsource(_step_kernel))
+    steps = {f.name: f for f in ast.walk(tree)
+             if isinstance(f, ast.FunctionDef)
+             and f.name in ("sense", "track", "fly")}
+    assert set(steps) == {"sense", "track", "fly"}
+    for name, fn in steps.items():
+        raised = {id(n) for r in ast.walk(fn) if isinstance(r, ast.Raise)
+                  and r.exc is not None for n in ast.walk(r.exc)}
+        calls = [c for c in ast.walk(fn)
+                 if isinstance(c, ast.Call) and id(c) not in raised]
+        assert calls, name
+        bad = [ast.unparse(c.func) for c in calls
+               if not _is_math_or_builtin(c)]
+        assert not bad, f"{name} calls {bad}"
 
