@@ -153,7 +153,9 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     step_dynamics compute, operand for operand, each fallback a branch on
     the same threshold; `x if x < hi else hi` is min(hi, x), NaN included.
     Both IMUs share one world -> body rotation, IMU 2's unread gyro and
-    magnetometer are skipped, and the Kalman gains are replayed.
+    magnetometer are skipped, at alpha 1.0 so is IMU 1's attitude
+    measurement, which the blend weighs 0.0, and the Kalman gains are
+    replayed.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -198,20 +200,11 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
         bx = fx + qw * tx + (iy * tz - iz * ty)
         by = fy + qw * ty + (iz * tx - ix * tz)
         bz = fz + qw * tz + (ix * ty - iy * tx)
-        tx = 2.0 * (iy * m2 - iz * m1)
-        ty = 2.0 * (iz * m0 - ix * m2)
-        tz = 2.0 * (ix * m1 - iy * m0)
         # IMU 1 alone drives attitude and dead reckoning
         n0, n1, n2, n3, n4, n5, n6, n7, n8 = next(noise1)
         p, q, r = wx + gb0 + sg * n0, wy + gb1 + sg * n1, wz + gb2 + sg * n2
         a1x, a1y, a1z = (bx + ab0 + sa * n3, by + ab1 + sa * n4,
                          bz + ab2 + sa * n5)
-        mx = m0 + qw * tx + (iy * tz - iz * ty) + sm * n6
-        my = m1 + qw * ty + (iz * tx - ix * tz) + sm * n7
-        mz = m2 + qw * tz + (ix * ty - iy * tx) + sm * n8
-        norm = sqrt(mx * mx + my * my + mz * mz)
-        if norm > 1e-9:   # renormalise unless noise cancelled the field
-            mx, my, mz = mx / norm, my / norm, mz / norm
         n = next(noise2)
         a2x, a2y, a2z = (bx + ab0 + sa * n[3], by + ab1 + sa * n[4],
                          bz + ab2 + sa * n[5])
@@ -232,35 +225,52 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
         g_pitch = pitch + dpitch * dt
         g_yaw = remainder(yaw + dyaw * dt, TWO_PI)
         g_yaw = pi if g_yaw <= -pi else g_yaw
-        if sqrt(a1x * a1x + a1y * a1y + a1z * a1z) <= g_floor:
-            # gravity unobservable: roll and pitch follow the gyro
-            m_roll, m_pitch, k_rp = g_roll, g_pitch, 0.0
+        if k_meas == 0.0:
+            # alpha 1.0: the blend adds 0.0 times each residual, +-0.0, to a
+            # gyro angle; only g_pitch is not wrapped yet
+            roll, yaw = g_roll, g_yaw
+            pitch = remainder(g_pitch, TWO_PI)
+            pitch = pi if pitch <= -pi else pitch
         else:
-            m_roll = atan2(a1y, a1z)
-            m_pitch = atan2(-a1x, sqrt(a1y * a1y + a1z * a1z))
-            k_rp = k_meas
-        sr, cr = sin(m_roll), cos(m_roll)
-        sp, cp = sin(m_pitch), cos(m_pitch)
-        hx = cp * mx + sp * sr * my + sp * cr * mz
-        hy = cr * my - sr * mz
-        if sqrt(hx * hx + hy * hy) < 1e-6:
-            # magnetic degeneracy: yaw follows the gyro
-            m_yaw, k_y = g_yaw, 0.0
-        else:
-            m_yaw, k_y = atan2(-hy, hx), k_meas
-        # blend: gyro angle plus (1 - alpha) of the wrapped residual
-        e = remainder(m_roll - g_roll, TWO_PI)
-        e = pi if e <= -pi else e
-        roll = remainder(g_roll + k_rp * e, TWO_PI)
-        roll = pi if roll <= -pi else roll
-        e = remainder(m_pitch - g_pitch, TWO_PI)
-        e = pi if e <= -pi else e
-        pitch = remainder(g_pitch + k_rp * e, TWO_PI)
-        pitch = pi if pitch <= -pi else pitch
-        e = remainder(m_yaw - g_yaw, TWO_PI)
-        e = pi if e <= -pi else e
-        yaw = remainder(g_yaw + k_y * e, TWO_PI)
-        yaw = pi if yaw <= -pi else yaw
+            # MAG_WORLD in the body frame, with IMU 1's noise
+            tx = 2.0 * (iy * m2 - iz * m1)
+            ty = 2.0 * (iz * m0 - ix * m2)
+            tz = 2.0 * (ix * m1 - iy * m0)
+            mx = m0 + qw * tx + (iy * tz - iz * ty) + sm * n6
+            my = m1 + qw * ty + (iz * tx - ix * tz) + sm * n7
+            mz = m2 + qw * tz + (ix * ty - iy * tx) + sm * n8
+            norm = sqrt(mx * mx + my * my + mz * mz)
+            if norm > 1e-9:   # renormalise unless noise cancelled the field
+                mx, my, mz = mx / norm, my / norm, mz / norm
+            if sqrt(a1x * a1x + a1y * a1y + a1z * a1z) <= g_floor:
+                # gravity unobservable: roll and pitch follow the gyro
+                m_roll, m_pitch, k_rp = g_roll, g_pitch, 0.0
+            else:
+                m_roll = atan2(a1y, a1z)
+                m_pitch = atan2(-a1x, sqrt(a1y * a1y + a1z * a1z))
+                k_rp = k_meas
+            sr, cr = sin(m_roll), cos(m_roll)
+            sp, cp = sin(m_pitch), cos(m_pitch)
+            hx = cp * mx + sp * sr * my + sp * cr * mz
+            hy = cr * my - sr * mz
+            if sqrt(hx * hx + hy * hy) < 1e-6:
+                # magnetic degeneracy: yaw follows the gyro
+                m_yaw, k_y = g_yaw, 0.0
+            else:
+                m_yaw, k_y = atan2(-hy, hx), k_meas
+            # blend: gyro angle plus (1 - alpha) of the wrapped residual
+            e = remainder(m_roll - g_roll, TWO_PI)
+            e = pi if e <= -pi else e
+            roll = remainder(g_roll + k_rp * e, TWO_PI)
+            roll = pi if roll <= -pi else roll
+            e = remainder(m_pitch - g_pitch, TWO_PI)
+            e = pi if e <= -pi else e
+            pitch = remainder(g_pitch + k_rp * e, TWO_PI)
+            pitch = pi if pitch <= -pi else pitch
+            e = remainder(m_yaw - g_yaw, TWO_PI)
+            e = pi if e <= -pi else e
+            yaw = remainder(g_yaw + k_y * e, TWO_PI)
+            yaw = pi if yaw <= -pi else yaw
         cr, sr = cos(roll * 0.5), sin(roll * 0.5)
         cp, sp = cos(pitch * 0.5), sin(pitch * 0.5)
         cy, sy = cos(yaw * 0.5), sin(yaw * 0.5)
@@ -579,9 +589,10 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
                 position=true_pos)
 
         # with no solid in reach the scan casts nothing, so no occluders
-        hits = _in_reach(scene, fp, *true_pos, mp.d_engage) and _scan_hits(
-            scene, fp, *true_pos, true_att, SCAN_ANGLE_MIN, SCAN_ANGLE_MAX,
-            cfg.scan_n_bins, cfg.scan_range_max, mp.d_engage,
+        solids = _in_reach(scene, fp, *true_pos, mp.d_engage)
+        hits = solids and _scan_hits(
+            solids, true_pos[0], true_pos[1], true_att, SCAN_ANGLE_MIN,
+            SCAN_ANGLE_MAX, cfg.scan_n_bins, cfg.scan_range_max, mp.d_engage,
             insets and _occluders(insets, est_pos, est_yaw, true_pos,
                                   yaw_of(true_att), mp.d_engage))
         sectors = _sectors(hits, SCAN_ANGLE_MIN, scan_step, mask, est_pos[0],

@@ -251,19 +251,18 @@ def _in_reach(scene: Scene, footprint: Rect, x: float, y: float, z: float,
     return solids
 
 
-def _scan_hits(scene: Scene, footprint: Rect, x: float, y: float, z: float,
-               attitude, angle_min: float, angle_max: float, n_bins: int,
-               range_max: float, reach: float,
+def _scan_hits(solids: list, x: float, y: float, attitude, angle_min: float,
+               angle_max: float, n_bins: int, range_max: float, reach: float,
                occluders=()) -> list[tuple[int, float]]:
     """(bin, range) of the bins that `simulate_scan` ray-casts and that hit.
 
-    A cylinder at centre distance D > r is cast within asin(r/D) of its
+    `solids` are the ones `_in_reach` keeps at the pose for this reach.  A
+    cylinder at centre distance D > r is cast within asin(r/D) of its
     bearing, the footprint within `_rect_window`, a solid around the pose
-    at every bin.  If every solid in reach is in `occluders` (the footprint
-    or obstacles), nothing is cast; otherwise every one is, as without them.
+    at every bin.  If every solid is in `occluders` (the footprint or
+    obstacles), nothing is cast; otherwise every one is, as without them.
     """
     cull = reach + _REACH_MARGIN
-    solids = _in_reach(scene, footprint, x, y, z, reach)
     if all(solid in occluders for solid in solids):
         return []
 
@@ -336,9 +335,9 @@ def simulate_scan(scene: Scene, pose: TrueState,
         raise ValueError(f"reach must be positive, got {reach}")
     x, y, z = pose.position
     ranges = [range_max] * n_bins
-    for i, r in _scan_hits(scene, scene.building.footprint(), x, y, z,
-                           pose.attitude, angle_min, angle_max, n_bins,
-                           range_max, reach):
+    solids = _in_reach(scene, scene.building.footprint(), x, y, z, reach)
+    for i, r in _scan_hits(solids, x, y, pose.attitude, angle_min, angle_max,
+                           n_bins, range_max, reach):
         ranges[i] = r
     return LaserScan(angle_min, angle_max, n_bins, range_max, tuple(ranges))
 

@@ -10,6 +10,7 @@ import pkgutil
 import pytest
 
 import facadesim
+from facadesim import mission, world
 from facadesim.config import MissionParams, load_config
 from facadesim.errors import MissionAborted
 from facadesim.geometry import v_dist, wrap_angle
@@ -217,6 +218,26 @@ def test_obstacle_run_builds_no_dataclass_per_step_beyond_sectors(
     assert counts["PidState"] == 0
     assert counts["VelocityCommand"] == 0
     assert 0 < counts["ObstacleSectors"] <= sum(result.engaged)
+
+
+def test_mission_culls_the_solids_once_per_step(config_dir, monkeypatch):
+    """A step culls the solids in reach once, and the scan casts that list:
+    one `_in_reach` call per step, in the mission or in the world module."""
+    calls = collections.Counter()
+
+    def counting(*args):
+        solids = in_reach(*args)
+        calls[bool(solids)] += 1
+        return solids
+
+    in_reach = world._in_reach
+    monkeypatch.setattr(world, "_in_reach", counting)
+    monkeypatch.setattr(mission, "_in_reach", counting)
+    result = run_mission(load_config(config_dir / "obstacle_course.yaml"),
+                         inspection_only=True)
+    assert calls[True] > 0   # steps with a solid in reach, which scan
+    # the last step logs Done and stops before the scan
+    assert calls.total() == len(result.trajectory) - 1
 
 
 # -- coverage scenario -------------------------------------------------------------

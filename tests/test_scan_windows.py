@@ -206,9 +206,10 @@ def test_sparse_sectors_match_public_api(name, x, y, z, yaw, d_engage, ex,
     mask: Rect | None = polygon if masked else None
     state = pose(x, y, z, yaw)
     est = (x + ex, y + ey)
-    hits = _scan_hits(scene, scene.building.footprint(), x, y, z,
-                      state.attitude, SCAN_ANGLE_MIN, SCAN_ANGLE_MAX,
-                      SCAN_N_BINS, SCAN_RANGE_MAX, d_engage)
+    solids = world._in_reach(scene, scene.building.footprint(), x, y, z,
+                             d_engage)
+    hits = _scan_hits(solids, x, y, state.attitude, SCAN_ANGLE_MIN,
+                      SCAN_ANGLE_MAX, SCAN_N_BINS, SCAN_RANGE_MAX, d_engage)
     step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (SCAN_N_BINS - 1)
     sparse = _sectors(hits, SCAN_ANGLE_MIN, step, mask, est[0], est[1],
                       yaw + eyaw, d_engage)
@@ -259,7 +260,7 @@ def test_nothing_in_reach_casts_nothing(name, x, y, z, yaw, reach):
     solids = world._in_reach(scene, fp, x, y, z, reach)
     assert solids == _in_reach(scene, fp, x, y, z, reach)
     if not solids:
-        assert _scan_hits(scene, fp, x, y, z, pose(x, y, z, yaw).attitude,
+        assert _scan_hits(solids, x, y, pose(x, y, z, yaw).attitude,
                           SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS,
                           SCAN_RANGE_MAX, reach) == []
 
@@ -279,8 +280,8 @@ def test_hidden_solids_cast_all_or_none(name, x, y, z, yaw, reach, picks):
     solids = [fp, *scene.obstacles]
     hidden = [solids[i + 1] for i in sorted(picks) if i + 1 < len(solids)]
     state = pose(x, y, z, yaw)
-    args = (scene, fp, x, y, z, state.attitude, SCAN_ANGLE_MIN,
-            SCAN_ANGLE_MAX, SCAN_N_BINS, SCAN_RANGE_MAX, reach)
+    args = (world._in_reach(scene, fp, x, y, z, reach), x, y, state.attitude,
+            SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS, SCAN_RANGE_MAX, reach)
     got = _scan_hits(*args, hidden)
     if all(s in hidden for s in _in_reach(scene, fp, x, y, z, reach)):
         assert got == []
@@ -298,8 +299,9 @@ def test_occluders_leave_a_visible_solid_cast():
                         (x, y), yaw, d_engage)
     assert hidden == [fp, scene.obstacles[1]]
     assert _in_reach(scene, fp, x, y, z, d_engage) == [fp, *scene.obstacles]
-    args = (scene, fp, x, y, z, state.attitude, SCAN_ANGLE_MIN,
-            SCAN_ANGLE_MAX, SCAN_N_BINS, SCAN_RANGE_MAX, d_engage)
+    args = (world._in_reach(scene, fp, x, y, z, d_engage), x, y,
+            state.attitude, SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS,
+            SCAN_RANGE_MAX, d_engage)
     full = sorted(_scan_hits(*args))
     assert len(full) == 57
     assert sorted(_scan_hits(*args, hidden)) == full
@@ -345,9 +347,9 @@ def test_occluder_only_solids_keep_the_sectors(name, x, y, z, yaw, d_engage,
     fp = scene.building.footprint()
     hidden = _occluders(_mask_insets(mask, fp, scene.obstacles), est,
                         est_yaw, (x, y), yaw_of(state.attitude), d_engage)
-    hits = _scan_hits(scene, fp, x, y, z, state.attitude, SCAN_ANGLE_MIN,
-                      SCAN_ANGLE_MAX, SCAN_N_BINS, SCAN_RANGE_MAX, d_engage,
-                      hidden)
+    hits = _scan_hits(world._in_reach(scene, fp, x, y, z, d_engage), x, y,
+                      state.attitude, SCAN_ANGLE_MIN, SCAN_ANGLE_MAX,
+                      SCAN_N_BINS, SCAN_RANGE_MAX, d_engage, hidden)
     step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (SCAN_N_BINS - 1)
     sparse = _sectors(hits, SCAN_ANGLE_MIN, step, mask, est[0], est[1],
                       est_yaw, d_engage)

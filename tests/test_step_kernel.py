@@ -201,6 +201,18 @@ _POINTS = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
          kalman=KalmanConfig(), alpha=1.0, start=(5.0, 5.0, 5.0),
          setpoint=(5.0, 5.0, 5.0), yaw=0.0, dt=0.01, seed=6,
          override=FREE_FALL)
+# alpha 1.0 skips the measurement, so only the skip wraps the gyro pitch:
+# here it lands on -pi at one step and wraps to pi
+@example(sensors=SensorParams(0.0, 0.0, 0.0, (0.0, 0.0, 0.0),
+                              (0.0, 0.0, 0.0)),
+         kalman=KalmanConfig(), alpha=1.0, start=(0.0, 0.0, 0.0),
+         setpoint=(0.0, 0.0, 1.0), yaw=0.0, dt=0.0078125, seed=0,
+         override=FREE_FALL)
+# the same skip with the shipped noise: the gyro pitch reaches -3.58 at
+# one step and wraps to 2.70
+@example(sensors=SensorParams(), kalman=KalmanConfig(), alpha=1.0,
+         start=(0.0, 0.0, 2.0), setpoint=(3.0, 1.5, 2.0), yaw=1.0,
+         dt=0.0078125, seed=7, override=FREE_FALL)
 @settings(max_examples=60, deadline=None)
 def test_kernel_equals_composed_api(sensors, kalman, alpha, start, setpoint,
                                     yaw, dt, seed, override):
