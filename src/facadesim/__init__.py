@@ -7,7 +7,7 @@ sectored planar laser, captures pose-stamped facade images on a fixed
 cadence, and revisits every crack-labeled capture pose.
 """
 
-from .config import MissionParams, ScenarioConfig, load_config
+from .config import MissionParams, ScenarioConfig, config_to_dict, load_config
 from .errors import (
     GravityUnobservable,
     InvalidScenario,
@@ -40,6 +40,7 @@ __all__ = [
     "Scene",
     "ScenarioConfig",
     "Waypoint",
+    "config_to_dict",
     "generate_perimeter_path",
     "load_config",
     "plan_return_path",

@@ -19,10 +19,10 @@ import yaml
 from .attitude import ComplementaryGain
 from .control import D_ENGAGE, KP_YAW, PidGains
 from .errors import InvalidScenario
-from .estimation import P0_DIAG, Q_DIAG, KalmanConfig, diag3
+from .estimation import P0_DIAG, Q_DIAG, KalmanConfig
 from .perception import CAPTURE_INTERVAL_S, MERGE_RADIUS, ClassifierSpec
 from .sensors import SensorParams
-from .planner import PlanParams
+from .planner import PlanParams, plan_size
 from .vehicle import VehicleParams
 from .world import (
     CAMERA_HFOV_DEG,
@@ -35,6 +35,8 @@ from .world import (
     Obstacle,
     Scene,
 )
+
+MAX_PLAN_WAYPOINTS = 100_000   # the shipped plans have at most 81
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,7 @@ class ScenarioConfig:
         if r_std is None:
             r_std = self.sensors.accel_noise_std
         return replace(KalmanConfig.for_accel_noise(r_std),
-                       Q=diag3(*self.kalman_q_diag),
-                       P0=diag3(*self.kalman_p0_diag))
+                       q=self.kalman_q_diag, p0=self.kalman_p0_diag)
 
     def validate(self) -> None:
         scene = self.scene()
@@ -114,6 +115,14 @@ class ScenarioConfig:
             raise ValueError("kalman_p0_diag entries must be non-negative")
         if self.kalman_r_std is not None and self.kalman_r_std < 0:
             raise ValueError("kalman_r_std must be non-negative")
+        if self.plan.first_layer_alt >= self.building.height:
+            raise ValueError("plan.first_layer_alt must be below the roof")
+        size = plan_size(self.building, self.plan)
+        if size > MAX_PLAN_WAYPOINTS:
+            raise ValueError(
+                f"plan.layer_height {self.plan.layer_height} and "
+                f"plan.waypoint_spacing {self.plan.waypoint_spacing} give "
+                f"about {size:.3g} waypoints, more than {MAX_PLAN_WAYPOINTS}")
         self.camera()
         if self.scan_n_bins < 2:
             raise ValueError("scan_n_bins must be at least 2")
@@ -215,12 +224,6 @@ def load_raw(path: str | Path) -> dict:
 
 def load_config(path: str | Path) -> ScenarioConfig:
     return config_from_dict(load_raw(path))
-
-
-def save_config(cfg: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        yaml.safe_dump(config_to_dict(cfg), sort_keys=True,
-                       default_flow_style=None))
 
 
 def apply_overrides(data: dict, pairs: list[str]) -> dict:

@@ -9,15 +9,16 @@ The three axes share one covariance: they have identical Q, R, P0 and H,
 and the covariance recursion never reads a measurement, so three separate
 P matrices would be equal at every step.  Only the [p, v, a] states differ.
 
-The gain reads only P[:,2] and P[2,:2], and under
-F = [[1,d,h],[0,1,d],[0,0,1]] and H = [0, 0, 1] those five entries predict
-and update from each other alone.  The recursion is set by (P0, Q, R, dt),
-so once the five repeat bit for bit every later gain repeats the recorded
-cycle: _gain_schedule steps the full P through _predict_covariance and
+The gain reads only column 2 of P.  Under F = [[1,d,h],[0,1,d],[0,0,1]] and
+H = [0, 0, 1] column and row 2 step from each other alone, and they are equal
+before every predict: Q and P0 are diagonal and _update_covariance
+symmetrises.  The recursion is set by (P0, Q, r, dt), so once column 2
+repeats bit for bit every later gain repeats the recorded cycle:
+_gain_schedule steps the full P through _predict_covariance and
 _update_covariance until then, and replays the cycle after, so a step only
-updates the three axes.  P00 grows without bound, so the whole
-P never repeats.  Keys are bit patterns, as float equality merges -0.0 with
-0.0 and never matches a NaN.  run_hover's filter repeats from step 19 and the
+updates the three axes.  P00 grows without bound, so the whole P never
+repeats.  Keys are bit patterns, as float equality merges -0.0 with 0.0 and
+never matches a NaN.  run_hover's filter repeats from step 19 and the
 shipped configs from step 4; a config that has not repeated within
 SCHEDULE_STATES steps pays a full-P step at every step.
 
@@ -28,6 +29,7 @@ acceleration) is kept alongside as the uncorrected baseline.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -49,49 +51,33 @@ Mat3 = tuple[Vec3, Vec3, Vec3]
 Q_DIAG = (1e-6, 1e-4, 1e-2)    # default process noise on [p, v, a]
 P0_DIAG = (1e-4, 1e-4, 1e-2)   # default initial covariance
 SCHEDULE_STATES = 4096         # covariance states searched for a repeat
-_STATE_KEY = struct.Struct("5d").pack
+_COLUMN_KEY = struct.Struct("3d").pack
 
 
 def diag3(a: float, b: float, c: float) -> Mat3:
     return ((a, 0.0, 0.0), (0.0, b, 0.0), (0.0, 0.0, c))
 
 
-def _accel_r(accel_noise_std: float):
-    """R for two accelerometers of this noise std, floored at 1e-6."""
-    r = max(accel_noise_std, 1e-6) ** 2
-    return ((r, 0.0), (0.0, r))
-
-
-def _check_symmetric(m, name: str, tol: float = 1e-9) -> None:
-    n = len(m)
-    for i in range(n):
-        if len(m[i]) != n:
-            raise ValueError(f"{name} must be {n}x{n}")
-        if m[i][i] < 0.0:
-            raise ValueError(f"{name} diagonal must be non-negative")
-        for j in range(i):
-            if abs(m[i][j] - m[j][i]) > tol:
-                raise ValueError(f"{name} must be symmetric")
-
-
 @dataclass(frozen=True)
 class KalmanConfig:
-    """Per-axis filter tuning; shared by all three world axes."""
+    """Per-axis filter tuning shared by the three world axes: the diagonals
+    of Q and P0 over [p, v, a], and r, each accelerometer's variance.  R = r I,
+    as both IMUs share one SensorParams and draw independent noise."""
 
-    Q: Mat3 = diag3(*Q_DIAG)
-    R: tuple[tuple[float, float], tuple[float, float]] = _accel_r(
-        SensorParams.accel_noise_std)
-    x0: Vec3 = (0.0, 0.0, 0.0)
-    P0: Mat3 = diag3(*P0_DIAG)
+    q: Vec3 = Q_DIAG
+    r: float = SensorParams.accel_noise_std ** 2
+    p0: Vec3 = P0_DIAG
 
     def __post_init__(self) -> None:
-        _check_symmetric(self.Q, "Q")
-        _check_symmetric(self.R, "R")
-        _check_symmetric(self.P0, "P0")
+        if not all(0.0 <= v < math.inf for v in (*self.q, self.r, *self.p0)):
+            raise ValueError(f"q, r and p0 must be finite and non-negative, "
+                             f"got {self}")
 
     @staticmethod
     def for_accel_noise(accel_noise_std: float) -> "KalmanConfig":
-        return KalmanConfig(R=_accel_r(accel_noise_std))
+        """r from the accelerometer noise std, floored at 1e-6 so that a
+        noiseless sensor still gives an invertible innovation."""
+        return KalmanConfig(r=max(accel_noise_std, 1e-6) ** 2)
 
 
 @dataclass(frozen=True)
@@ -129,26 +115,19 @@ def _predict_covariance(p: Mat3, q: Mat3, d: float, h: float) -> Mat3:
         for a, qi in zip((a0, a1, r2), q))
 
 
-def _innovation_gain(p22: float, r) -> tuple[float, float]:
-    """Column sums (c0, c1) of S^-1, S = H P H^T + R = P22 + R."""
-    s00 = p22 + r[0][0]
-    s01 = p22 + r[0][1]
-    s10 = p22 + r[1][0]
-    s11 = p22 + r[1][1]
-    det = s00 * s11 - s01 * s10
+def _update_covariance(p: Mat3, r: float) -> tuple[tuple, Mat3]:
+    """Gain (P[:,2], c, c), K[i][j] = P[i][2] * c, and posterior P; c is
+    each column sum of S^-1 for S = H P H^T + R = P22 + r I."""
+    p22 = p[2][2]
+    s = p22 + r
+    det = s * s - p22 * p22
     if abs(det) < 1e-30:
         raise InvalidScenario("measurement covariance is singular; "
                               "R must make H P H^T + R invertible")
-    return (s11 - s10) / det, (s00 - s01) / det
-
-
-def _update_covariance(p: Mat3, r) -> tuple[tuple, Mat3]:
-    """Gain (P[:,2], c0, c1), K[i][j] = P[i][2] * c[j], and posterior P."""
-    p22 = p[2][2]
-    c0, c1 = _innovation_gain(p22, r)
+    c = (s - p22) / det
     col = (p[0][2], p[1][2], p22)
     # (I - K H) P = P - kappa (x) P[2,:], kappa_i = K[i][0] + K[i][1]
-    cc = c0 + c1
+    cc = c + c
     row2 = p[2]
     raw = tuple(
         (pi[0] - k * row2[0], pi[1] - k * row2[1], pi[2] - k * row2[2])
@@ -156,7 +135,7 @@ def _update_covariance(p: Mat3, r) -> tuple[tuple, Mat3]:
     sym = tuple(
         tuple(0.5 * (raw[i][j] + raw[j][i]) for j in range(3))
         for i in range(3))
-    return (col, c0, c1), sym
+    return (col, c, c), sym
 
 
 def _update_state(x: Vec3, z: tuple[float, float], gain) -> Vec3:
@@ -165,14 +144,14 @@ def _update_state(x: Vec3, z: tuple[float, float], gain) -> Vec3:
     return (x[0] + k0 * u, x[1] + k1 * u, x[2] + k2 * u)
 
 
-def _gain_schedule(p: Mat3, q: Mat3, r, d: float, h: float):
+def _gain_schedule(p: Mat3, q: Mat3, r: float, d: float, h: float):
     """Each step's gain from _predict_covariance then _update_covariance,
-    forever; the recorded cycle is replayed once the five entries the gain
-    reads repeat (see the module docstring)."""
+    forever; the recorded cycle is replayed once column 2 of P repeats (see
+    the module docstring)."""
     first: dict[bytes, int] = {}
     gains = []
     while len(gains) < SCHEDULE_STATES:
-        key = _STATE_KEY(p[0][2], p[1][2], p[2][2], p[2][0], p[2][1])
+        key = _COLUMN_KEY(p[0][2], p[1][2], p[2][2])
         if key in first:
             yield from itertools.cycle(gains[first[key]:])
         first[key] = len(gains)
@@ -191,16 +170,28 @@ def kalman_predict(state: KalmanState, cfg: KalmanConfig,
         raise ValueError(f"dt must be positive, got {dt}")
     h = 0.5 * dt * dt
     return KalmanState(x=_predict_state(state.x, dt, h),
-                       P=_predict_covariance(state.P, cfg.Q, dt, h),
+                       P=_predict_covariance(state.P, diag3(*cfg.q), dt, h),
                        time=state.time + dt)
 
 
 def kalman_update(state: KalmanState, z: tuple[float, float],
                   cfg: KalmanConfig) -> KalmanState:
     """Fuse the two accelerometer readings for this axis."""
-    gain, p = _update_covariance(state.P, cfg.R)
+    gain, p = _update_covariance(state.P, cfg.r)
     return KalmanState(x=_update_state(state.x, z, gain), P=p,
                        time=state.time)
+
+
+def _filter_start(cfg: KalmanConfig, position: Vec3, yaw: float,
+                  dt: float):
+    """The level attitude, the [p, v, a] axes at rest at position, and the
+    gain schedule that a filter stepping dt starts from."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    axes = tuple((p, 0.0, 0.0) for p in position)
+    return (AttitudeEstimate.level(yaw), axes,
+            _gain_schedule(diag3(*cfg.p0), diag3(*cfg.q), cfg.r, dt,
+                           0.5 * dt * dt))
 
 
 @dataclass(frozen=True)
@@ -223,16 +214,10 @@ class InertialEstimator:
     def __init__(self, cfg: KalmanConfig, gain: ComplementaryGain,
                  initial_position: Vec3, initial_yaw: float = 0.0, *,
                  dt: float):
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        self.cfg = cfg
         self.gain = gain
         self.dt = dt
-        self.attitude = AttitudeEstimate.level(initial_yaw)
-        self._gains = _gain_schedule(cfg.P0, cfg.Q, cfg.R, dt, 0.5 * dt * dt)
-        self.axes: tuple[Vec3, Vec3, Vec3] = tuple(
-            (initial_position[i] + cfg.x0[0], cfg.x0[1], cfg.x0[2])
-            for i in range(3))
+        self.attitude, self.axes, self._gains = _filter_start(
+            cfg, initial_position, initial_yaw, dt)
 
     def step(self, imu1: ImuSample, imu2: ImuSample) -> EstimatedState:
         """Each axis predicted and updated with the step's gain from the

@@ -40,9 +40,6 @@ def v_dist(a: Vec3, b: Vec3) -> float:
 
 # -- quaternions ------------------------------------------------------------
 
-QUAT_IDENTITY: Quat = (1.0, 0.0, 0.0, 0.0)
-
-
 def quat_normalize(q: Quat) -> Quat:
     n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
     if n == 0.0:

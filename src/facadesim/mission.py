@@ -24,7 +24,7 @@ from .control import (
     avoidance_command,
 )
 from .errors import MissionAborted
-from .estimation import InertialEstimator, KalmanConfig
+from .estimation import KalmanConfig, _filter_start
 from .geometry import TWO_PI, Quat, Vec3, v_dist, wrap_angle, yaw_of
 from .perception import (
     CaptureRecord,
@@ -160,14 +160,13 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     noise1, noise2 = _noise_stream(seed, 0), _noise_stream(seed, 1)
-    # it rejects dt <= 0, and is the one source of the filter's first state
-    est = InertialEstimator(kalman, ComplementaryGain(alpha), start,
-                            initial_yaw=yaw, dt=dt)
+    ComplementaryGain(alpha)   # rejects an alpha outside [0, 1]
+    # rejects dt <= 0; InertialEstimator starts from it too
+    attitude, axes, gain_stream = _filter_start(kalman, start, yaw, dt)
     (px, py, pz), (vx, vy, vz), (qw, qx, qy, qz), (wx, wy, wz), \
         (ax, ay, az), t_true = astuple(TrueState.at_rest(start, yaw=yaw))
-    roll, pitch, yaw, (ew, ex, ey, ez), _ = astuple(est.attitude)
-    (kpx, kvx, kax), (kpy, kvy, kay), (kpz, kvz, kaz) = est.axes
-    gain_stream = est._gains
+    roll, pitch, yaw, (ew, ex, ey, ez), _ = astuple(attitude)
+    (kpx, kvx, kax), (kpy, kvy, kay), (kpz, kvz, kaz) = axes
     # the dead reckoner starts from the true state, with no previous accel
     dqw, dqx, dqy, dqz = qw, qx, qy, qz
     (dpx, dpy, dpz), (dvx, dvy, dvz) = start, (vx, vy, vz)

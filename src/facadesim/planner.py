@@ -87,6 +87,20 @@ def _ring_points(footprint: Rect, standoff: float,
     return pts
 
 
+def plan_size(b: BuildingSpec, p: PlanParams) -> float:
+    """About how many waypoints generate_perimeter_path returns, a ring per
+    layer, computed without building them; inf when a value is too large for
+    a float, or a layer_height under one ulp of the height may not climb."""
+    try:
+        if p.layer_height < math.ulp(b.height):
+            return math.inf
+        layers = (b.height - p.first_layer_alt) / p.layer_height + 1.0
+        return layers * (2.0 * (b.length + b.width + 4.0 * p.standoff)
+                         / p.waypoint_spacing + 5.0)
+    except OverflowError:
+        return math.inf
+
+
 def generate_perimeter_path(building: BuildingSpec, params: PlanParams,
                             home: Vec3) -> WaypointPath:
     """Entry climb, stacked rings with climbs between, return-home leg."""

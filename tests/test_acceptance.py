@@ -238,8 +238,8 @@ def test_criterion_09_filter_unit_suites():
         if cycles % 10_000 == 0:
             q = rng.uniform(1e-8, 0.1, 3)
             r = rng.uniform(1e-3, 0.5)
-            cfg = KalmanConfig(Q=diag3(*q), R=((r, 0.0), (0.0, r)))
-            state = KalmanState(x=cfg.x0, P=cfg.P0)
+            cfg = KalmanConfig(q=tuple(q), r=r)
+            state = KalmanState(x=(0.0, 0.0, 0.0), P=diag3(*cfg.p0))
         state = kalman_predict(state, cfg, DT)
         state = kalman_update(state, (rng.uniform(-3, 3), rng.uniform(-3, 3)),
                               cfg)
@@ -259,8 +259,7 @@ def test_criterion_09_filter_unit_suites():
         x = rng.uniform(-5, 5, 3)
         r = rng.uniform(0.01, 0.5)
         z = rng.uniform(-3, 3, 2)
-        kcfg = KalmanConfig(Q=diag3(1e-6, 1e-4, 1e-2),
-                            R=((r, 0.0), (0.0, r)))
+        kcfg = KalmanConfig(q=(1e-6, 1e-4, 1e-2), r=r)
         out = kalman_update(KalmanState(x=tuple(x), P=tuple(map(tuple, P))),
                             tuple(z), kcfg)
         S = H @ P @ H.T + r * np.eye(2)

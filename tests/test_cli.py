@@ -5,9 +5,10 @@ import json
 import math
 
 import pytest
+import yaml
 
 from facadesim.cli import main
-from facadesim.config import MissionParams, ScenarioConfig, save_config
+from facadesim.config import MissionParams, ScenarioConfig, config_to_dict
 from facadesim.control import PidGains
 from facadesim.planner import PlanParams
 from facadesim.sensors import SensorParams
@@ -43,7 +44,7 @@ def tiny_scenario():
 @pytest.fixture(scope="module")
 def tiny_yaml(tmp_path_factory):
     path = tmp_path_factory.mktemp("scenario") / "tiny.yaml"
-    save_config(tiny_scenario(), path)
+    path.write_text(yaml.safe_dump(config_to_dict(tiny_scenario())))
     return path
 
 

@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 import pytest
+import yaml
 
 from facadesim.config import (
     MissionParams,
@@ -15,7 +16,6 @@ from facadesim.config import (
     config_to_dict,
     load_config,
     load_raw,
-    save_config,
 )
 from facadesim.control import avoidance_command, track_waypoint
 from facadesim.errors import InvalidScenario
@@ -51,7 +51,7 @@ def test_shipped_scenarios_load_and_validate(name):
 def test_shipped_scenarios_round_trip(name, tmp_path):
     cfg = load_config(CONFIG_DIR / f"{name}.yaml")
     out = tmp_path / "copy.yaml"
-    save_config(cfg, out)
+    out.write_text(yaml.safe_dump(config_to_dict(cfg)))
     assert load_config(out) == cfg
 
 
@@ -110,8 +110,8 @@ def test_non_finite_numbers_rejected(override):
 
 def test_huge_integers_still_count_as_numbers():
     data = apply_overrides(config_to_dict(small_config()),
-                           ["building.height=" + "9" * 400])
-    assert config_from_dict(data).building.height == int("9" * 400)
+                           ["mission.watchdog_s=" + "9" * 400])
+    assert config_from_dict(data).mission.watchdog_s == int("9" * 400)
 
 
 @pytest.mark.parametrize("override", ["seed=-1", "classifier.seed=-1"])
@@ -182,6 +182,32 @@ def test_home_inside_footprint_rejected():
         small_config(home=(1.0, 0.0, 0.0)).validate()
 
 
+@pytest.mark.parametrize("overrides", [
+    ["plan.layer_height=1.0e-17"],
+    # two ulps from the first layer to the roof: few layers, if z climbed
+    ["plan.layer_height=1.0e-17", "building.height=1.5000000000000004"],
+    ["building.height=" + "9" * 400],
+    ["plan.waypoint_spacing=1.0e-300"], ["plan.waypoint_spacing=5.0e-324"]],
+    ids=lambda o: ",".join(o)[:60])
+def test_plan_too_large_to_build_rejected(overrides):
+    """1.5 + 1e-17 == 1.5, so layer_altitudes would loop forever, as it does
+    below a 400-digit height, and _ring_points would build about 1e301
+    points: the size is checked without running the planner."""
+    data = apply_overrides(config_to_dict(small_config()), overrides)
+    with pytest.raises(InvalidScenario, match=r"plan\.layer_height .* and "
+                       r"plan\.waypoint_spacing .* waypoints, more than"):
+        config_from_dict(data)
+
+
+def test_plan_with_no_layer_rejected():
+    """The planner needs one ring below the roof, and its own ValueError
+    would be a traceback from the CLI."""
+    data = apply_overrides(config_to_dict(small_config()),
+                           ["plan.first_layer_alt=5.0"])
+    with pytest.raises(InvalidScenario, match="plan.first_layer_alt"):
+        config_from_dict(data)
+
+
 def test_alpha_range_enforced():
     with pytest.raises(ValueError, match="alpha"):
         small_config(alpha=1.5).validate()
@@ -213,13 +239,13 @@ def test_camera_degrees_converted():
 
 def test_kalman_r_defaults_to_accel_noise():
     cfg = small_config()
-    assert cfg.kalman().R[0][0] == pytest.approx(
+    assert cfg.kalman().r == pytest.approx(
         cfg.sensors.accel_noise_std ** 2)
     explicit = small_config(kalman_r_std=0.5)
-    assert explicit.kalman().R[1][1] == pytest.approx(0.25)
+    assert explicit.kalman().r == pytest.approx(0.25)
     # zero noise floors at 1e-6 so the update stays well posed
     floored = small_config(kalman_r_std=0.0)
-    assert floored.kalman().R[0][0] == pytest.approx(1e-12)
+    assert floored.kalman().r == pytest.approx(1e-12)
 
 
 # -- file I/O ------------------------------------------------------------------------
@@ -307,5 +333,5 @@ def test_each_shared_default_has_one_source():
     assert _default(run_hover, "seed") == cfg.seed
     assert cfg.camera() == CameraModel()
     assert cfg.kalman() == KalmanConfig()
-    assert KalmanConfig().R == KalmanConfig.for_accel_noise(
-        SensorParams().accel_noise_std).R
+    assert KalmanConfig().r == KalmanConfig.for_accel_noise(
+        SensorParams().accel_noise_std).r

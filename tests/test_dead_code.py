@@ -1,0 +1,59 @@
+"""Every top-level definition in `src/facadesim/` has a user.
+
+A function, class or module-level name must be used somewhere in `src/`
+(its own module included), be exported in `facadesim.__all__`, or be a name
+that perfbench's traced runs wrap.  Anything else is code that only tests
+reach, or none.  perfbench is imported read-only, as in
+`test_bench_hooks.py`.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import facadesim
+
+_SRC = Path(facadesim.__file__).resolve().parent
+_PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+sys.path.insert(0, _PERFBENCH)
+try:
+    import workloads
+finally:
+    sys.path.remove(_PERFBENCH)
+
+
+def _top_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            yield node.target.id
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Names read anywhere in the module, as a bare name or an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_src_definition_is_used_exported_or_traced():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(_SRC.glob("*.py"))}
+    used = set().union(*map(_used_names, trees.values()))
+    kept = (used | set(facadesim.__all__)
+            | {attr for _, attr, _ in workloads._TRACED_FUNCTIONS}
+            | {cls for _, cls, _, _ in workloads._TRACED_METHODS})
+    unused = [f"{module}.{name}" for module, tree in trees.items()
+              for name in _top_level_names(tree)
+              if name not in kept and not name.startswith("__")]
+    assert not unused, f"defined in src/facadesim but never used: {unused}"

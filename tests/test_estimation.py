@@ -88,7 +88,7 @@ def test_predict_matches_numpy_oracle():
     rng = np.random.default_rng(0)
     for _ in range(300):
         x, P, q, r, z = random_cycle_inputs(rng)
-        cfg = KalmanConfig(Q=diag3(*q), R=((r, 0.0), (0.0, r)))
+        cfg = KalmanConfig(q=tuple(q), r=r)
         st_in = KalmanState(x=tuple(x), P=tuple(map(tuple, P)))
         out = kalman_predict(st_in, cfg, DT)
         ex, eP = np_predict(x, P, np.diag(q))
@@ -101,7 +101,7 @@ def test_update_matches_numpy_oracle():
     rng = np.random.default_rng(1)
     for _ in range(300):
         x, P, q, r, z = random_cycle_inputs(rng)
-        cfg = KalmanConfig(Q=diag3(*q), R=((r, 0.0), (0.0, r)))
+        cfg = KalmanConfig(q=tuple(q), r=r)
         st_in = KalmanState(x=tuple(x), P=tuple(map(tuple, P)))
         out = kalman_update(st_in, tuple(z), cfg)
         ex, eP = np_update(x, P, r * np.eye(2), z)
@@ -117,7 +117,7 @@ def test_update_equals_joseph_form():
     worst = 0.0
     for _ in range(300):
         x, P, q, r, z = random_cycle_inputs(rng)
-        cfg = KalmanConfig(Q=diag3(*q), R=((r, 0.0), (0.0, r)))
+        cfg = KalmanConfig(q=tuple(q), r=r)
         st_in = KalmanState(x=tuple(x), P=tuple(map(tuple, P)))
         out = kalman_update(st_in, tuple(z), cfg)
         _, jP = np_update(x, P, r * np.eye(2), z, joseph=True)
@@ -138,7 +138,7 @@ def minors_psd(P, tol=-1e-9):
 def test_covariance_stays_symmetric_psd():
     rng = np.random.default_rng(3)
     cfg = KalmanConfig()
-    state = KalmanState(x=(0.0, 0.0, 0.0), P=cfg.P0)
+    state = KalmanState(x=(0.0, 0.0, 0.0), P=diag3(*cfg.p0))
     for k in range(20000):
         state = kalman_predict(state, cfg, DT)
         z = rng.normal(0.0, 0.3, 2)
@@ -153,7 +153,7 @@ def test_covariance_stays_symmetric_psd():
 
 
 def test_update_singular_innovation_raises():
-    cfg = KalmanConfig(R=((0.0, 0.0), (0.0, 0.0)))
+    cfg = KalmanConfig(r=0.0)
     state = KalmanState(x=(0.0, 0.0, 0.0), P=diag3(1.0, 1.0, 0.0))
     with pytest.raises(InvalidScenario, match=SINGULAR):
         kalman_update(state, (0.1, 0.2), cfg)
@@ -161,19 +161,23 @@ def test_update_singular_innovation_raises():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        KalmanConfig(Q=((1.0, 0.5, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-    with pytest.raises(ValueError):
-        KalmanConfig(Q=diag3(-1.0, 0.0, 0.0))
+        KalmanConfig(q=(-1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         kalman_predict(KalmanState(x=(0, 0, 0), P=diag3(1, 1, 1)),
                        KalmanConfig(), 0.0)
 
 
+@pytest.mark.parametrize("field", ["q", "r", "p0"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
+def test_kalman_config_rejects_nan_inf_negative(field, bad):
+    value = bad if field == "r" else (0.0, bad, 0.0)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        KalmanConfig(**{field: value})
+
+
 def test_for_accel_noise_sets_R():
     cfg = KalmanConfig.for_accel_noise(0.05)
-    assert cfg.R[0][0] == pytest.approx(0.0025)
-    assert cfg.R[1][1] == pytest.approx(0.0025)
-    assert cfg.R[0][1] == 0.0
+    assert cfg.r == pytest.approx(0.0025)
 
 
 # -- dead reckoning -----------------------------------------------------------
@@ -324,8 +328,8 @@ def _assert_estimator_matches_full_p_chains(cfg, dt, samples, start, yaw):
     kalman_predict -> kalman_update chains, one per axis, at every step."""
     est = InertialEstimator(cfg, ComplementaryGain(0.98), start,
                             initial_yaw=yaw, dt=dt)
-    axes = [KalmanState(x=(start[i] + cfg.x0[0], cfg.x0[1], cfg.x0[2]),
-                        P=cfg.P0) for i in range(3)]
+    axes = [KalmanState(x=(start[i], 0.0, 0.0), P=diag3(*cfg.p0))
+            for i in range(3)]
     for s1, s2 in samples:
         out = est.step(s1, s2)
         a1 = world_accel(s1, out.attitude)
@@ -351,47 +355,28 @@ def test_estimator_shared_covariance_matches_per_axis_filters():
 
 
 @st.composite
-def _near_symmetric(draw, lo, hi):
-    """Correlated 3x3 whose [0][2]/[2][0] and [1][2]/[2][1] differ by up to
-    5e-10, inside KalmanConfig's symmetry tolerance of 1e-9."""
-    d0, d1, d2 = (draw(st.floats(lo, hi)) for _ in range(3))
-    r01, r02, r12 = (draw(st.floats(-0.5, 0.5)) for _ in range(3))
-    e02, e12 = (draw(st.floats(-5e-10, 5e-10)) for _ in range(2))
-    m01 = r01 * math.sqrt(d0 * d1)
-    m02 = r02 * math.sqrt(d0 * d2)
-    m12 = r12 * math.sqrt(d1 * d2)
-    return ((d0, m01, m02), (m01, d1, m12), (m02 + e02, m12 + e12, d2))
-
-
-@st.composite
 def _kalman_configs(draw):
-    r00, r11 = (draw(st.floats(1e-5, 0.1)) for _ in range(2))
-    r01 = draw(st.floats(-0.5, 0.5)) * math.sqrt(r00 * r11)
-    return KalmanConfig(Q=draw(_near_symmetric(1e-7, 0.1)),
-                        R=((r00, r01), (r01, r11)),
-                        x0=(0.05, -0.02, 0.1),
-                        P0=draw(_near_symmetric(1e-6, 1.0)))
+    return KalmanConfig(q=tuple(draw(st.floats(1e-7, 0.1)) for _ in range(3)),
+                        r=draw(st.floats(1e-5, 0.1)),
+                        p0=tuple(draw(st.floats(1e-6, 1.0)) for _ in range(3)))
 
 
 @given(cfg=_kalman_configs(), dt=st.sampled_from((0.005, 0.01, 0.0137)))
-@example(cfg=KalmanConfig(P0=((1e-4, 0.0, 2e-5), (0.0, 1e-4, -3e-5),
-                              (2e-5 + 5e-10, -3e-5 - 4e-10, 1e-2))),
-         dt=DT)
 # the hover filter's gains reach a fixed point at step 19 and are replayed
 @example(cfg=HOVER_KALMAN, dt=DT)
 @settings(deadline=None)
 def test_estimator_exact_for_any_config(cfg, dt):
-    """The estimator replays its gains once the covariance column and row
-    the gain reads repeat; with non-diagonal, slightly asymmetric Q and P0
-    and correlated R it still equals the full-P chains bit for bit."""
+    """The estimator replays its gains once the covariance column the gain
+    reads repeats; for any diagonal Q and P0 and any r it equals the full-P
+    chains bit for bit."""
     start = (4.0, 1.0, -2.0)
     _assert_estimator_matches_full_p_chains(
         cfg, dt, _manoeuvre(150, dt, -0.7, start), start, -0.7)
 
 
 def _schedule_inputs(cfg, dt):
-    """The (P0, Q, R, d, h) the estimator starts its schedule from."""
-    return cfg.P0, cfg.Q, cfg.R, dt, 0.5 * dt * dt
+    """The (P0, Q, r, d, h) the estimator starts its schedule from."""
+    return diag3(*cfg.p0), diag3(*cfg.q), cfg.r, dt, 0.5 * dt * dt
 
 
 def _full_p_steps(p, q, r, d, h):
@@ -402,15 +387,21 @@ def _full_p_steps(p, q, r, d, h):
         p = p_next
 
 
-def _first_repeat(p, q, r, d, h, n):
-    """(first step of the cycle, period) of the five covariance entries the
-    gain reads, compared bit for bit over the first n states, or None if
-    none of them repeats."""
+def _column_2(p):
+    return p[0][2], p[1][2], p[2][2]
+
+
+def _column_and_row_2(p):
+    return p[0][2], p[1][2], p[2][2], p[2][0], p[2][1]
+
+
+def _first_repeat(p, q, r, d, h, n, entries):
+    """(first step of the cycle, period) of the covariance entries, compared
+    bit for bit over the first n states, or None if none of them repeats."""
     seen = {}
     steps = itertools.islice(_full_p_steps(p, q, r, d, h), n)
     for k, (pk, _) in enumerate(steps):
-        key = struct.pack("5d", pk[0][2], pk[1][2], pk[2][2], pk[2][0],
-                          pk[2][1])
+        key = struct.pack(f"{len(entries(pk))}d", *entries(pk))
         if key in seen:
             return seen[key], k - seen[key]
         seen[key] = k
@@ -432,13 +423,11 @@ _SCHEDULES = {
     "hover_fixed_point": (lambda: (HOVER_KALMAN, DT), (19, 1)),
     "default_yaml_6_cycle": (_default_yaml_kalman, (4, 6)),
     "late_50_cycle": (lambda: (KalmanConfig(
-        Q=diag3(0.004, 0.002, 0.03), R=((3e-12, 0.0), (0.0, 3e-12)),
-        P0=diag3(0.2, 9e-05, 0.04)), DT), (3388, 50)),
+        q=(0.004, 0.002, 0.03), r=3e-12, p0=(0.2, 9e-05, 0.04)), DT),
+        (3388, 50)),
+    # checked to have no repeat within 9,096 states, past the cap
     "no_repeat_within_cap": (lambda: (KalmanConfig(
-        Q=((0.04, 0.0, -3e-05), (0.0, 5e-06, -4e-07),
-           (-3e-05, -4e-07, 2e-07)),
-        R=((0.1, 0.0), (0.0, 0.1)), P0=diag3(2e-06, 2e-06, 0.04)), 0.02),
-        None),
+        q=(1e-6, 9e-4, 0.9), r=1e-12, p0=(0.02, 1e-5, 4e-4)), DT), None),
 }
 
 
@@ -446,10 +435,11 @@ _SCHEDULES = {
 def test_gain_schedule_equals_covariance_steps(name):
     """The replayed schedule yields what chaining _predict_covariance and
     _update_covariance does, bit for bit, past the cap and a whole cycle
-    beyond it."""
+    beyond it; column 2 of P first repeats where column and row 2 do."""
     make, cycle = _SCHEDULES[name]
     args = _schedule_inputs(*make())
-    assert _first_repeat(*args, SCHEDULE_STATES) == cycle
+    assert _first_repeat(*args, SCHEDULE_STATES, _column_2) == cycle
+    assert _first_repeat(*args, SCHEDULE_STATES, _column_and_row_2) == cycle
     n = SCHEDULE_STATES + 200   # every period here is at most 50
     want = [_gain_hex(gain) for _, gain in
             itertools.islice(_full_p_steps(*args), n)]
@@ -460,27 +450,25 @@ def test_gain_schedule_equals_covariance_steps(name):
 
 @pytest.mark.parametrize("name", list(_SCHEDULES))
 def test_gain_schedule_ignores_entries_outside_column_and_row_2(name):
-    """The gains never read P00, P11 or P01/P10 of P0 or Q, so keying the
-    replay on column and row 2 alone is exact."""
+    """The gains never read P00 or P11 of P0 or Q, so keying the replay on
+    column 2 alone is exact."""
     make, _ = _SCHEDULES[name]
     cfg, dt = make()
 
-    def moved(m, bump):
-        (m00, m01, m02), (m10, m11, m12), row2 = m
-        return ((m00 * 3.0 + bump, m01 + bump, m02),
-                (m10 + bump, m11 * 0.5 + bump, m12), row2)
+    def moved(v, bump):
+        return (v[0] * 3.0 + bump, v[1] * 0.5 + bump, v[2])
 
     def gains(c):
         return [_gain_hex(g) for g in itertools.islice(
             _gain_schedule(*_schedule_inputs(c, dt)), 300)]
 
-    other = KalmanConfig(Q=moved(cfg.Q, 1e-3), R=cfg.R,
-                         P0=moved(cfg.P0, 2e-2))
+    other = KalmanConfig(q=moved(cfg.q, 1e-3), r=cfg.r,
+                         p0=moved(cfg.p0, 2e-2))
     assert gains(other) == gains(cfg)
 
 
 def test_estimator_singular_innovation_raises():
-    est = InertialEstimator(KalmanConfig(R=((0.0, 0.0), (0.0, 0.0))),
+    est = InertialEstimator(KalmanConfig(r=0.0),
                             ComplementaryGain(0.98), (0.0, 0.0, 0.0), dt=DT)
     sample = ImuSample(gyro=(0.0, 0.0, 0.0), accel=(0.0, 0.0, GRAVITY),
                        mag=(1.0, 0.0, 0.0), time=DT)
@@ -506,7 +494,7 @@ def test_estimator_state_shape():
 @settings(max_examples=50, deadline=None)
 def test_predict_monotone_covariance_growth(q2, p0):
     """Prediction can only add uncertainty on the diagonal."""
-    cfg = KalmanConfig(Q=diag3(0.0, 0.0, q2))
+    cfg = KalmanConfig(q=(0.0, 0.0, q2))
     state = KalmanState(x=(0.0, 0.0, 0.0), P=diag3(p0, p0, p0))
     out = kalman_predict(state, cfg, DT)
     for i in range(3):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facadesim.geometry import QUAT_IDENTITY, quat_from_euler, v_dist
+from facadesim.geometry import quat_from_euler, v_dist
 from facadesim.perception import (
     LABEL_CRACK,
     LABEL_NOT_CRACK,
@@ -154,7 +154,7 @@ def test_filter_reports_yaw_from_quaternion():
     faults = filter_fault_coordinates([rec])
     assert faults[0][1] == pytest.approx(2.5)
     blank = CaptureRecord("img_000001", 0.0, (0.0, 0.0, 0.0),
-                          QUAT_IDENTITY, (), LABEL_NOT_CRACK)
+                          (1.0, 0.0, 0.0, 0.0), (), LABEL_NOT_CRACK)
     assert filter_fault_coordinates([blank]) == []
 
 
