@@ -6,6 +6,7 @@ the CSV logs as well.
 """
 
 import argparse
+import dataclasses
 import math
 import pathlib
 import sys
@@ -26,7 +27,9 @@ def main() -> int:
     args = parser.parse_args()
 
     cfg = load_config(args.config)
-    result = run_mission(cfg, seed=args.seed)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    result = run_mission(cfg)
     rep = result.report
 
     print(f"scenario: {cfg.name}")

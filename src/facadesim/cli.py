@@ -90,9 +90,7 @@ def write_report_json(path: Path, report: MissionReport) -> None:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    data = load_raw(args.config)
-    if args.set:
-        data = apply_overrides(data, args.set)
+    data = apply_overrides(load_raw(args.config), args.set)
     if args.seed is not None:
         data["seed"] = args.seed
     return config_from_dict(data)

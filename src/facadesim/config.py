@@ -55,10 +55,9 @@ class MissionParams:
                      "capture_interval_s", "d_engage"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.merge_radius < 0:
-            raise ValueError("merge_radius must be non-negative")
-        if self.kp_yaw < 0:
-            raise ValueError("kp_yaw must be non-negative")
+        for name in ("merge_radius", "kp_yaw"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,39 @@ class ScenarioConfig:
     scan_n_bins: int = SCAN_N_BINS
     scan_range_max: float = SCAN_RANGE_MAX
 
+    def __post_init__(self) -> None:
+        try:
+            fp = self.scene().building.footprint()
+            if self.seed < 0:
+                raise ValueError(f"seed must be non-negative, got {self.seed}")
+            if fp.distance_to(self.home[0], self.home[1]) <= 0.0:
+                raise ValueError(
+                    "home must lie outside the building footprint")
+            ComplementaryGain(self.alpha)
+            if any(q < 0 for q in self.kalman_q_diag):
+                raise ValueError("kalman_q_diag entries must be non-negative")
+            if any(p < 0 for p in self.kalman_p0_diag):
+                raise ValueError("kalman_p0_diag entries must be non-negative")
+            if self.kalman_r_std is not None and self.kalman_r_std < 0:
+                raise ValueError("kalman_r_std must be non-negative")
+            if self.plan.first_layer_alt >= self.building.height:
+                raise ValueError("plan.first_layer_alt must be below the roof")
+            size = plan_size(self.building, self.plan)
+            if size > MAX_PLAN_WAYPOINTS:
+                raise ValueError(
+                    f"plan.layer_height {self.plan.layer_height} and "
+                    f"plan.waypoint_spacing {self.plan.waypoint_spacing} give "
+                    f"about {size:.3g} waypoints, more than "
+                    f"{MAX_PLAN_WAYPOINTS}")
+            self.camera()
+            if self.scan_n_bins < 2:
+                raise ValueError("scan_n_bins must be at least 2")
+            if self.scan_range_max <= self.mission.d_engage:
+                raise ValueError("scan_range_max must exceed d_engage")
+            self.kalman()
+        except ValueError as e:   # unprefixed: the key is in the message
+            raise InvalidScenario(str(e)) from e
+
     def scene(self) -> Scene:
         return Scene(building=self.building, decals=self.decals,
                      obstacles=self.obstacles)
@@ -101,34 +133,6 @@ class ScenarioConfig:
         return replace(KalmanConfig.for_accel_noise(r_std),
                        q=self.kalman_q_diag, p0=self.kalman_p0_diag)
 
-    def validate(self) -> None:
-        scene = self.scene()
-        fp = scene.building.footprint()
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if fp.distance_to(self.home[0], self.home[1]) <= 0.0:
-            raise ValueError("home must lie outside the building footprint")
-        ComplementaryGain(self.alpha)
-        if any(q < 0 for q in self.kalman_q_diag):
-            raise ValueError("kalman_q_diag entries must be non-negative")
-        if any(p < 0 for p in self.kalman_p0_diag):
-            raise ValueError("kalman_p0_diag entries must be non-negative")
-        if self.kalman_r_std is not None and self.kalman_r_std < 0:
-            raise ValueError("kalman_r_std must be non-negative")
-        if self.plan.first_layer_alt >= self.building.height:
-            raise ValueError("plan.first_layer_alt must be below the roof")
-        size = plan_size(self.building, self.plan)
-        if size > MAX_PLAN_WAYPOINTS:
-            raise ValueError(
-                f"plan.layer_height {self.plan.layer_height} and "
-                f"plan.waypoint_spacing {self.plan.waypoint_spacing} give "
-                f"about {size:.3g} waypoints, more than {MAX_PLAN_WAYPOINTS}")
-        self.camera()
-        if self.scan_n_bins < 2:
-            raise ValueError("scan_n_bins must be at least 2")
-        if self.scan_range_max <= self.mission.d_engage:
-            raise ValueError("scan_range_max must exceed d_engage")
-
 
 def _is_number(x) -> bool:
     """An int or a finite float: YAML's .nan and .inf are not numbers here."""
@@ -136,12 +140,13 @@ def _is_number(x) -> bool:
             or isinstance(x, float) and math.isfinite(x))
 
 
-def _to_plain(value):
+def config_to_dict(value):
+    """A config, or any section or value of one, as plain YAML data."""
     if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _to_plain(getattr(value, f.name))
+        return {f.name: config_to_dict(getattr(value, f.name))
                 for f in fields(value)}
     if isinstance(value, tuple):
-        return [_to_plain(v) for v in value]
+        return [config_to_dict(v) for v in value]
     return value
 
 
@@ -163,6 +168,8 @@ def _build(cls, data, where: str):
               for name, raw in data.items()}
     try:
         return cls(**kwargs)
+    except InvalidScenario:   # a whole-scenario check, worded in full
+        raise
     except (TypeError, ValueError) as e:
         raise InvalidScenario(f"{where}: {e}") from e
 
@@ -194,17 +201,8 @@ def _convert(kind, raw, where: str):
     return raw
 
 
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return _to_plain(cfg)
-
-
 def config_from_dict(data: dict) -> ScenarioConfig:
-    cfg = _build(ScenarioConfig, data, "scenario")
-    try:
-        cfg.validate()
-    except ValueError as e:
-        raise InvalidScenario(str(e)) from e
-    return cfg
+    return _build(ScenarioConfig, data, "scenario")
 
 
 def load_raw(path: str | Path) -> dict:

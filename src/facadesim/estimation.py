@@ -28,6 +28,7 @@ acceleration) is kept alongside as the uncorrected baseline.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import struct
@@ -69,6 +70,8 @@ class KalmanConfig:
     p0: Vec3 = P0_DIAG
 
     def __post_init__(self) -> None:
+        if len(self.q) != 3 or len(self.p0) != 3:
+            raise ValueError(f"q and p0 must have 3 entries, got {self}")
         if not all(0.0 <= v < math.inf for v in (*self.q, self.r, *self.p0)):
             raise ValueError(f"q, r and p0 must be finite and non-negative, "
                              f"got {self}")
@@ -77,7 +80,11 @@ class KalmanConfig:
     def for_accel_noise(accel_noise_std: float) -> "KalmanConfig":
         """r from the accelerometer noise std, floored at 1e-6 so that a
         noiseless sensor still gives an invertible innovation."""
-        return KalmanConfig(r=max(accel_noise_std, 1e-6) ** 2)
+        if accel_noise_std >= 0.0:   # False for NaN
+            with contextlib.suppress(OverflowError):
+                return KalmanConfig(r=max(accel_noise_std, 1e-6) ** 2)
+        raise ValueError(f"kalman_r_std (or accel_noise_std) {accel_noise_std}"
+                         " must be non-negative with a finite square")
 
 
 @dataclass(frozen=True)

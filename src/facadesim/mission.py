@@ -468,9 +468,8 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     return sense, track, reset_track, fly, true_state
 
 
-def run_mission(cfg: ScenarioConfig, seed: int | None = None,
+def run_mission(cfg: ScenarioConfig,
                 inspection_only: bool = False) -> MissionResult:
-    seed = cfg.seed if seed is None else seed
     scene = cfg.scene()
     fp = scene.building.footprint()
     mask = avoidance_polygon(cfg.building, cfg.plan)
@@ -482,9 +481,9 @@ def run_mission(cfg: ScenarioConfig, seed: int | None = None,
     home_yaw = facing_yaw(fp, home[0], home[1])
 
     sense, track, reset_track, fly, true_state = _step_kernel(
-        cfg.sensors, seed, cfg.kalman(), cfg.alpha, home, home_yaw, dt,
+        cfg.sensors, cfg.seed, cfg.kalman(), cfg.alpha, home, home_yaw, dt,
         cfg.gains, cfg.vehicle, mp.kp_yaw)
-    classifier = Classifier(cfg.classifier, extra_entropy=seed)
+    classifier = Classifier(cfg.classifier, extra_entropy=cfg.seed)
 
     phase = MissionPhase.INSPECTING
     transitions = [(0.0, MissionPhase.IDLE.value, phase.value)]

@@ -25,16 +25,12 @@ class PlanParams:
     waypoint_spacing: float = 2.0   # max gap between ring waypoints [m]
 
     def __post_init__(self) -> None:
-        if self.standoff <= 0:
-            raise ValueError("standoff must be positive")
+        for name in ("standoff", "layer_height", "first_layer_alt",
+                     "waypoint_spacing"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.buffer < 0:
             raise ValueError("buffer must be non-negative")
-        if self.layer_height <= 0:
-            raise ValueError("layer_height must be positive")
-        if self.first_layer_alt <= 0:
-            raise ValueError("first_layer_alt must be positive")
-        if self.waypoint_spacing <= 0:
-            raise ValueError("waypoint_spacing must be positive")
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ def generate_perimeter_path(building: BuildingSpec, params: PlanParams,
 
     hx, hy = home[0], home[1]
     start = min(range(len(ring)),
-                key=lambda i: (ring[i][0] - hx) ** 2 + (ring[i][1] - hy) ** 2)
+                key=lambda i: math.hypot(ring[i][0] - hx, ring[i][1] - hy))
     loop = ring[start:] + ring[:start]
     loop.append(loop[0])
 

@@ -365,8 +365,8 @@ def visible_decals(scene: Scene, pose: TrueState,
     px, py, pz = pose.position
     for d in scene.decals:
         c = decal_world_center(scene.building, d)
-        view = (c[0] - px, c[1] - py, c[2] - pz)
-        dist = math.sqrt(view[0] ** 2 + view[1] ** 2 + view[2] ** 2)
+        vx, vy, vz = view = (c[0] - px, c[1] - py, c[2] - pz)
+        dist = math.sqrt(vx * vx + vy * vy + vz * vz)
         if dist > camera.max_range or dist < 1e-9:
             continue
         n = _FACE_NORMALS[d.face]

@@ -283,6 +283,39 @@ def test_negative_seed_in_yaml_exits_2(tiny_yaml, tmp_path, capsys):
     assert line == "config error: seed must be non-negative, got -1"
 
 
+@pytest.mark.parametrize("override", ["kalman_r_std=1.0e+200",
+                                      "sensors.accel_noise_std=1.0e+200"])
+def test_kalman_r_that_overflows_exits_2(tiny_yaml, tmp_path, capsys,
+                                         override):
+    """r is the std squared: a square past the float range is a config
+    error, not an OverflowError traceback."""
+    out = tmp_path / "never"
+    rc = main(["mission", "--config", str(tiny_yaml), "--out", str(out),
+               "--set", override])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ")
+    assert "kalman_r_std" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x", ["1.0e+200", "1.0e+300",
+                               "1.7976931348623157e+308"])
+def test_far_home_plans_and_the_mission_aborts(tiny_yaml, tmp_path, capsys,
+                                               x):
+    """A squared distance to a home this far overflows; the plan is written
+    and the mission flies until the watchdog aborts it."""
+    home = f"home=[{x}, 0.0, 0.0]"
+    assert main(["plan", "--config", str(tiny_yaml), "--out",
+                 str(tmp_path / "plan"), "--set", home]) == 0
+    rc = main(["mission", "--config", str(tiny_yaml), "--out",
+               str(tmp_path / "run"), "--set", home,
+               "--set", "mission.watchdog_s=2"])
+    assert rc == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("watchdog abort: ")
+
+
 @pytest.mark.parametrize("override", [
     "vehicle.v_max=-1", "vehicle.v_max=0", "vehicle.tau=-0.5",
     "vehicle.yaw_rate_max=-1"])

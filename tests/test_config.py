@@ -1,4 +1,5 @@
-"""Scenario config loading, validation, overrides, round-trips."""
+"""Scenario config loading, checks at construction, overrides,
+round-trips."""
 
 import dataclasses
 import inspect
@@ -22,6 +23,7 @@ from facadesim.errors import InvalidScenario
 from facadesim.estimation import KalmanConfig
 from facadesim.mission import run_hover
 from facadesim.perception import capture_tick, filter_fault_coordinates
+from facadesim.planner import generate_perimeter_path
 from facadesim.sensors import SensorParams
 from facadesim.vehicle import VehicleParams
 from facadesim.world import BuildingSpec, CameraModel, FaultDecal, Obstacle
@@ -42,7 +44,7 @@ def small_config(**kw):
                                   "coverage_4decals"])
 def test_shipped_scenarios_load_and_validate(name):
     cfg = load_config(CONFIG_DIR / f"{name}.yaml")
-    cfg.validate()
+    assert dataclasses.replace(cfg) == cfg   # rebuilding re-runs the checks
     assert cfg.name == name
 
 
@@ -153,18 +155,23 @@ def _dotted(keys):
                                 for k in keys)
 
 
+def _walked_with(keys, value):
+    """_WALKED as a mapping, with the entry at key path `keys` set."""
+    data = config_to_dict(_WALKED)
+    node = data
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    return data
+
+
 @pytest.mark.parametrize("keys, wrong", _WRONG,
                          ids=[_dotted(k) for k, _ in _WRONG])
 def test_every_field_rejects_a_value_of_the_wrong_kind(keys, wrong):
     """A field the reader lets through unchecked fails here by name."""
     assert wrong is not None, f"no wrong value known for {_dotted(keys)}"
-    data = config_to_dict(_WALKED)
-    node = data
-    for k in keys[:-1]:
-        node = node[k]
-    node[keys[-1]] = wrong
     with pytest.raises(InvalidScenario) as err:
-        config_from_dict(data)
+        config_from_dict(_walked_with(keys, wrong))
     assert str(err.value).startswith(_dotted(keys) + ": ")
 
 
@@ -175,11 +182,50 @@ def test_wrong_kind_walk_reaches_list_elements():
             "scenario.kalman_r_std"} <= walked
 
 
-# -- validate() ---------------------------------------------------------------------
+_EDGE_VALUES = (-1, 0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308,
+                10**30)
+
+
+def _numeric_leaves():
+    """Key path of every number the walk reaches: each field it feeds "x",
+    and each entry of each field it feeds [1]."""
+    data = config_to_dict(_WALKED)
+    for keys, wrong in _WRONG:
+        if wrong == "x":
+            yield keys
+        elif wrong == [1]:
+            node = data
+            for k in keys:
+                node = node[k]
+            yield from (keys + (i,) for i in range(len(node)))
+
+
+def test_edge_numbers_give_a_plannable_config_or_invalid_scenario():
+    """Each numeric leaf at each edge value: the reader returns a config
+    that plans, or raises InvalidScenario, and nothing else."""
+    failures = []
+    for keys in _numeric_leaves():
+        for value in _EDGE_VALUES:
+            where = f"{_dotted(keys)}={value!r}"
+            try:
+                cfg = config_from_dict(_walked_with(keys, value))
+            except InvalidScenario:
+                continue
+            except Exception as e:
+                failures.append(f"{where}: read: {e!r}")
+                continue
+            try:
+                generate_perimeter_path(cfg.building, cfg.plan, cfg.home)
+            except Exception as e:
+                failures.append(f"{where}: plan: {e!r}")
+    assert failures == []
+
+
+# -- checks at construction ---------------------------------------------------------
 
 def test_home_inside_footprint_rejected():
     with pytest.raises(ValueError, match="home"):
-        small_config(home=(1.0, 0.0, 0.0)).validate()
+        small_config(home=(1.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -210,25 +256,40 @@ def test_plan_with_no_layer_rejected():
 
 def test_alpha_range_enforced():
     with pytest.raises(ValueError, match="alpha"):
-        small_config(alpha=1.5).validate()
-    small_config(alpha=1.0).validate()
-    small_config(alpha=0.0).validate()
+        small_config(alpha=1.5)
+    small_config(alpha=1.0)
+    small_config(alpha=0.0)
 
 
 def test_kalman_diagonals_non_negative():
     with pytest.raises(ValueError):
-        small_config(kalman_q_diag=(-1e-9, 0.0, 0.0)).validate()
+        small_config(kalman_q_diag=(-1e-9, 0.0, 0.0))
     with pytest.raises(ValueError):
-        small_config(kalman_p0_diag=(0.0, -1.0, 0.0)).validate()
+        small_config(kalman_p0_diag=(0.0, -1.0, 0.0))
     with pytest.raises(ValueError):
-        small_config(kalman_r_std=-0.1).validate()
+        small_config(kalman_r_std=-0.1)
 
 
 def test_scan_limits_checked():
     with pytest.raises(ValueError, match="scan_n_bins"):
-        small_config(scan_n_bins=1).validate()
+        small_config(scan_n_bins=1)
     with pytest.raises(ValueError, match="scan_range_max"):
-        small_config(scan_range_max=2.0).validate()
+        small_config(scan_range_max=2.0)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"scan_n_bins": 1}, "^scan_n_bins must be at least 2$"),
+    ({"scan_range_max": 1.0}, "^scan_range_max must exceed d_engage$"),
+    ({"seed": -1}, "^seed must be non-negative, got -1$"),
+    ({"kalman_r_std": 1e200}, "with a finite square"),
+    ({"kalman_q_diag": (1e-6, 1e-4)}, "q and p0 must have 3 entries")])
+def test_replace_checks_like_the_reader(change, match):
+    """A config made from a loaded one with dataclasses.replace is checked
+    as it is built: unchecked, scan_n_bins=1 divides by zero in
+    run_mission and scan_range_max=1.0 silently engages on fewer steps."""
+    cfg = load_config(CONFIG_DIR / "obstacle_course.yaml")
+    with pytest.raises(InvalidScenario, match=match):
+        dataclasses.replace(cfg, **change)
 
 
 def test_camera_degrees_converted():

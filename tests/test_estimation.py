@@ -175,9 +175,26 @@ def test_kalman_config_rejects_nan_inf_negative(field, bad):
         KalmanConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["q", "p0"])
+@pytest.mark.parametrize("n", [0, 2, 4])
+def test_kalman_config_needs_three_diagonal_entries(field, n):
+    """The gains read every entry of a 3x3 diagonal: a short q would
+    raise TypeError at the first step instead."""
+    with pytest.raises(ValueError, match="q and p0 must have 3 entries"):
+        KalmanConfig(**{field: (1e-4,) * n})
+
+
 def test_for_accel_noise_sets_R():
     cfg = KalmanConfig.for_accel_noise(0.05)
     assert cfg.r == pytest.approx(0.0025)
+    assert cfg.r == 0.05 ** 2
+
+
+@pytest.mark.parametrize("std", [-1e-9, -math.inf, math.nan, 1e200,
+                                 1.7976931348623157e308])
+def test_for_accel_noise_rejects_std_without_finite_square(std):
+    with pytest.raises(ValueError, match="with a finite square"):
+        KalmanConfig.for_accel_noise(std)
 
 
 # -- dead reckoning -----------------------------------------------------------
@@ -465,6 +482,27 @@ def test_gain_schedule_ignores_entries_outside_column_and_row_2(name):
     other = KalmanConfig(q=moved(cfg.q, 1e-3), r=cfg.r,
                          p0=moved(cfg.p0, 2e-2))
     assert gains(other) == gains(cfg)
+
+
+# (P02, P22) before step 8 repeats step 6 while P12 does not
+_TWO_ENTRY_REPEAT = KalmanConfig(
+    q=(0.42496541155587425, 1.1600226466312645e-09, 8.5110120083258),
+    r=0.01623137931881366,
+    p0=(1.0924809956573054e-11, 0.8646693558965118, 2.0087700542635338e-05))
+
+
+def test_gain_schedule_keys_on_all_three_entries_of_column_2():
+    """A replay keyed on (P02, P22) would start its cycle at step 6, where
+    P12 has not yet settled; keyed on the whole column the schedule is the
+    full-P steps bit for bit."""
+    args = _schedule_inputs(_TWO_ENTRY_REPEAT, DT)
+    assert _first_repeat(*args, 200, lambda p: (p[0][2], p[2][2])) == (6, 2)
+    assert _first_repeat(*args, 200, _column_2) == (7, 2)
+    want = [_gain_hex(gain) for _, gain in
+            itertools.islice(_full_p_steps(*args), 200)]
+    got = [_gain_hex(gain)
+           for gain in itertools.islice(_gain_schedule(*args), 200)]
+    assert got == want
 
 
 def test_estimator_singular_innovation_raises():

@@ -314,9 +314,12 @@ def test_hover_rejects_bad_duration():
 
 
 def test_negative_seed_override_is_rejected_before_any_draw(config_dir):
+    """A mission's seed is its config's, checked as the config is built;
+    run_hover takes its own."""
+    assert "seed" not in inspect.signature(run_mission).parameters
     cfg = load_config(config_dir / "default.yaml")
     for run in (lambda: run_hover(duration_s=1.0, seed=-1),
-                lambda: run_mission(cfg, seed=-1)):
+                lambda: dataclasses.replace(cfg, seed=-1)):
         with pytest.raises(ValueError,
                            match="^seed must be non-negative, got -1$"):
             run()
