@@ -28,7 +28,6 @@ from .world import (
     CAMERA_HFOV_DEG,
     CAMERA_VFOV_DEG,
     SCAN_N_BINS,
-    SCAN_RANGE_MAX,
     BuildingSpec,
     CameraModel,
     FaultDecal,
@@ -37,6 +36,7 @@ from .world import (
 )
 
 MAX_PLAN_WAYPOINTS = 100_000   # the shipped plans have at most 81
+MAX_SCAN_BINS = 100_000        # the shipped configs scan 271
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,6 @@ class ScenarioConfig:
     camera_vfov_deg: float = CAMERA_VFOV_DEG
     camera_max_range: float = CameraModel.max_range
     scan_n_bins: int = SCAN_N_BINS
-    scan_range_max: float = SCAN_RANGE_MAX
 
     def __post_init__(self) -> None:
         try:
@@ -111,8 +110,9 @@ class ScenarioConfig:
             self.camera()
             if self.scan_n_bins < 2:
                 raise ValueError("scan_n_bins must be at least 2")
-            if self.scan_range_max <= self.mission.d_engage:
-                raise ValueError("scan_range_max must exceed d_engage")
+            if self.scan_n_bins > MAX_SCAN_BINS:
+                raise ValueError(
+                    f"scan_n_bins must be at most {MAX_SCAN_BINS}")
             self.kalman()
         except ValueError as e:   # unprefixed: the key is in the message
             raise InvalidScenario(str(e)) from e
@@ -135,9 +135,13 @@ class ScenarioConfig:
 
 
 def _is_number(x) -> bool:
-    """An int or a finite float: YAML's .nan and .inf are not numbers here."""
-    return (isinstance(x, int) and not isinstance(x, bool)
-            or isinstance(x, float) and math.isfinite(x))
+    """An int or float that converts to a finite float: YAML's .nan and .inf,
+    and an int too large for a float, are not numbers here."""
+    try:
+        return (isinstance(x, (int, float)) and not isinstance(x, bool)
+                and math.isfinite(x))
+    except OverflowError:
+        return False
 
 
 def config_to_dict(value):
@@ -192,7 +196,7 @@ def _convert(kind, raw, where: str):
         return tuple(raw)
     if raw is None and type(None) in args:
         return raw
-    if kind is int and not (_is_number(raw) and isinstance(raw, int)):
+    if kind is int and (isinstance(raw, bool) or not isinstance(raw, int)):
         raise InvalidScenario(f"{where}: expected an integer")
     if float in (kind, *args) and not _is_number(raw):
         raise InvalidScenario(f"{where}: expected a finite number")
@@ -213,7 +217,7 @@ def load_raw(path: str | Path) -> dict:
         raise FileNotFoundError(f"cannot read config {p}: {e}") from e
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, ValueError) as e:   # ValueError: over 4300 digits
         raise InvalidScenario(f"config {p} is not valid YAML: {e}") from e
     if not isinstance(data, dict):
         raise InvalidScenario(f"config {p} must be a YAML mapping")
@@ -232,7 +236,7 @@ def apply_overrides(data: dict, pairs: list[str]) -> dict:
         key, _, raw = pair.partition("=")
         try:
             value = yaml.safe_load(raw)
-        except yaml.YAMLError as e:
+        except (yaml.YAMLError, ValueError) as e:
             raise InvalidScenario(f"--set {key}: bad value {raw!r}: {e}")
         node = data
         parts = key.split(".")

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 import struct
+import sys
 from dataclasses import dataclass
 
 from .attitude import AttitudeEstimate, ComplementaryGain, complementary_step
@@ -72,7 +72,9 @@ class KalmanConfig:
     def __post_init__(self) -> None:
         if len(self.q) != 3 or len(self.p0) != 3:
             raise ValueError(f"q and p0 must have 3 entries, got {self}")
-        if not all(0.0 <= v < math.inf for v in (*self.q, self.r, *self.p0)):
+        # an int above float_info.max is below inf, but no float holds it
+        if not all(0.0 <= v <= sys.float_info.max
+                   for v in (*self.q, self.r, *self.p0)):
             raise ValueError(f"q, r and p0 must be finite and non-negative, "
                              f"got {self}")
 
@@ -81,7 +83,7 @@ class KalmanConfig:
         """r from the accelerometer noise std, floored at 1e-6 so that a
         noiseless sensor still gives an invertible innovation."""
         if accel_noise_std >= 0.0:   # False for NaN
-            with contextlib.suppress(OverflowError):
+            with contextlib.suppress(OverflowError, ValueError):
                 return KalmanConfig(r=max(accel_noise_std, 1e-6) ** 2)
         raise ValueError(f"kalman_r_std (or accel_noise_std) {accel_noise_std}"
                          " must be non-negative with a finite square")
@@ -228,20 +230,16 @@ class InertialEstimator:
 
     def step(self, imu1: ImuSample, imu2: ImuSample) -> EstimatedState:
         """Each axis predicted and updated with the step's gain from the
-        two IMUs' world accelerations; bit-identical to _predict_state then
-        _update_state, whose operand order it keeps."""
+        two IMUs' world accelerations."""
         d = self.dt
         h = 0.5 * d * d
         self.attitude = complementary_step(self.attitude, imu1, self.gain, d)
         a1 = world_accel(imu1, self.attitude)
         a2 = world_accel(imu2, self.attitude)
-        (p02, p12, p22), c0, c1 = next(self._gains)
-        axes = []
-        for (x, v, b), z1, z2 in zip(self.axes, a1, a2):
-            u = c0 * (z1 - b) + c1 * (z2 - b)
-            axes.append((x + d * v + h * b + p02 * u, v + d * b + p12 * u,
-                         b + p22 * u))
-        self.axes = tuple(axes)
+        gain = next(self._gains)
+        self.axes = tuple(
+            _update_state(_predict_state(x, d, h), (z1, z2), gain)
+            for x, z1, z2 in zip(self.axes, a1, a2))
         return self.state()
 
     def state(self) -> EstimatedState:

@@ -106,37 +106,39 @@ def _cylinder_clearance(o, p: Vec3) -> float:
     return math.sqrt(horiz * horiz + dz * dz)
 
 
-# [m] Added to the slack of `_occluders`: it covers the 1e-6 m floor of a
+# [m] Added to the slack of `_hidden`: it covers the 1e-6 m floor of a
 # scan range and the rounding of the ray and mask arithmetic (under 1e-12 m
 # at scene scale).
 _MASK_MARGIN = 1e-3
 
 
-def _mask_insets(mask, footprint, obstacles) -> list[tuple]:
-    """(solid, inset) of the solids lying wholly inside the mask.
+def _mask_insets(mask, footprint, obstacles) -> dict:
+    """{solid: inset} of the solids lying wholly inside the mask.
 
     The inset is the least distance, along x or along y, from a point of
     the solid to the mask's edge; the footprint's is the plan's buffer.
     """
     boxes = [(footprint, *astuple(footprint))]   # (cx, cy, hx, hy)
     boxes += [(o, *o.center_xy, o.radius, o.radius) for o in obstacles]
-    insets = [(solid, min(mask.hx - abs(cx - mask.cx) - hx,
-                          mask.hy - abs(cy - mask.cy) - hy))
-              for solid, cx, cy, hx, hy in boxes]
-    return [(solid, d) for solid, d in insets if d > 0.0]
+    insets = {solid: min(mask.hx - abs(cx - mask.cx) - hx,
+                         mask.hy - abs(cy - mask.cy) - hy)
+              for solid, cx, cy, hx, hy in boxes}
+    return {solid: d for solid, d in insets.items() if d > 0.0}
 
 
-def _occluders(insets, est_pos, est_yaw: float, true_pos, true_yaw: float,
-               d_engage: float) -> list:
-    """The solids every return of which below d_engage maps into the mask.
+def _hidden(insets, solids, est_pos, est_yaw: float, true_pos,
+            true_yaw: float, d_engage: float) -> bool:
+    """Whether every return below d_engage of `solids` maps into the mask.
 
     `_sectors` tests the point est + r u(est_yaw + angle) for r < d_engage.
     It lies within the slack (Chebyshev distance) of the true hit point, so
     a solid whose inset exceeds the slack only hides other solids' returns.
+    The mission skips a scan whose solids are all hidden, and casts every
+    one otherwise, since a hidden solid still shadows the ones behind it.
     """
     slack = (max(abs(est_pos[0] - true_pos[0]), abs(est_pos[1] - true_pos[1]))
              + d_engage * abs(wrap_angle(est_yaw - true_yaw)) + _MASK_MARGIN)
-    return [solid for solid, d in insets if slack < d]
+    return all(slack < insets.get(solid, -math.inf) for solid in solids)
 
 
 def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
@@ -586,13 +588,14 @@ def run_mission(cfg: ScenarioConfig,
                 time=t, phase=phase.value, waypoint_index=idx,
                 position=true_pos)
 
-        # with no solid in reach the scan casts nothing, so no occluders
         solids = _in_reach(scene, fp, *true_pos, mp.d_engage)
-        hits = solids and _scan_hits(
-            solids, true_pos[0], true_pos[1], true_att, SCAN_ANGLE_MIN,
-            SCAN_ANGLE_MAX, cfg.scan_n_bins, cfg.scan_range_max, mp.d_engage,
-            insets and _occluders(insets, est_pos, est_yaw, true_pos,
-                                  yaw_of(true_att), mp.d_engage))
+        if solids and not _hidden(insets, solids, est_pos, est_yaw, true_pos,
+                                  yaw_of(true_att), mp.d_engage):
+            hits = _scan_hits(solids, true_pos[0], true_pos[1], true_att,
+                              SCAN_ANGLE_MIN, SCAN_ANGLE_MAX,
+                              cfg.scan_n_bins, mp.d_engage)
+        else:
+            hits = []
         sectors = _sectors(hits, SCAN_ANGLE_MIN, scan_step, mask, est_pos[0],
                            est_pos[1], est_yaw, mp.d_engage)
         cmd, lanes = avoidance_command(sectors, cfg.gains, lanes, dt,

@@ -1,9 +1,9 @@
 """Timed capture events, crack labeling, and fault-coordinate filtering.
 
 No pixels exist: an "image" is a geometric visibility event carrying the
-drone's estimated pose.  The oracle classifier labels a capture crack exactly
-when a fault decal was truly visible; the noisy variant flips that label with
-probability 1 - accuracy from a seeded stream.
+drone's estimated pose.  The classifier labels a capture crack when a fault
+decal was truly visible, and flips that label with probability 1 - accuracy
+from a seeded stream; at accuracy 1.0 it never flips.
 """
 
 from __future__ import annotations
@@ -36,14 +36,10 @@ class CaptureRecord:
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    kind: str = "oracle"     # "oracle" or "noisy"
-    accuracy: float = 0.95
+    accuracy: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("oracle", "noisy"):
-            raise ValueError(f"classifier kind must be oracle or noisy, "
-                             f"got {self.kind!r}")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError("accuracy must be in [0, 1]")
         if self.seed < 0:
@@ -59,7 +55,7 @@ def capture_tick(clock: float, last_capture: float,
 
 
 class Classifier:
-    """Labels visibility events; noisy mode consumes one uniform per call."""
+    """Labels visibility events; each call consumes one uniform."""
 
     def __init__(self, spec: ClassifierSpec,
                  extra_entropy: int | None = None):
@@ -71,8 +67,6 @@ class Classifier:
 
     def label(self, visible_decals) -> str:
         truth = LABEL_CRACK if visible_decals else LABEL_NOT_CRACK
-        if self.spec.kind == "oracle":
-            return truth
         if self._rng.random() < self.spec.accuracy:
             return truth
         return LABEL_CRACK if truth == LABEL_NOT_CRACK else LABEL_NOT_CRACK

@@ -252,20 +252,17 @@ def _in_reach(scene: Scene, footprint: Rect, x: float, y: float, z: float,
 
 
 def _scan_hits(solids: list, x: float, y: float, attitude, angle_min: float,
-               angle_max: float, n_bins: int, range_max: float, reach: float,
-               occluders=()) -> list[tuple[int, float]]:
-    """(bin, range) of the bins that `simulate_scan` ray-casts and that hit.
+               angle_max: float, n_bins: int,
+               reach: float) -> list[tuple[int, float]]:
+    """(bin, range) of the bins that `simulate_scan` ray-casts and that hit,
+    each range floored at 1e-6 m.
 
     `solids` are the ones `_in_reach` keeps at the pose for this reach.  A
     cylinder at centre distance D > r is cast within asin(r/D) of its
     bearing, the footprint within `_rect_window`, a solid around the pose
-    at every bin.  If every solid is in `occluders` (the footprint or
-    obstacles), nothing is cast; otherwise every one is, as without them.
+    at every bin.
     """
     cull = reach + _REACH_MARGIN
-    if all(solid in occluders for solid in solids):
-        return []
-
     cos_b, sin_b = _bin_trig(angle_min, angle_max, n_bins)
     # bins rotate with yaw only; scan plane stays horizontal under tilt
     yaw = yaw_of(attitude)
@@ -309,7 +306,7 @@ def _scan_hits(solids: list, x: float, y: float, attitude, angle_min: float,
                     continue
             if t < best.get(i, math.inf):
                 best[i] = t
-    return [(i, max(min(t, range_max), 1e-6)) for i, t in best.items()]
+    return [(i, max(t, 1e-6)) for i, t in best.items()]
 
 
 def simulate_scan(scene: Scene, pose: TrueState,
@@ -337,8 +334,8 @@ def simulate_scan(scene: Scene, pose: TrueState,
     ranges = [range_max] * n_bins
     solids = _in_reach(scene, scene.building.footprint(), x, y, z, reach)
     for i, r in _scan_hits(solids, x, y, pose.attitude, angle_min, angle_max,
-                           n_bins, range_max, reach):
-        ranges[i] = r
+                           n_bins, reach):
+        ranges[i] = max(min(r, range_max), 1e-6)
     return LaserScan(angle_min, angle_max, n_bins, range_max, tuple(ranges))
 
 

@@ -283,8 +283,9 @@ def test_negative_seed_in_yaml_exits_2(tiny_yaml, tmp_path, capsys):
     assert line == "config error: seed must be non-negative, got -1"
 
 
-@pytest.mark.parametrize("override", ["kalman_r_std=1.0e+200",
-                                      "sensors.accel_noise_std=1.0e+200"])
+@pytest.mark.parametrize("override", [
+    "kalman_r_std=1.0e+200", "sensors.accel_noise_std=1.0e+200",
+    pytest.param("kalman_r_std=" + "9" * 300, id="kalman_r_std=9x300")])
 def test_kalman_r_that_overflows_exits_2(tiny_yaml, tmp_path, capsys,
                                          override):
     """r is the std squared: a square past the float range is a config
@@ -297,6 +298,39 @@ def test_kalman_r_that_overflows_exits_2(tiny_yaml, tmp_path, capsys,
     assert line.startswith("config error: ")
     assert "kalman_r_std" in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, line", [
+    ("scan_range_max=20", "scenario: unknown key(s) ['scan_range_max']"),
+    ("classifier.kind=oracle",
+     "scenario.classifier: unknown key(s) ['kind']"),
+    ("scan_n_bins=1" + "0" * 30, "scan_n_bins must be at most 100000")],
+    ids=["scan_range_max", "classifier_kind", "scan_n_bins_1e30"])
+def test_removed_key_or_too_many_bins_exits_2(tiny_yaml, tmp_path, capsys,
+                                              override, line):
+    """No maximum range and no classifier kind can change a run, so neither
+    is a key; 1e30 bins would fail numpy's allocation at the first scan."""
+    out = tmp_path / "never"
+    rc = main(["mission", "--config", str(tiny_yaml), "--out", str(out),
+               "--set", override])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
+    assert not out.exists()
+
+
+def test_int_too_long_to_read_exits_2(tiny_yaml, tmp_path, capsys):
+    """Python reads no int of over 4300 digits from text, and YAML's reader
+    raises ValueError, not YAMLError, for one."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(tiny_yaml.read_text().replace(
+        "\nseed: 0\n", "\nseed: " + "9" * 5000 + "\n"))
+    for args in (["--config", str(bad)],
+                 ["--config", str(tiny_yaml), "--set", "seed=" + "9" * 5000]):
+        rc = main(["mission", *args, "--out", str(tmp_path / "never")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ")
+        assert "4300 digits" in line
 
 
 @pytest.mark.parametrize("x", ["1.0e+200", "1.0e+300",

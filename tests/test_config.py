@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from facadesim.config import (
+    MAX_SCAN_BINS,
     MissionParams,
     ScenarioConfig,
     apply_overrides,
@@ -97,7 +98,7 @@ def test_missing_building_rejected():
 
 @pytest.mark.parametrize("override", [
     "mission.d_engage=.nan", "mission.dt=.nan", "mission.dt=.inf",
-    "scan_range_max=-.inf", "kalman_r_std=.nan", "alpha=.nan",
+    "camera_max_range=-.inf", "kalman_r_std=.nan", "alpha=.nan",
     "building.length=.inf", "home=[9, 0, .nan]",
     "kalman_q_diag=[1.0e-4, .inf, 1.0e-4]", "sensors.gyro_bias=[0, .nan, 0]",
     "obstacles=[{id: 0, center_xy: [8, .inf], radius: 0.3, height: 2}]"])
@@ -112,8 +113,29 @@ def test_non_finite_numbers_rejected(override):
 
 def test_huge_integers_still_count_as_numbers():
     data = apply_overrides(config_to_dict(small_config()),
-                           ["mission.watchdog_s=" + "9" * 400])
-    assert config_from_dict(data).mission.watchdog_s == int("9" * 400)
+                           ["mission.watchdog_s=" + "9" * 300])
+    assert config_from_dict(data).mission.watchdog_s == int("9" * 300)
+
+
+_HUGE = "9" * 400   # no float holds it
+_HUGE_OVERRIDES = [f"{key}={_HUGE}" for key in (
+    "kalman_r_std", "sensors.gyro_noise_std", "vehicle.tau", "gains.kp",
+    "camera_hfov_deg", "building.length", "mission.watchdog_s",
+    "mission.d_engage")] + [f"kalman_q_diag=[{_HUGE}, 1.0e-4, 1.0e-2]",
+                            f"home=[{_HUGE}, 0.0, 0.0]"]
+
+
+@pytest.mark.parametrize("override", _HUGE_OVERRIDES,
+                         ids=lambda o: o.partition("=")[0])
+def test_int_too_large_for_a_float_rejected(override):
+    """A float field takes only what a float holds: unchecked, each of these
+    ends in an OverflowError traceback once the run converts it."""
+    key, _, value = override.partition("=")
+    message = ("expected a list of 3 finite numbers" if value.startswith("[")
+               else "expected a finite number")
+    data = apply_overrides(config_to_dict(small_config()), [override])
+    with pytest.raises(InvalidScenario, match=f"^scenario.{key}: {message}$"):
+        config_from_dict(data)
 
 
 @pytest.mark.parametrize("override", ["seed=-1", "classifier.seed=-1"])
@@ -232,12 +254,12 @@ def test_home_inside_footprint_rejected():
     ["plan.layer_height=1.0e-17"],
     # two ulps from the first layer to the roof: few layers, if z climbed
     ["plan.layer_height=1.0e-17", "building.height=1.5000000000000004"],
-    ["building.height=" + "9" * 400],
+    ["building.height=" + "9" * 300],
     ["plan.waypoint_spacing=1.0e-300"], ["plan.waypoint_spacing=5.0e-324"]],
     ids=lambda o: ",".join(o)[:60])
 def test_plan_too_large_to_build_rejected(overrides):
     """1.5 + 1e-17 == 1.5, so layer_altitudes would loop forever, as it does
-    below a 400-digit height, and _ring_points would build about 1e301
+    below a 300-digit height, and _ring_points would build about 1e301
     points: the size is checked without running the planner."""
     data = apply_overrides(config_to_dict(small_config()), overrides)
     with pytest.raises(InvalidScenario, match=r"plan\.layer_height .* and "
@@ -273,20 +295,23 @@ def test_kalman_diagonals_non_negative():
 def test_scan_limits_checked():
     with pytest.raises(ValueError, match="scan_n_bins"):
         small_config(scan_n_bins=1)
-    with pytest.raises(ValueError, match="scan_range_max"):
-        small_config(scan_range_max=2.0)
+    with pytest.raises(ValueError, match="scan_n_bins"):
+        small_config(scan_n_bins=MAX_SCAN_BINS + 1)
+    small_config(scan_n_bins=MAX_SCAN_BINS)
 
 
 @pytest.mark.parametrize("change, match", [
     ({"scan_n_bins": 1}, "^scan_n_bins must be at least 2$"),
-    ({"scan_range_max": 1.0}, "^scan_range_max must exceed d_engage$"),
+    ({"scan_n_bins": 10**30}, "^scan_n_bins must be at most 100000$"),
     ({"seed": -1}, "^seed must be non-negative, got -1$"),
     ({"kalman_r_std": 1e200}, "with a finite square"),
-    ({"kalman_q_diag": (1e-6, 1e-4)}, "q and p0 must have 3 entries")])
+    ({"kalman_q_diag": (1e-6, 1e-4)}, "q and p0 must have 3 entries"),
+    ({"kalman_r_std": int("9" * 400)}, "with a finite square")])
 def test_replace_checks_like_the_reader(change, match):
     """A config made from a loaded one with dataclasses.replace is checked
     as it is built: unchecked, scan_n_bins=1 divides by zero in
-    run_mission and scan_range_max=1.0 silently engages on fewer steps."""
+    run_mission and scan_n_bins=10**30 is more bins than numpy can allocate
+    at the first scan."""
     cfg = load_config(CONFIG_DIR / "obstacle_course.yaml")
     with pytest.raises(InvalidScenario, match=match):
         dataclasses.replace(cfg, **change)

@@ -1,10 +1,12 @@
-"""Every top-level definition in `src/facadesim/` has a user.
+"""Every top-level definition in `src/facadesim/` has a user, and every
+function parameter there is read.
 
 A function, class or module-level name must be used somewhere in `src/`
 (its own module included), be exported in `facadesim.__all__`, or be a name
 that perfbench's traced runs wrap.  Anything else is code that only tests
 reach, or none.  perfbench is imported read-only, as in
-`test_bench_hooks.py`.
+`test_bench_hooks.py`.  A parameter that its function never reads is an
+input that cannot change what the function does.
 """
 
 import ast
@@ -57,3 +59,25 @@ def test_every_src_definition_is_used_exported_or_traced():
               for name in _top_level_names(tree)
               if name not in kept and not name.startswith("__")]
     assert not unused, f"defined in src/facadesim but never used: {unused}"
+
+
+def _unread_parameters(tree: ast.Module, module: str):
+    """`module.function(param)` for each parameter, self included, that its
+    function's body, nested functions included, never reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg,
+                                  *a.kwonlyargs, a.kwarg) if p is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        yield from (f"{module}.{node.name}({p})" for p in params
+                    if p not in read)
+
+
+def test_every_src_function_reads_its_parameters():
+    unread = [name for path in sorted(_SRC.glob("*.py"))
+              for name in _unread_parameters(ast.parse(path.read_text()),
+                                             path.stem)]
+    assert not unread, f"parameters never read in their body: {unread}"

@@ -168,7 +168,10 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field", ["q", "r", "p0"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
+# an int above the float range is below inf, and the first gain would raise
+# OverflowError
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9,
+                                 pytest.param(int("9" * 400), id="9x400")])
 def test_kalman_config_rejects_nan_inf_negative(field, bad):
     value = bad if field == "r" else (0.0, bad, 0.0)
     with pytest.raises(ValueError, match="finite and non-negative"):
@@ -190,8 +193,10 @@ def test_for_accel_noise_sets_R():
     assert cfg.r == 0.05 ** 2
 
 
+# an int std squares exactly, to an int that no float holds
 @pytest.mark.parametrize("std", [-1e-9, -math.inf, math.nan, 1e200,
-                                 1.7976931348623157e308])
+                                 1.7976931348623157e308,
+                                 pytest.param(int("9" * 300), id="9x300")])
 def test_for_accel_noise_rejects_std_without_finite_square(std):
     with pytest.raises(ValueError, match="with a finite square"):
         KalmanConfig.for_accel_noise(std)

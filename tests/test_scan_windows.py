@@ -7,7 +7,7 @@ bit; at or beyond it the windowed scan may only read further.  The mission
 feeds the hits straight into `control._sectors`, which must give the same
 sectors as the public `simulate_scan` -> `classify_sectors` chain, also
 when it skips the scans in which every solid in reach lies deep inside the
-mask.
+mask (`mission._hidden`).
 """
 
 import math
@@ -21,7 +21,7 @@ from facadesim import world
 from facadesim.config import apply_overrides, config_from_dict, load_raw
 from facadesim.control import _sectors, classify_sectors
 from facadesim.geometry import Rect, quat_from_euler, yaw_of
-from facadesim.mission import _MASK_MARGIN, _mask_insets, _occluders
+from facadesim.mission import _MASK_MARGIN, _hidden, _mask_insets
 from facadesim.planner import avoidance_polygon
 from facadesim.vehicle import TrueState
 from facadesim.world import (
@@ -209,7 +209,7 @@ def test_sparse_sectors_match_public_api(name, x, y, z, yaw, d_engage, ex,
     solids = world._in_reach(scene, scene.building.footprint(), x, y, z,
                              d_engage)
     hits = _scan_hits(solids, x, y, state.attitude, SCAN_ANGLE_MIN,
-                      SCAN_ANGLE_MAX, SCAN_N_BINS, SCAN_RANGE_MAX, d_engage)
+                      SCAN_ANGLE_MAX, SCAN_N_BINS, d_engage)
     step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (SCAN_N_BINS - 1)
     sparse = _sectors(hits, SCAN_ANGLE_MIN, step, mask, est[0], est[1],
                       yaw + eyaw, d_engage)
@@ -248,13 +248,32 @@ def _in_reach(scene, fp, x, y, z, reach):
                      - o.radius < cull]
 
 
+def mission_hits(scene, insets, state, est, est_yaw, reach, d_engage):
+    """The pairs `run_mission`'s scan gives at a true pose and an estimate
+    (its reach is d_engage): none if no solid is in reach or `_hidden` holds
+    for all of them, else those of every solid in reach."""
+    x, y, z = state.position
+    solids = world._in_reach(scene, scene.building.footprint(), x, y, z,
+                             reach)
+    if not solids or _hidden(insets, solids, est, est_yaw, (x, y),
+                             yaw_of(state.attitude), d_engage):
+        return []
+    return _scan_hits(solids, x, y, state.attitude, SCAN_ANGLE_MIN,
+                      SCAN_ANGLE_MAX, SCAN_N_BINS, reach)
+
+
+def occluders(insets, *slack_args):
+    """The solids of `insets` that `_hidden` hides, each taken alone."""
+    return [s for s in insets if _hidden(insets, [s], *slack_args)]
+
+
 @given(st.sampled_from(sorted(OCCLUDER_SCENES)), st.floats(-14.0, 14.0),
        st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
        st.floats(-math.pi, math.pi), reaches)
 @settings(max_examples=100, deadline=None)
 def test_nothing_in_reach_casts_nothing(name, x, y, z, yaw, reach):
     """`world._in_reach` is the cull above, and with no solid in it the scan
-    has no pairs: so `run_mission` may skip `_occluders` and the scan."""
+    has no pairs: so `run_mission` may skip `_hidden` and the scan."""
     scene = OCCLUDER_SCENES[name][0]
     fp = scene.building.footprint()
     solids = world._in_reach(scene, fp, x, y, z, reach)
@@ -262,7 +281,7 @@ def test_nothing_in_reach_casts_nothing(name, x, y, z, yaw, reach):
     if not solids:
         assert _scan_hits(solids, x, y, pose(x, y, z, yaw).attitude,
                           SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS,
-                          SCAN_RANGE_MAX, reach) == []
+                          reach) == []
 
 
 # The example is the pose of `test_occluders_leave_a_visible_solid_cast`:
@@ -280,9 +299,11 @@ def test_hidden_solids_cast_all_or_none(name, x, y, z, yaw, reach, picks):
     solids = [fp, *scene.obstacles]
     hidden = [solids[i + 1] for i in sorted(picks) if i + 1 < len(solids)]
     state = pose(x, y, z, yaw)
+    # an exact estimate: a 1e-3 m slack, under each hidden solid's 1 m inset
+    got = mission_hits(scene, dict.fromkeys(hidden, 1.0), state, (x, y),
+                       yaw_of(state.attitude), reach, 3.0)
     args = (world._in_reach(scene, fp, x, y, z, reach), x, y, state.attitude,
-            SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS, SCAN_RANGE_MAX, reach)
-    got = _scan_hits(*args, hidden)
+            SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS, reach)
     if all(s in hidden for s in _in_reach(scene, fp, x, y, z, reach)):
         assert got == []
     else:
@@ -295,16 +316,19 @@ def test_occluders_leave_a_visible_solid_cast():
     x, y, z, d_engage = 5.1, 3.1, 1.5, 3.0
     state = pose(x, y, z, math.pi / 4)
     yaw = yaw_of(state.attitude)
-    hidden = _occluders(_mask_insets(mask, fp, scene.obstacles), (x, y), yaw,
-                        (x, y), yaw, d_engage)
-    assert hidden == [fp, scene.obstacles[1]]
+    insets = _mask_insets(mask, fp, scene.obstacles)
+    assert occluders(insets, (x, y), yaw, (x, y), yaw, d_engage) == [
+        fp, scene.obstacles[1]]
     assert _in_reach(scene, fp, x, y, z, d_engage) == [fp, *scene.obstacles]
+    assert not _hidden(insets, [fp, *scene.obstacles], (x, y), yaw, (x, y),
+                       yaw, d_engage)
     args = (world._in_reach(scene, fp, x, y, z, d_engage), x, y,
             state.attitude, SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS,
-            SCAN_RANGE_MAX, d_engage)
+            d_engage)
     full = sorted(_scan_hits(*args))
     assert len(full) == 57
-    assert sorted(_scan_hits(*args, hidden)) == full
+    assert sorted(mission_hits(scene, insets, state, (x, y), yaw, d_engage,
+                               d_engage)) == full
 
 
 # The first four examples put the slack (error + margin) within 1e-9 of an
@@ -337,7 +361,7 @@ def test_occluders_leave_a_visible_solid_cast():
 @settings(max_examples=200, deadline=None)
 def test_occluder_only_solids_keep_the_sectors(name, x, y, z, yaw, d_engage,
                                                ex, ey, eyaw):
-    """Hiding the solids `_occluders` names keeps the sectors: a scan is
+    """Skipping the scans `_hidden` names keeps the sectors: a scan is
     skipped only if every solid in reach is hidden, and a hidden solid cast
     in full gives only returns the mask drops, though it still shadows the
     solids behind it."""
@@ -345,11 +369,8 @@ def test_occluder_only_solids_keep_the_sectors(name, x, y, z, yaw, d_engage,
     state = pose(x, y, z, yaw)
     est, est_yaw = (x + ex, y + ey), yaw + eyaw
     fp = scene.building.footprint()
-    hidden = _occluders(_mask_insets(mask, fp, scene.obstacles), est,
-                        est_yaw, (x, y), yaw_of(state.attitude), d_engage)
-    hits = _scan_hits(world._in_reach(scene, fp, x, y, z, d_engage), x, y,
-                      state.attitude, SCAN_ANGLE_MIN, SCAN_ANGLE_MAX,
-                      SCAN_N_BINS, SCAN_RANGE_MAX, d_engage, hidden)
+    hits = mission_hits(scene, _mask_insets(mask, fp, scene.obstacles), state,
+                        est, est_yaw, d_engage, d_engage)
     step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (SCAN_N_BINS - 1)
     sparse = _sectors(hits, SCAN_ANGLE_MIN, step, mask, est[0], est[1],
                       est_yaw, d_engage)
@@ -362,19 +383,19 @@ def test_mask_insets_and_occluders():
     scene, mask = OCCLUDER_SCENES["occluded"]
     fp = scene.building.footprint()
     insets = _mask_insets(mask, fp, scene.obstacles)
-    assert [(s, round(d, 12)) for s, d in insets] == [
+    assert [(s, round(d, 12)) for s, d in insets.items()] == [
         (fp, 1.0), (scene.obstacles[1], 0.4)]
     no_buffer, flush = OCCLUDER_SCENES["no_buffer"]
     assert _mask_insets(flush, no_buffer.building.footprint(),
-                        no_buffer.obstacles) == []
+                        no_buffer.obstacles) == {}
     origin = (0.0, 0.0)
     # slack: position error 0.5 m, or 3 m times a yaw error of 0.1 rad taken
     # the short way round, plus the margin
-    assert _occluders(insets, (0.0, 0.5), 0.0, origin, 0.0, 3.0) == [fp]
-    assert _occluders(insets, origin, math.pi - 0.05, origin,
-                      0.05 - math.pi, 3.0) == [fp, scene.obstacles[1]]
-    assert _occluders(insets, origin, 0.2, origin, 0.0, 3.0) == [fp]
-    assert _occluders(insets, origin, 0.0, origin, 0.0, 3.0) == [
+    assert occluders(insets, (0.0, 0.5), 0.0, origin, 0.0, 3.0) == [fp]
+    assert occluders(insets, origin, math.pi - 0.05, origin,
+                     0.05 - math.pi, 3.0) == [fp, scene.obstacles[1]]
+    assert occluders(insets, origin, 0.2, origin, 0.0, 3.0) == [fp]
+    assert occluders(insets, origin, 0.0, origin, 0.0, 3.0) == [
         fp, scene.obstacles[1]]
     # a diverged estimate gives a NaN slack: every solid is cast in full
-    assert _occluders(insets, (math.nan, 0.0), 0.0, origin, 0.0, 3.0) == []
+    assert occluders(insets, (math.nan, 0.0), 0.0, origin, 0.0, 3.0) == []
