@@ -2,8 +2,10 @@
 
 The dataclass annotations are the file schema, checked value by value by the
 reader.  Degrees stay degrees so parse -> serialize -> parse is the identity;
-objects with derived units come from the accessor methods.  Every validation
-failure is an InvalidScenario naming the offending key.
+objects with derived units come from the accessor methods.  Each value has
+one source: `seed` drives every random stream of a run, and the Kalman r is
+the variance of `sensors.accel_noise_std`.  Every validation failure is an
+InvalidScenario naming the offending key.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ class ScenarioConfig:
     mission: MissionParams = field(default_factory=MissionParams)
     alpha: float = ComplementaryGain.alpha
     kalman_q_diag: tuple[float, float, float] = Q_DIAG
-    kalman_r_std: float | None = None   # None: use sensors.accel_noise_std
     kalman_p0_diag: tuple[float, float, float] = P0_DIAG
     camera_hfov_deg: float = CAMERA_HFOV_DEG
     camera_vfov_deg: float = CAMERA_VFOV_DEG
@@ -96,8 +97,6 @@ class ScenarioConfig:
                 raise ValueError("kalman_q_diag entries must be non-negative")
             if any(p < 0 for p in self.kalman_p0_diag):
                 raise ValueError("kalman_p0_diag entries must be non-negative")
-            if self.kalman_r_std is not None and self.kalman_r_std < 0:
-                raise ValueError("kalman_r_std must be non-negative")
             if self.plan.first_layer_alt >= self.building.height:
                 raise ValueError("plan.first_layer_alt must be below the roof")
             size = plan_size(self.building, self.plan)
@@ -127,10 +126,8 @@ class ScenarioConfig:
                            max_range=self.camera_max_range)
 
     def kalman(self) -> KalmanConfig:
-        r_std = self.kalman_r_std
-        if r_std is None:
-            r_std = self.sensors.accel_noise_std
-        return replace(KalmanConfig.for_accel_noise(r_std),
+        return replace(KalmanConfig.for_accel_noise(
+                           self.sensors.accel_noise_std),
                        q=self.kalman_q_diag, p0=self.kalman_p0_diag)
 
 
@@ -194,11 +191,9 @@ def _convert(kind, raw, where: str):
             raise InvalidScenario(
                 f"{where}: expected a list of {len(args)} finite numbers")
         return tuple(raw)
-    if raw is None and type(None) in args:
-        return raw
     if kind is int and (isinstance(raw, bool) or not isinstance(raw, int)):
         raise InvalidScenario(f"{where}: expected an integer")
-    if float in (kind, *args) and not _is_number(raw):
+    if kind is float and not _is_number(raw):
         raise InvalidScenario(f"{where}: expected a finite number")
     if kind is str and not isinstance(raw, str):
         raise InvalidScenario(f"{where}: expected a string")

@@ -85,8 +85,8 @@ class KalmanConfig:
         if accel_noise_std >= 0.0:   # False for NaN
             with contextlib.suppress(OverflowError, ValueError):
                 return KalmanConfig(r=max(accel_noise_std, 1e-6) ** 2)
-        raise ValueError(f"kalman_r_std (or accel_noise_std) {accel_noise_std}"
-                         " must be non-negative with a finite square")
+        raise ValueError(f"sensors.accel_noise_std {accel_noise_std} must be "
+                         "non-negative with a finite square")
 
 
 @dataclass(frozen=True)

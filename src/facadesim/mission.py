@@ -485,7 +485,7 @@ def run_mission(cfg: ScenarioConfig,
     sense, track, reset_track, fly, true_state = _step_kernel(
         cfg.sensors, cfg.seed, cfg.kalman(), cfg.alpha, home, home_yaw, dt,
         cfg.gains, cfg.vehicle, mp.kp_yaw)
-    classifier = Classifier(cfg.classifier, extra_entropy=cfg.seed)
+    classifier = Classifier(cfg.classifier, cfg.seed)
 
     phase = MissionPhase.INSPECTING
     transitions = [(0.0, MissionPhase.IDLE.value, phase.value)]

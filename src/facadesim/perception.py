@@ -3,7 +3,7 @@
 No pixels exist: an "image" is a geometric visibility event carrying the
 drone's estimated pose.  The classifier labels a capture crack when a fault
 decal was truly visible, and flips that label with probability 1 - accuracy
-from a seeded stream; at accuracy 1.0 it never flips.
+from a stream drawn from the run seed; at accuracy 1.0 it never flips.
 """
 
 from __future__ import annotations
@@ -37,13 +37,10 @@ class CaptureRecord:
 @dataclass(frozen=True)
 class ClassifierSpec:
     accuracy: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError("accuracy must be in [0, 1]")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def capture_tick(clock: float, last_capture: float,
@@ -55,15 +52,16 @@ def capture_tick(clock: float, last_capture: float,
 
 
 class Classifier:
-    """Labels visibility events; each call consumes one uniform."""
+    """Labels visibility events; each call consumes one uniform.
 
-    def __init__(self, spec: ClassifierSpec,
-                 extra_entropy: int | None = None):
+    The uniforms come from the run seed with spawn key 7, beside the IMUs'
+    keys 0 and 1, so one seed drives every random stream of a run.
+    """
+
+    def __init__(self, spec: ClassifierSpec, seed: int):
         self.spec = spec
-        entropy = (spec.seed if extra_entropy is None
-                   else (spec.seed, extra_entropy))
         self._rng = np.random.default_rng(
-            np.random.SeedSequence(entropy, spawn_key=(7,)))
+            np.random.SeedSequence(seed, spawn_key=(7,)))
 
     def label(self, visible_decals) -> str:
         truth = LABEL_CRACK if visible_decals else LABEL_NOT_CRACK

@@ -181,7 +181,7 @@ def test_criterion_06_coverage(coverage_run):
 
 def test_criterion_07_classifier_accuracy():
     """10^4 events through the classifier at accuracy 0.95."""
-    cls = Classifier(ClassifierSpec(accuracy=0.95, seed=0))
+    cls = Classifier(ClassifierSpec(accuracy=0.95), seed=0)
     n = 10_000
     correct = 0
     for i in range(n):

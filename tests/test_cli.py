@@ -285,18 +285,25 @@ def test_negative_seed_in_yaml_exits_2(tiny_yaml, tmp_path, capsys):
 
 @pytest.mark.parametrize("override", [
     "kalman_r_std=1.0e+200", "sensors.accel_noise_std=1.0e+200",
-    pytest.param("kalman_r_std=" + "9" * 300, id="kalman_r_std=9x300")])
+    pytest.param("kalman_r_std=" + "9" * 300, id="kalman_r_std=9x300"),
+    pytest.param("sensors.accel_noise_std=" + "9" * 300,
+                 id="sensors.accel_noise_std=9x300")])
 def test_kalman_r_that_overflows_exits_2(tiny_yaml, tmp_path, capsys,
                                          override):
     """r is the std squared: a square past the float range is a config
-    error, not an OverflowError traceback."""
+    error, not an OverflowError traceback.  The old `kalman_r_std` key is
+    no longer read, so the same value there is an unknown key."""
     out = tmp_path / "never"
     rc = main(["mission", "--config", str(tiny_yaml), "--out", str(out),
                "--set", override])
     assert rc == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("config error: ")
-    assert "kalman_r_std" in line
+    if override.startswith("kalman_r_std="):
+        assert line == ("config error: scenario: unknown key(s) "
+                        "['kalman_r_std']")
+    else:
+        assert line.startswith("config error: ")
+        assert "accel_noise_std" in line
     assert not out.exists()
 
 
@@ -304,12 +311,17 @@ def test_kalman_r_that_overflows_exits_2(tiny_yaml, tmp_path, capsys,
     ("scan_range_max=20", "scenario: unknown key(s) ['scan_range_max']"),
     ("classifier.kind=oracle",
      "scenario.classifier: unknown key(s) ['kind']"),
+    ("classifier.seed=3", "scenario.classifier: unknown key(s) ['seed']"),
+    ("kalman_r_std=0.01", "scenario: unknown key(s) ['kalman_r_std']"),
     ("scan_n_bins=1" + "0" * 30, "scan_n_bins must be at most 100000")],
-    ids=["scan_range_max", "classifier_kind", "scan_n_bins_1e30"])
+    ids=["scan_range_max", "classifier_kind", "classifier_seed",
+         "kalman_r_std", "scan_n_bins_1e30"])
 def test_removed_key_or_too_many_bins_exits_2(tiny_yaml, tmp_path, capsys,
                                               override, line):
-    """No maximum range and no classifier kind can change a run, so neither
-    is a key; 1e30 bins would fail numpy's allocation at the first scan."""
+    """No maximum range and no classifier kind can change a run, and the
+    run seed and sensors.accel_noise_std already give the classifier's
+    stream and the Kalman r, so none of these is a key; 1e30 bins would
+    fail numpy's allocation at the first scan."""
     out = tmp_path / "never"
     rc = main(["mission", "--config", str(tiny_yaml), "--out", str(out),
                "--set", override])

@@ -63,7 +63,7 @@ def test_constructed_round_trip():
         name="rt", seed=42,
         decals=(FaultDecal(0, "east", (0.5, 1.5), (0.3, 0.4)),),
         obstacles=(Obstacle(5, (8.0, 2.0), 0.4, 3.0),),
-        alpha=1.0, kalman_r_std=0.01,
+        alpha=1.0, sensors=SensorParams(accel_noise_std=0.01),
         mission=MissionParams(hold_s=2.0, watchdog_s=30.0))
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
@@ -98,7 +98,7 @@ def test_missing_building_rejected():
 
 @pytest.mark.parametrize("override", [
     "mission.d_engage=.nan", "mission.dt=.nan", "mission.dt=.inf",
-    "camera_max_range=-.inf", "kalman_r_std=.nan", "alpha=.nan",
+    "camera_max_range=-.inf", "sensors.accel_noise_std=.nan", "alpha=.nan",
     "building.length=.inf", "home=[9, 0, .nan]",
     "kalman_q_diag=[1.0e-4, .inf, 1.0e-4]", "sensors.gyro_bias=[0, .nan, 0]",
     "obstacles=[{id: 0, center_xy: [8, .inf], radius: 0.3, height: 2}]"])
@@ -119,7 +119,8 @@ def test_huge_integers_still_count_as_numbers():
 
 _HUGE = "9" * 400   # no float holds it
 _HUGE_OVERRIDES = [f"{key}={_HUGE}" for key in (
-    "kalman_r_std", "sensors.gyro_noise_std", "vehicle.tau", "gains.kp",
+    "sensors.accel_noise_std", "sensors.gyro_noise_std", "vehicle.tau",
+    "gains.kp",
     "camera_hfov_deg", "building.length", "mission.watchdog_s",
     "mission.d_engage")] + [f"kalman_q_diag=[{_HUGE}, 1.0e-4, 1.0e-2]",
                             f"home=[{_HUGE}, 0.0, 0.0]"]
@@ -138,7 +139,7 @@ def test_int_too_large_for_a_float_rejected(override):
         config_from_dict(data)
 
 
-@pytest.mark.parametrize("override", ["seed=-1", "classifier.seed=-1"])
+@pytest.mark.parametrize("override", ["seed=-1"])
 def test_negative_seed_rejected(override):
     data = apply_overrides(config_to_dict(small_config()), [override])
     with pytest.raises(InvalidScenario, match="seed must be non-negative"):
@@ -168,7 +169,7 @@ def _wrong_leaves(obj, path=()):
 
 _WALKED = small_config(
     decals=(FaultDecal(0, "east", (0.5, 1.5)),),
-    obstacles=(Obstacle(1, (8.0, 2.0), 0.4, 3.0),), kalman_r_std=0.01)
+    obstacles=(Obstacle(1, (8.0, 2.0), 0.4, 3.0),))
 _WRONG = list(_wrong_leaves(_WALKED))
 
 
@@ -200,8 +201,8 @@ def test_every_field_rejects_a_value_of_the_wrong_kind(keys, wrong):
 def test_wrong_kind_walk_reaches_list_elements():
     walked = {_dotted(k) for k, _ in _WRONG}
     assert {"scenario.name", "scenario.decals[0].face",
-            "scenario.obstacles[0].center_xy", "scenario.sensors.gyro_bias",
-            "scenario.kalman_r_std"} <= walked
+            "scenario.obstacles[0].center_xy",
+            "scenario.sensors.gyro_bias"} <= walked
 
 
 _EDGE_VALUES = (-1, 0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308,
@@ -289,7 +290,7 @@ def test_kalman_diagonals_non_negative():
     with pytest.raises(ValueError):
         small_config(kalman_p0_diag=(0.0, -1.0, 0.0))
     with pytest.raises(ValueError):
-        small_config(kalman_r_std=-0.1)
+        small_config(sensors=SensorParams(accel_noise_std=-0.1))
 
 
 def test_scan_limits_checked():
@@ -304,9 +305,11 @@ def test_scan_limits_checked():
     ({"scan_n_bins": 1}, "^scan_n_bins must be at least 2$"),
     ({"scan_n_bins": 10**30}, "^scan_n_bins must be at most 100000$"),
     ({"seed": -1}, "^seed must be non-negative, got -1$"),
-    ({"kalman_r_std": 1e200}, "with a finite square"),
+    ({"sensors": SensorParams(accel_noise_std=1e200)},
+     "with a finite square"),
     ({"kalman_q_diag": (1e-6, 1e-4)}, "q and p0 must have 3 entries"),
-    ({"kalman_r_std": int("9" * 400)}, "with a finite square")])
+    ({"sensors": SensorParams(accel_noise_std=int("9" * 400))},
+     "with a finite square")])
 def test_replace_checks_like_the_reader(change, match):
     """A config made from a loaded one with dataclasses.replace is checked
     as it is built: unchecked, scan_n_bins=1 divides by zero in
@@ -327,10 +330,10 @@ def test_kalman_r_defaults_to_accel_noise():
     cfg = small_config()
     assert cfg.kalman().r == pytest.approx(
         cfg.sensors.accel_noise_std ** 2)
-    explicit = small_config(kalman_r_std=0.5)
+    explicit = small_config(sensors=SensorParams(accel_noise_std=0.5))
     assert explicit.kalman().r == pytest.approx(0.25)
     # zero noise floors at 1e-6 so the update stays well posed
-    floored = small_config(kalman_r_std=0.0)
+    floored = small_config(sensors=SensorParams(accel_noise_std=0.0))
     assert floored.kalman().r == pytest.approx(1e-12)
 
 
@@ -370,11 +373,11 @@ def test_overrides_set_nested_values():
 def test_overrides_parse_yaml_values():
     data = config_to_dict(small_config())
     apply_overrides(data, ["home=[9.5, 0, 0]", "name=probe",
-                           "kalman_r_std=null"])
+                           "sensors.accel_noise_std=1.0e-3"])
     cfg = config_from_dict(data)
     assert cfg.home == (9.5, 0.0, 0.0)
     assert cfg.name == "probe"
-    assert cfg.kalman_r_std is None
+    assert cfg.sensors.accel_noise_std == 0.001
 
 
 def test_overrides_create_missing_sections():

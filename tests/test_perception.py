@@ -54,7 +54,7 @@ def test_classifier_spec_validation():
 
 def test_oracle_never_flips():
     """At accuracy 1.0 the classifier is an oracle."""
-    cls = Classifier(ClassifierSpec(accuracy=1.0))
+    cls = Classifier(ClassifierSpec(accuracy=1.0), seed=0)
     for i in range(1000):
         visible = (3,) if i % 3 == 0 else ()
         want = LABEL_CRACK if visible else LABEL_NOT_CRACK
@@ -62,39 +62,39 @@ def test_oracle_never_flips():
 
 
 def test_noisy_flip_rate_matches_accuracy():
-    cls = Classifier(ClassifierSpec(accuracy=0.95, seed=1))
+    cls = Classifier(ClassifierSpec(accuracy=0.95), seed=1)
     n = 10_000
     hits = sum(cls.label((1,)) == LABEL_CRACK for _ in range(n))
     assert 0.94 <= hits / n <= 0.96
 
 
 def test_noisy_flips_both_directions():
-    cls = Classifier(ClassifierSpec(accuracy=0.9, seed=2))
+    cls = Classifier(ClassifierSpec(accuracy=0.9), seed=2)
     false_pos = sum(cls.label(()) == LABEL_CRACK for _ in range(5000))
     assert 0.08 <= false_pos / 5000 <= 0.12
 
 
 def test_noisy_stream_is_reproducible():
-    spec = ClassifierSpec(accuracy=0.5, seed=7)
-    a = Classifier(spec)
-    b = Classifier(spec)
+    spec = ClassifierSpec(accuracy=0.5)
+    a = Classifier(spec, seed=7)
+    b = Classifier(spec, seed=7)
     seq = [(1,) if i % 2 else () for i in range(300)]
     assert [a.label(v) for v in seq] == [b.label(v) for v in seq]
 
 
-def test_extra_entropy_decorrelates_streams():
-    spec = ClassifierSpec(accuracy=0.5, seed=7)
-    a = Classifier(spec, extra_entropy=1)
-    b = Classifier(spec, extra_entropy=2)
+def test_run_seeds_give_different_label_streams():
+    spec = ClassifierSpec(accuracy=0.5)
+    a = Classifier(spec, seed=1)
+    b = Classifier(spec, seed=2)
     seq = [()] * 300
     assert [a.label(v) for v in seq] != [b.label(v) for v in seq]
 
 
 def test_flip_decisions_independent_of_truth():
     """One uniform per call: the flip pattern ignores what was visible."""
-    spec = ClassifierSpec(accuracy=0.8, seed=3)
-    cracks = Classifier(spec)
-    blanks = Classifier(spec)
+    spec = ClassifierSpec(accuracy=0.8)
+    cracks = Classifier(spec, seed=3)
+    blanks = Classifier(spec, seed=3)
     for _ in range(500):
         saw_crack = cracks.label((1,)) == LABEL_CRACK
         said_blank = blanks.label(()) == LABEL_NOT_CRACK
