@@ -66,6 +66,14 @@ class MissionPhase(Enum):
     DONE = "Done"
 
 
+# The loop reads these names: an enum attribute read costs ten times more.
+_INSPECTING = MissionPhase.INSPECTING
+_RETURNING_HOME = MissionPhase.RETURNING_HOME
+_DETECTING = MissionPhase.DETECTING
+_HOLDING = MissionPhase.HOLDING
+_DONE = MissionPhase.DONE
+
+
 @dataclass(frozen=True)
 class FaultEntry:
     id: int
@@ -138,7 +146,10 @@ def _hidden(insets, solids, est_pos, est_yaw: float, true_pos,
     """
     slack = (max(abs(est_pos[0] - true_pos[0]), abs(est_pos[1] - true_pos[1]))
              + d_engage * abs(wrap_angle(est_yaw - true_yaw)) + _MASK_MARGIN)
-    return all(slack < insets.get(solid, -math.inf) for solid in solids)
+    for solid in solids:
+        if not slack < insets.get(solid, -math.inf):
+            return False
+    return True
 
 
 def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
@@ -478,21 +489,23 @@ def run_mission(cfg: ScenarioConfig,
     insets = _mask_insets(mask, fp, scene.obstacles)
     camera = cfg.camera()
     mp = cfg.mission
-    dt = mp.dt
+    dt, d_engage, arrival_tol = mp.dt, mp.d_engage, mp.arrival_tol
+    watchdog_s, capture_interval_s = mp.watchdog_s, mp.capture_interval_s
+    gains, v_max, scan_n_bins = cfg.gains, cfg.vehicle.v_max, cfg.scan_n_bins
     home = cfg.home
     home_yaw = facing_yaw(fp, home[0], home[1])
 
     sense, track, reset_track, fly, true_state = _step_kernel(
         cfg.sensors, cfg.seed, cfg.kalman(), cfg.alpha, home, home_yaw, dt,
-        cfg.gains, cfg.vehicle, mp.kp_yaw)
+        gains, cfg.vehicle, mp.kp_yaw)
     classifier = Classifier(cfg.classifier, cfg.seed)
 
-    phase = MissionPhase.INSPECTING
-    transitions = [(0.0, MissionPhase.IDLE.value, phase.value)]
+    phase, phase_name = _INSPECTING, _INSPECTING.value
+    transitions = [(0.0, MissionPhase.IDLE.value, phase_name)]
     wps = generate_perimeter_path(cfg.building, cfg.plan, home)
     idx = 0
     last_advance = 0.0
-    last_capture = -mp.capture_interval_s
+    last_capture = -capture_interval_s
     captures: list[CaptureRecord] = []
     fault_poses: list[tuple[Vec3, float]] = []
     detect_i = 0
@@ -505,15 +518,15 @@ def run_mission(cfg: ScenarioConfig,
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
     entered_fp = False
     lanes = _FRESH_LANES
-    scan_step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (cfg.scan_n_bins - 1)
+    scan_step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (scan_n_bins - 1)
     true_pos, true_att = home, true_state().attitude
     steps = 0
     min_clear = math.inf   # until a step is taken among obstacles
 
     def shift(to: MissionPhase, t: float) -> None:
-        nonlocal phase
-        transitions.append((t, phase.value, to.value))
-        phase = to
+        nonlocal phase, phase_name
+        transitions.append((t, phase_name, to.value))
+        phase, phase_name = to, to.value
 
     def next_leg(t: float, start: Vec3) -> None:
         """Fly to fault detect_i's capture pose, or home after the last."""
@@ -524,14 +537,14 @@ def run_mission(cfg: ScenarioConfig,
             wps = home_leg(home, home_yaw, start[2])
         idx = 0
         last_advance = leg_start = t
-        shift(MissionPhase.DETECTING, t)
+        shift(_DETECTING, t)
 
     while True:
         t = steps * dt
         est_pos, dr_pos, est_quat, est_yaw = sense()
 
-        if phase in (MissionPhase.INSPECTING, MissionPhase.RETURNING_HOME):
-            if capture_tick(t, last_capture, mp.capture_interval_s):
+        if phase is _INSPECTING or phase is _RETURNING_HOME:
+            if capture_tick(t, last_capture, capture_interval_s):
                 last_capture = t
                 seen = tuple(visible_decals(scene, true_state(), camera))
                 label = classifier.label(seen)
@@ -541,8 +554,8 @@ def run_mission(cfg: ScenarioConfig,
                     visible_decals=seen, label=label))
 
         # phase machine; a single step may retire several coincident waypoints
-        while phase is not MissionPhase.DONE:
-            if phase is MissionPhase.HOLDING:
+        while phase is not _DONE:
+            if phase is _HOLDING:
                 if t < hold_until - 1e-9:
                     break
                 detection_durations.append(t - leg_start)
@@ -551,20 +564,19 @@ def run_mission(cfg: ScenarioConfig,
                 detect_i += 1
                 next_leg(t, est_pos)
                 continue
-            if v_dist(est_pos, wps[idx].position) >= mp.arrival_tol:
+            if v_dist(est_pos, wps[idx].position) >= arrival_tol:
                 break
             last_advance = t
             if idx + 1 < len(wps):
                 idx += 1
-                if (phase is MissionPhase.INSPECTING
-                        and wps[idx].layer == -1):
-                    shift(MissionPhase.RETURNING_HOME, t)
-            elif phase is MissionPhase.DETECTING:
+                if phase is _INSPECTING and wps[idx].layer == -1:
+                    shift(_RETURNING_HOME, t)
+            elif phase is _DETECTING:
                 if detect_i < len(fault_poses):
                     hold_until = t + mp.hold_s
-                    shift(MissionPhase.HOLDING, t)
+                    shift(_HOLDING, t)
                 else:
-                    shift(MissionPhase.DONE, t)
+                    shift(_DONE, t)
             else:   # the inspection ring and its return leg are flown
                 inspection_duration = t
                 fault_poses = filter_fault_coordinates(captures,
@@ -572,34 +584,34 @@ def run_mission(cfg: ScenarioConfig,
                 if fault_poses and not inspection_only:
                     next_leg(t, est_pos)
                 else:
-                    shift(MissionPhase.DONE, t)
+                    shift(_DONE, t)
 
-        trajectory.append((t,) + true_pos + est_pos + dr_pos
-                          + (phase.value,))
-        if phase is MissionPhase.DONE:
+        trajectory.append((t, *true_pos, *est_pos, *dr_pos, phase_name))
+        if phase is _DONE:
             break
 
         # a hold is not a leg: next_leg restarts the watchdog when it ends
-        if (phase is not MissionPhase.HOLDING
-                and t - last_advance > mp.watchdog_s):
+        if phase is not _HOLDING and t - last_advance > watchdog_s:
             raise MissionAborted(
-                f"waypoint {idx} not reached within {mp.watchdog_s:.0f} s "
-                f"(phase {phase.value}, t={t:.2f} s)",
-                time=t, phase=phase.value, waypoint_index=idx,
+                f"waypoint {idx} not reached within {watchdog_s:.0f} s "
+                f"(phase {phase_name}, t={t:.2f} s)",
+                time=t, phase=phase_name, waypoint_index=idx,
                 position=true_pos)
 
-        solids = _in_reach(scene, fp, *true_pos, mp.d_engage)
+        solids = _in_reach(scene, fp, *true_pos, d_engage)
         if solids and not _hidden(insets, solids, est_pos, est_yaw, true_pos,
-                                  yaw_of(true_att), mp.d_engage):
+                                  yaw_of(true_att), d_engage):
             hits = _scan_hits(solids, true_pos[0], true_pos[1], true_att,
-                              SCAN_ANGLE_MIN, SCAN_ANGLE_MAX,
-                              cfg.scan_n_bins, mp.d_engage)
+                              SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, scan_n_bins,
+                              d_engage)
         else:
             hits = []
-        sectors = _sectors(hits, SCAN_ANGLE_MIN, scan_step, mask, est_pos[0],
-                           est_pos[1], est_yaw, mp.d_engage)
-        cmd, lanes = avoidance_command(sectors, cfg.gains, lanes, dt,
-                                       cfg.vehicle.v_max)
+        if hits:
+            sectors = _sectors(hits, SCAN_ANGLE_MIN, scan_step, mask,
+                               est_pos[0], est_pos[1], est_yaw, d_engage)
+            cmd, lanes = avoidance_command(sectors, gains, lanes, dt, v_max)
+        else:   # all sectors clear: what avoidance_command returns then
+            cmd, lanes = None, _FRESH_LANES
         if cmd is None:
             v_body, yaw_rate = track(wps[idx])
             engaged.append(False)

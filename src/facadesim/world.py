@@ -246,8 +246,10 @@ def _in_reach(scene: Scene, footprint: Rect, x: float, y: float, z: float,
     solids: list = []
     if z <= scene.building.height and footprint.distance_to(x, y) < cull:
         solids.append(footprint)
-    solids += [o for o in scene.obstacles if z <= o.height and math.hypot(
-        o.center_xy[0] - x, o.center_xy[1] - y) - o.radius < cull]
+    for o in scene.obstacles:
+        if z <= o.height and math.hypot(o.center_xy[0] - x,
+                                        o.center_xy[1] - y) - o.radius < cull:
+            solids.append(o)
     return solids
 
 

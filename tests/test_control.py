@@ -6,12 +6,14 @@ import pytest
 
 from facadesim.attitude import AttitudeEstimate
 from facadesim.control import (
+    _CLEAR_SECTORS,
     _FRESH_LANES,
     _FRESH_PID,
     ObstacleSectors,
     PidGains,
     PidState,
     _pid,
+    _sectors,
     avoidance_command,
     classify_sectors,
     track_waypoint,
@@ -208,6 +210,20 @@ def test_building_returns_masked_out():
     assert classify_sectors(scan, mask, (0, 5.0), 0.0).dist_front == 1.5
 
 
+@pytest.mark.parametrize("hits, mask", [
+    ([], None),
+    ([(4, 1.5)], Rect(2.0, 0.0, 1.0, 1.0)),   # the mask holds the hit
+    ([(0, 3.0), (4, 3.0), (8, 7.5)], None),    # at or beyond d_engage
+    ([(4, 1.5), (0, 3.0)], Rect(2.0, 0.0, 1.0, 1.0)),
+])
+def test_sectors_with_no_active_return_are_the_clear_instance(hits, mask):
+    """The mission skips `_sectors` on a step whose cast hit nothing, which
+    is exact only if these inputs all give `_CLEAR_SECTORS`."""
+    s = _sectors(hits, -0.75 * math.pi, 0.1875 * math.pi, mask, 0.0, 0.0,
+                 0.0, 3.0)
+    assert s is _CLEAR_SECTORS
+
+
 # -- avoidance ------------------------------------------------------------------
 
 def first_out(dist):
@@ -222,10 +238,16 @@ def test_any_active_reads_the_distances():
 
 
 def test_avoidance_idle_when_clear():
-    cmd, lanes = avoidance_command(ObstacleSectors(), PidGains(),
-                                   _FRESH_LANES, DT)
-    assert cmd is None
-    assert lanes == _FRESH_LANES
+    """Clear sectors give no command and fresh lanes, whatever the lanes
+    were: the mission sets exactly that on a step whose cast hit nothing."""
+    for lanes in (_FRESH_LANES,
+                  ((0.02, 0.5, True), _FRESH_PID, (-0.01, 2.0, True)),
+                  ((1.0, 1.0, True),) * 3):
+        for sectors in (ObstacleSectors(), _CLEAR_SECTORS):
+            cmd, next_lanes = avoidance_command(sectors, PidGains(), lanes,
+                                                DT)
+            assert cmd is None
+            assert next_lanes == _FRESH_LANES
 
 
 def test_avoidance_direction_table():

@@ -240,6 +240,35 @@ def test_mission_culls_the_solids_once_per_step(config_dir, monkeypatch):
     assert calls.total() == len(result.trajectory) - 1
 
 
+@pytest.mark.parametrize("name", ["default", "obstacle_course"])
+def test_mission_avoids_only_on_a_step_whose_cast_hit(config_dir, name,
+                                                      monkeypatch):
+    """Sectors and avoidance run only when `_scan_hits` returned a hit: no
+    avoidance call on `default`, whose casts all miss, and one per step
+    with a hit on `obstacle_course`."""
+    calls = collections.Counter()
+
+    def counting_hits(*args):
+        hits = scan_hits(*args)
+        calls["hit"] += bool(hits)
+        return hits
+
+    def counting_avoidance(*args):
+        calls["avoidance"] += 1
+        return avoidance(*args)
+
+    scan_hits, avoidance = mission._scan_hits, mission.avoidance_command
+    monkeypatch.setattr(mission, "_scan_hits", counting_hits)
+    monkeypatch.setattr(mission, "avoidance_command", counting_avoidance)
+    result = run_mission(load_config(config_dir / f"{name}.yaml"))
+    assert calls["avoidance"] == calls["hit"]
+    assert calls["avoidance"] >= sum(result.engaged)
+    if name == "default":
+        assert calls["avoidance"] == 0
+    else:
+        assert sum(result.engaged) > 0
+
+
 # -- coverage scenario -------------------------------------------------------------
 
 def test_coverage_finds_one_fault_per_face(coverage_run):

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facadesim import mission
+from facadesim import mission, world
 from facadesim.attitude import ComplementaryGain
 from facadesim.control import PidGains, PidState, track_waypoint
 from facadesim.estimation import DeadReckoner, InertialEstimator, KalmanConfig
@@ -249,3 +249,29 @@ def test_kernel_steps_call_only_math_and_streams():
                if not _is_math_or_builtin(c)]
         assert not bad, f"{name} calls {bad}"
 
+
+_FRAMES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_mission_loop_reads_no_enum_member_and_builds_no_frame():
+    """The body of `run_mission`'s `while True:` loop, and the `_hidden` and
+    `_in_reach` culls it calls each step, read no `MissionPhase.<member>`
+    and build no comprehension or generator.  The exception of the
+    watchdog's `raise` is built once and is exempt."""
+    tree = ast.parse(inspect.getsource(mission.run_mission))
+    loops = [w for w in ast.walk(tree) if isinstance(w, ast.While)
+             and isinstance(w.test, ast.Constant) and w.test.value is True]
+    assert len(loops) == 1
+    raised = {id(n) for r in ast.walk(loops[0]) if isinstance(r, ast.Raise)
+              for n in ast.walk(r)}
+    assert raised
+    body = [n for n in ast.walk(loops[0]) if id(n) not in raised]
+    bad = [ast.unparse(n) for n in body
+           if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+           and isinstance(n.value, ast.Name)
+           and n.value.id == "MissionPhase"]
+    bad += [ast.unparse(n) for n in body if isinstance(n, _FRAMES)]
+    for fn in (mission._hidden, world._in_reach):
+        bad += [ast.unparse(n) for n in ast.walk(ast.parse(
+            inspect.getsource(fn))) if isinstance(n, _FRAMES)]
+    assert not bad, f"the mission step runs {bad}"
