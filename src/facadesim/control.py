@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 from .estimation import EstimatedState
 from .geometry import Rect, Vec3, quat_rotate_inverse, wrap_angle
@@ -86,8 +87,7 @@ def track_waypoint(est: EstimatedState, wp: Waypoint, gains: PidGains,
     return VelocityCommand(v_body=v_body, yaw_rate=yaw_rate), PidState(*pid)
 
 
-@dataclass(frozen=True)
-class ObstacleSectors:
+class ObstacleSectors(NamedTuple):
     """Nearest sub-threshold return per sector; math.inf means clear."""
 
     dist_left: float = math.inf
@@ -98,9 +98,6 @@ class ObstacleSectors:
     def any_active(self) -> bool:
         return (self.dist_left < math.inf or self.dist_right < math.inf
                 or self.dist_front < math.inf)
-
-
-_CLEAR_SECTORS = ObstacleSectors()   # frozen, so one instance serves all
 
 
 def _sectors(hits, angle_min: float, step: float, mask: Rect | None,
@@ -124,8 +121,6 @@ def _sectors(hits, angle_min: float, step: float, mask: Rect | None,
                 d_left = r
         elif r < d_right:
             d_right = r
-    if d_left == d_right == d_front == math.inf:
-        return _CLEAR_SECTORS
     return ObstacleSectors(d_left, d_right, d_front)
 
 
@@ -159,13 +154,12 @@ def avoidance_command(sectors: ObstacleSectors, gains: PidGains, lanes: tuple,
     if not sectors.any_active:
         return None, _FRESH_LANES
 
-    dists = (sectors.dist_left, sectors.dist_right, sectors.dist_front)
     steps = [(0.0, _FRESH_PID) if d == math.inf else
-             _pid(gains, pid, 1.0 / d, dt) for d, pid in zip(dists, lanes)]
+             _pid(gains, pid, 1.0 / d, dt) for d, pid in zip(sectors, lanes)]
     # repulsion only; derivative transients must not pull toward the obstacle
     out_left, out_right, out_front = (max(0.0, out) for out, _ in steps)
 
-    if max(dists) < math.inf:   # all three sectors active
+    if max(sectors) < math.inf:   # all three sectors active
         vx = -max(out_left, out_right, out_front)
         vy = 0.0
     else:

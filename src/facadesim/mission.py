@@ -102,13 +102,13 @@ class MissionResult:
     hold_end_poses: list[tuple[int, float, Vec3, float]]
 
 
-def _cylinder_clearance(o, p: Vec3) -> float:
-    dx = p[0] - o.center_xy[0]
-    dy = p[1] - o.center_xy[1]
+def _cylinder_clearance(o, x: float, y: float, z: float) -> float:
+    dx = x - o.center_xy[0]
+    dy = y - o.center_xy[1]
     horiz = math.sqrt(dx * dx + dy * dy) - o.radius
-    dz = p[2] - o.height
+    dz = z - o.height
     if horiz <= 0.0:
-        return max(0.0, dz) if dz > 0.0 else 0.0
+        return dz if dz > 0.0 else 0.0
     if dz <= 0.0:
         return horiz
     return math.sqrt(horiz * horiz + dz * dz)
@@ -516,12 +516,10 @@ def run_mission(cfg: ScenarioConfig,
     trajectory: list[tuple] = []
     engaged: list[bool] = []
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
-    entered_fp = False
     lanes = _FRESH_LANES
     scan_step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (scan_n_bins - 1)
     true_pos, true_att = home, true_state().attitude
     steps = 0
-    min_clear = math.inf   # until a step is taken among obstacles
 
     def shift(to: MissionPhase, t: float) -> None:
         nonlocal phase, phase_name
@@ -599,13 +597,14 @@ def run_mission(cfg: ScenarioConfig,
                 position=true_pos)
 
         solids = _in_reach(scene, fp, *true_pos, d_engage)
-        if solids and not _hidden(insets, solids, est_pos, est_yaw, true_pos,
-                                  yaw_of(true_att), d_engage):
-            hits = _scan_hits(solids, true_pos[0], true_pos[1], true_att,
-                              SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, scan_n_bins,
-                              d_engage)
-        else:
-            hits = []
+        hits = []
+        if solids:
+            true_yaw = yaw_of(true_att)
+            if not _hidden(insets, solids, est_pos, est_yaw, true_pos,
+                           true_yaw, d_engage):
+                hits = _scan_hits(solids, true_pos[0], true_pos[1], true_yaw,
+                                  SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, scan_n_bins,
+                                  d_engage)
         if hits:
             sectors = _sectors(hits, SCAN_ANGLE_MIN, scan_step, mask,
                                est_pos[0], est_pos[1], est_yaw, d_engage)
@@ -620,21 +619,23 @@ def run_mission(cfg: ScenarioConfig,
             v_body, yaw_rate = cmd, 0.0
             engaged.append(True)
 
-        for o in scene.obstacles:
-            min_clear = min(min_clear, _cylinder_clearance(o, true_pos))
-        if not entered_fp and true_pos[2] <= scene.building.height \
-                and fp.contains(true_pos[0], true_pos[1]):
-            entered_fp = True
-
         true_pos, true_att = fly(v_body, yaw_rate)
         steps += 1
 
+    # the true poses flown from: every row's but the last, Done, which
+    # stops the loop before a fly step
+    flown = trajectory[:-1]
+    min_clear = min((_cylinder_clearance(o, row[1], row[2], row[3])
+                     for row in flown for o in scene.obstacles), default=None)
+    height = scene.building.height
+    entered_fp = any(row[3] <= height and fp.contains(row[1], row[2])
+                     for row in flown)
     report = MissionReport(
         faults=tuple(FaultEntry(i, p, y)
                      for i, (p, y) in enumerate(fault_poses)),
         inspection_duration=inspection_duration,
         detection_durations=tuple(detection_durations),
-        min_obstacle_clearance=min_clear if min_clear < math.inf else None,
+        min_obstacle_clearance=min_clear,
     )
     return MissionResult(report=report, captures=tuple(captures),
                          trajectory=trajectory, transitions=transitions,

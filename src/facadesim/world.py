@@ -174,10 +174,6 @@ class LaserScan:
         if len(self.ranges) != self.n_bins:
             raise ValueError("ranges length must equal n_bins")
 
-    def angle_of(self, i: int) -> float:
-        step = (self.angle_max - self.angle_min) / (self.n_bins - 1)
-        return self.angle_min + i * step
-
 
 @functools.cache
 def _bin_trig(angle_min: float, angle_max: float, n_bins: int):
@@ -253,8 +249,8 @@ def _in_reach(scene: Scene, footprint: Rect, x: float, y: float, z: float,
     return solids
 
 
-def _scan_hits(solids: list, x: float, y: float, attitude, angle_min: float,
-               angle_max: float, n_bins: int,
+def _scan_hits(solids: list, x: float, y: float, yaw: float,
+               angle_min: float, angle_max: float, n_bins: int,
                reach: float) -> list[tuple[int, float]]:
     """(bin, range) of the bins that `simulate_scan` ray-casts and that hit,
     each range floored at 1e-6 m.
@@ -267,7 +263,6 @@ def _scan_hits(solids: list, x: float, y: float, attitude, angle_min: float,
     cull = reach + _REACH_MARGIN
     cos_b, sin_b = _bin_trig(angle_min, angle_max, n_bins)
     # bins rotate with yaw only; scan plane stays horizontal under tilt
-    yaw = yaw_of(attitude)
     cy, sy = math.cos(yaw), math.sin(yaw)
     step = (angle_max - angle_min) / (n_bins - 1)
     best: dict[int, float] = {}
@@ -335,8 +330,8 @@ def simulate_scan(scene: Scene, pose: TrueState,
     x, y, z = pose.position
     ranges = [range_max] * n_bins
     solids = _in_reach(scene, scene.building.footprint(), x, y, z, reach)
-    for i, r in _scan_hits(solids, x, y, pose.attitude, angle_min, angle_max,
-                           n_bins, reach):
+    for i, r in _scan_hits(solids, x, y, yaw_of(pose.attitude), angle_min,
+                           angle_max, n_bins, reach):
         ranges[i] = max(min(r, range_max), 1e-6)
     return LaserScan(angle_min, angle_max, n_bins, range_max, tuple(ranges))
 

@@ -6,7 +6,6 @@ import pytest
 
 from facadesim.attitude import AttitudeEstimate
 from facadesim.control import (
-    _CLEAR_SECTORS,
     _FRESH_LANES,
     _FRESH_PID,
     ObstacleSectors,
@@ -218,10 +217,10 @@ def test_building_returns_masked_out():
 ])
 def test_sectors_with_no_active_return_are_the_clear_instance(hits, mask):
     """The mission skips `_sectors` on a step whose cast hit nothing, which
-    is exact only if these inputs all give `_CLEAR_SECTORS`."""
+    is exact only if these inputs all give clear sectors."""
     s = _sectors(hits, -0.75 * math.pi, 0.1875 * math.pi, mask, 0.0, 0.0,
                  0.0, 3.0)
-    assert s is _CLEAR_SECTORS
+    assert s == ObstacleSectors()
 
 
 # -- avoidance ------------------------------------------------------------------
@@ -243,11 +242,10 @@ def test_avoidance_idle_when_clear():
     for lanes in (_FRESH_LANES,
                   ((0.02, 0.5, True), _FRESH_PID, (-0.01, 2.0, True)),
                   ((1.0, 1.0, True),) * 3):
-        for sectors in (ObstacleSectors(), _CLEAR_SECTORS):
-            cmd, next_lanes = avoidance_command(sectors, PidGains(), lanes,
-                                                DT)
-            assert cmd is None
-            assert next_lanes == _FRESH_LANES
+        cmd, next_lanes = avoidance_command(ObstacleSectors(), PidGains(),
+                                            lanes, DT)
+        assert cmd is None
+        assert next_lanes == _FRESH_LANES
 
 
 def test_avoidance_direction_table():

@@ -1,12 +1,14 @@
-"""Every top-level definition in `src/facadesim/` has a user, and every
-function parameter there is read.
+"""Every top-level definition and every method in `src/facadesim/` has a
+user, and every function parameter there is read.
 
 A function, class or module-level name must be used somewhere in `src/`
 (its own module included), be exported in `facadesim.__all__`, or be a name
-that perfbench's traced runs wrap.  Anything else is code that only tests
-reach, or none.  perfbench is imported read-only, as in
-`test_bench_hooks.py`.  A parameter that its function never reads is an
-input that cannot change what the function does.
+that perfbench's traced runs wrap.  A method or property of a class must be
+read somewhere in `src/` or in `perfbench/*.py`.  Anything else is code that
+only tests reach, or none.  perfbench is imported read-only, as in
+`test_bench_hooks.py`, and its sources are parsed, not run.  A parameter
+that its function never reads is an input that cannot change what the
+function does.
 """
 
 import ast
@@ -59,6 +61,20 @@ def test_every_src_definition_is_used_exported_or_traced():
               for name in _top_level_names(tree)
               if name not in kept and not name.startswith("__")]
     assert not unused, f"defined in src/facadesim but never used: {unused}"
+
+
+def test_every_src_method_is_read():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(_SRC.glob("*.py"))}
+    bench = [ast.parse(path.read_text())
+             for path in sorted(Path(_PERFBENCH).glob("*.py"))]
+    used = set().union(*map(_used_names, [*trees.values(), *bench]))
+    unread = [f"{module}.{cls.name}.{node.name}"
+              for module, tree in trees.items() for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for node in cls.body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("__") and node.name not in used]
+    assert not unread, f"methods never read in src or perfbench: {unread}"
 
 
 def _unread_parameters(tree: ast.Module, module: str):

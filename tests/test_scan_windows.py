@@ -208,7 +208,7 @@ def test_sparse_sectors_match_public_api(name, x, y, z, yaw, d_engage, ex,
     est = (x + ex, y + ey)
     solids = world._in_reach(scene, scene.building.footprint(), x, y, z,
                              d_engage)
-    hits = _scan_hits(solids, x, y, state.attitude, SCAN_ANGLE_MIN,
+    hits = _scan_hits(solids, x, y, yaw_of(state.attitude), SCAN_ANGLE_MIN,
                       SCAN_ANGLE_MAX, SCAN_N_BINS, d_engage)
     step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (SCAN_N_BINS - 1)
     sparse = _sectors(hits, SCAN_ANGLE_MIN, step, mask, est[0], est[1],
@@ -258,7 +258,7 @@ def mission_hits(scene, insets, state, est, est_yaw, reach, d_engage):
     if not solids or _hidden(insets, solids, est, est_yaw, (x, y),
                              yaw_of(state.attitude), d_engage):
         return []
-    return _scan_hits(solids, x, y, state.attitude, SCAN_ANGLE_MIN,
+    return _scan_hits(solids, x, y, yaw_of(state.attitude), SCAN_ANGLE_MIN,
                       SCAN_ANGLE_MAX, SCAN_N_BINS, reach)
 
 
@@ -279,7 +279,7 @@ def test_nothing_in_reach_casts_nothing(name, x, y, z, yaw, reach):
     solids = world._in_reach(scene, fp, x, y, z, reach)
     assert solids == _in_reach(scene, fp, x, y, z, reach)
     if not solids:
-        assert _scan_hits(solids, x, y, pose(x, y, z, yaw).attitude,
+        assert _scan_hits(solids, x, y, yaw_of(pose(x, y, z, yaw).attitude),
                           SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS,
                           reach) == []
 
@@ -302,8 +302,9 @@ def test_hidden_solids_cast_all_or_none(name, x, y, z, yaw, reach, picks):
     # an exact estimate: a 1e-3 m slack, under each hidden solid's 1 m inset
     got = mission_hits(scene, dict.fromkeys(hidden, 1.0), state, (x, y),
                        yaw_of(state.attitude), reach, 3.0)
-    args = (world._in_reach(scene, fp, x, y, z, reach), x, y, state.attitude,
-            SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS, reach)
+    args = (world._in_reach(scene, fp, x, y, z, reach), x, y,
+            yaw_of(state.attitude), SCAN_ANGLE_MIN, SCAN_ANGLE_MAX,
+            SCAN_N_BINS, reach)
     if all(s in hidden for s in _in_reach(scene, fp, x, y, z, reach)):
         assert got == []
     else:
@@ -322,9 +323,8 @@ def test_occluders_leave_a_visible_solid_cast():
     assert _in_reach(scene, fp, x, y, z, d_engage) == [fp, *scene.obstacles]
     assert not _hidden(insets, [fp, *scene.obstacles], (x, y), yaw, (x, y),
                        yaw, d_engage)
-    args = (world._in_reach(scene, fp, x, y, z, d_engage), x, y,
-            state.attitude, SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS,
-            d_engage)
+    args = (world._in_reach(scene, fp, x, y, z, d_engage), x, y, yaw,
+            SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS, d_engage)
     full = sorted(_scan_hits(*args))
     assert len(full) == 57
     assert sorted(mission_hits(scene, insets, state, (x, y), yaw, d_engage,

@@ -134,10 +134,6 @@ def test_laser_scan_validation():
         LaserScan(-1.0, 1.0, 1, 10.0, (1.0,))
     with pytest.raises(ValueError):
         LaserScan(-1.0, 1.0, 0, 10.0, ())
-    s = LaserScan(-1.0, 1.0, 3, 10.0, (1.0, 2.0, 3.0))
-    assert s.angle_of(0) == -1.0
-    assert s.angle_of(2) == 1.0
-    assert s.angle_of(1) == pytest.approx(0.0)
 
 
 # -- scan ---------------------------------------------------------------------
