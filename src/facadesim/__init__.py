@@ -8,12 +8,7 @@ cadence, and revisits every crack-labeled capture pose.
 """
 
 from .config import MissionParams, ScenarioConfig, config_to_dict, load_config
-from .errors import (
-    GravityUnobservable,
-    InvalidScenario,
-    MagneticDegeneracy,
-    MissionAborted,
-)
+from .errors import InvalidScenario, MissionAborted
 from .mission import (
     MissionPhase,
     MissionReport,
@@ -28,9 +23,7 @@ __all__ = [
     "BuildingSpec",
     "CameraModel",
     "FaultDecal",
-    "GravityUnobservable",
     "InvalidScenario",
-    "MagneticDegeneracy",
     "MissionAborted",
     "MissionParams",
     "MissionPhase",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GravityUnobservable, MagneticDegeneracy
 from .geometry import Quat, Vec3, euler_from_quat, quat_from_euler, wrap_angle
 from .sensors import ImuSample
 from .vehicle import GRAVITY
@@ -42,19 +41,20 @@ class AttitudeEstimate:
                                 0.0)
 
 
-def accel_roll_pitch(accel: Vec3) -> tuple[float, float]:
-    """Tilt from specific force; valid only when gravity dominates."""
+def accel_roll_pitch(accel: Vec3) -> tuple[float, float] | None:
+    """Tilt from specific force; None near free fall, where the specific
+    force is too small to indicate the vertical."""
     ax, ay, az = accel
     if math.sqrt(ax * ax + ay * ay + az * az) <= 0.1 * GRAVITY:
-        raise GravityUnobservable(
-            "specific force too small to indicate the vertical")
+        return None
     roll = math.atan2(ay, az)
     pitch = math.atan2(-ax, math.sqrt(ay * ay + az * az))
     return roll, pitch
 
 
-def mag_yaw(mag: Vec3, roll: float, pitch: float) -> float:
-    """Heading from the field direction after undoing roll and pitch."""
+def mag_yaw(mag: Vec3, roll: float, pitch: float) -> float | None:
+    """Heading from the field direction after undoing roll and pitch; None
+    when the field has no horizontal component."""
     mx, my, mz = mag
     sr, cr = math.sin(roll), math.cos(roll)
     sp, cp = math.sin(pitch), math.cos(pitch)
@@ -62,7 +62,7 @@ def mag_yaw(mag: Vec3, roll: float, pitch: float) -> float:
     hx = cp * mx + sp * sr * my + sp * cr * mz
     hy = cr * my - sr * mz
     if math.sqrt(hx * hx + hy * hy) < 1e-6:
-        raise MagneticDegeneracy("field has no horizontal component here")
+        return None
     return math.atan2(-hy, hx)
 
 
@@ -87,19 +87,15 @@ def complementary_step(prev: AttitudeEstimate, imu: ImuSample,
     g_pitch = pitch + dpitch * dt
     g_yaw = wrap_angle(yaw + dyaw * dt)
 
-    alpha_rp = alpha
-    try:
-        m_roll, m_pitch = accel_roll_pitch(imu.accel)
-    except GravityUnobservable:
-        m_roll, m_pitch = g_roll, g_pitch
-        alpha_rp = 1.0
-
-    alpha_y = alpha
-    try:
-        m_yaw = mag_yaw(imu.mag, m_roll, m_pitch)
-    except MagneticDegeneracy:
-        m_yaw = g_yaw
-        alpha_y = 1.0
+    alpha_rp = alpha_y = alpha
+    tilt = accel_roll_pitch(imu.accel)
+    if tilt is None:   # gravity unobservable: roll and pitch follow the gyro
+        m_roll, m_pitch, alpha_rp = g_roll, g_pitch, 1.0
+    else:
+        m_roll, m_pitch = tilt
+    m_yaw = mag_yaw(imu.mag, m_roll, m_pitch)
+    if m_yaw is None:   # magnetic degeneracy: yaw follows the gyro
+        m_yaw, alpha_y = g_yaw, 1.0
 
     # blend: gyro angle plus (1 - alpha) of the wrapped measurement residual
     roll = wrap_angle(g_roll + (1.0 - alpha_rp) * wrap_angle(m_roll - g_roll))

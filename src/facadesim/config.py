@@ -39,6 +39,9 @@ from .world import (
 
 MAX_PLAN_WAYPOINTS = 100_000   # the shipped plans have at most 81
 MAX_SCAN_BINS = 100_000        # the shipped configs scan 271
+# [rad] bound on the gyro's turn in one step; the shipped configs turn at
+# most 1.2e-8 rad, and past about 1.3e154 rad its square overflows
+MAX_GYRO_TURN = 1e6
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,13 @@ class ScenarioConfig:
                 raise ValueError(
                     f"scan_n_bins must be at most {MAX_SCAN_BINS}")
             self.kalman()
+            turn = (max(map(abs, self.sensors.gyro_bias))
+                    + self.sensors.gyro_noise_std) * self.mission.dt
+            if turn > MAX_GYRO_TURN:
+                raise ValueError(
+                    f"sensors.gyro_bias, sensors.gyro_noise_std and "
+                    f"mission.dt give a gyro turn of about {turn:.3g} rad "
+                    f"per step, more than {MAX_GYRO_TURN:g}")
         except ValueError as e:   # unprefixed: the key is in the message
             raise InvalidScenario(str(e)) from e
 

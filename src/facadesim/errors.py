@@ -17,11 +17,3 @@ class MissionAborted(RuntimeError):
         self.phase = phase
         self.waypoint_index = waypoint_index
         self.position = position
-
-
-class GravityUnobservable(ValueError):
-    """Accelerometer magnitude too close to free fall to define roll/pitch."""
-
-
-class MagneticDegeneracy(ValueError):
-    """Tilt-compensated field has no horizontal component; yaw undefined."""

@@ -26,12 +26,7 @@ from .control import (
 from .errors import MissionAborted
 from .estimation import KalmanConfig, _filter_start
 from .geometry import TWO_PI, Quat, Vec3, v_dist, wrap_angle, yaw_of
-from .perception import (
-    CaptureRecord,
-    Classifier,
-    capture_tick,
-    filter_fault_coordinates,
-)
+from .perception import CaptureRecord, Classifier, filter_fault_coordinates
 from .planner import (
     Waypoint,
     avoidance_polygon,
@@ -66,12 +61,13 @@ class MissionPhase(Enum):
     DONE = "Done"
 
 
-# The loop reads these names: an enum attribute read costs ten times more.
-_INSPECTING = MissionPhase.INSPECTING
-_RETURNING_HOME = MissionPhase.RETURNING_HOME
-_DETECTING = MissionPhase.DETECTING
-_HOLDING = MissionPhase.HOLDING
-_DONE = MissionPhase.DONE
+# The phase names the loop holds, compares with `is` and logs: an enum
+# attribute read costs ten times more.
+_INSPECTING = MissionPhase.INSPECTING.value
+_RETURNING_HOME = MissionPhase.RETURNING_HOME.value
+_DETECTING = MissionPhase.DETECTING.value
+_HOLDING = MissionPhase.HOLDING.value
+_DONE = MissionPhase.DONE.value
 
 
 @dataclass(frozen=True)
@@ -339,8 +335,6 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
         uy = dqw * ry - dqx * rz + dqy * rw + dqz * rx
         uz = dqw * rz + dqx * ry - dqy * rx + dqz * rw
         norm = sqrt(uw * uw + ux * ux + uy * uy + uz * uz)
-        if norm == 0.0:
-            raise ValueError("cannot normalize zero quaternion")
         dqw, dqx, dqy, dqz = uw / norm, ux / norm, uy / norm, uz / norm
         tx = 2.0 * (dqy * a1z - dqz * a1y)
         ty = 2.0 * (dqz * a1x - dqx * a1z)
@@ -366,9 +360,10 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
         sx, sy, sz = wp.position
         dx, dy, dz = sx - kpx, sy - kpy, sz - kpz
         dist = sqrt(dx * dx + dy * dy + dz * dz)
+        # dist >= 0 and dt > 0, so only the upper clamp can bind; it maps a
+        # NaN integral to I_MAX
         integral = integral + dist * dt
         integral = integral if integral < I_MAX else I_MAX
-        integral = integral if integral > -I_MAX else -I_MAX
         prev = dist if not initialized else prev_error
         speed = kp * dist + ki * integral + kd * ((dist - prev) / dt)
         prev_error, initialized = dist, True
@@ -400,10 +395,10 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     def fly(v_body: Vec3, yaw_rate: float) -> tuple[Vec3, Quat]:
         nonlocal px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz
         nonlocal ax, ay, az, t_true
-        # step_dynamics: clamp the command
+        # step_dynamics: clamp the command; v_max > 0, so speed > 0 here
         bx, by, bz = v_body
         speed = sqrt(bx * bx + by * by + bz * bz)
-        if speed > v_max and speed > 0.0:
+        if speed > v_max:
             k = v_max / speed
             bx, by, bz = bx * k, by * k, bz * k
         yaw_rate = yaw_rate if yaw_rate < yaw_rate_max else yaw_rate_max
@@ -457,8 +452,6 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
         qy = cy * sp * cr + sy * cp * sr
         qz = sy * cp * cr - cy * sp * sr
         norm = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-        if norm == 0.0:
-            raise ValueError("cannot normalize zero quaternion")
         qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
         # body rates from Euler-angle rates at the step-start angles
         droll = remainder(roll1 - roll0, TWO_PI)
@@ -500,12 +493,12 @@ def run_mission(cfg: ScenarioConfig,
         gains, cfg.vehicle, mp.kp_yaw)
     classifier = Classifier(cfg.classifier, cfg.seed)
 
-    phase, phase_name = _INSPECTING, _INSPECTING.value
-    transitions = [(0.0, MissionPhase.IDLE.value, phase_name)]
+    phase = _INSPECTING
+    transitions = [(0.0, MissionPhase.IDLE.value, phase)]
     wps = generate_perimeter_path(cfg.building, cfg.plan, home)
     idx = 0
     last_advance = 0.0
-    last_capture = -capture_interval_s
+    last_capture = -capture_interval_s   # a capture is due on the first step
     captures: list[CaptureRecord] = []
     fault_poses: list[tuple[Vec3, float]] = []
     detect_i = 0
@@ -521,10 +514,10 @@ def run_mission(cfg: ScenarioConfig,
     true_pos, true_att = home, true_state().attitude
     steps = 0
 
-    def shift(to: MissionPhase, t: float) -> None:
-        nonlocal phase, phase_name
-        transitions.append((t, phase_name, to.value))
-        phase, phase_name = to, to.value
+    def shift(to: str, t: float) -> None:
+        nonlocal phase
+        transitions.append((t, phase, to))
+        phase = to
 
     def next_leg(t: float, start: Vec3) -> None:
         """Fly to fault detect_i's capture pose, or home after the last."""
@@ -541,15 +534,15 @@ def run_mission(cfg: ScenarioConfig,
         t = steps * dt
         est_pos, dr_pos, est_quat, est_yaw = sense()
 
-        if phase is _INSPECTING or phase is _RETURNING_HOME:
-            if capture_tick(t, last_capture, capture_interval_s):
-                last_capture = t
-                seen = tuple(visible_decals(scene, true_state(), camera))
-                label = classifier.label(seen)
-                captures.append(CaptureRecord(
-                    image_id=f"img_{len(captures):06d}", time=t,
-                    est_position=est_pos, est_quat=est_quat,
-                    visible_decals=seen, label=label))
+        if ((phase is _INSPECTING or phase is _RETURNING_HOME)
+                and t - last_capture >= capture_interval_s - 1e-9):
+            last_capture = t
+            seen = tuple(visible_decals(scene, true_state(), camera))
+            label = classifier.label(seen)
+            captures.append(CaptureRecord(
+                image_id=f"img_{len(captures):06d}", time=t,
+                est_position=est_pos, est_quat=est_quat,
+                visible_decals=seen, label=label))
 
         # phase machine; a single step may retire several coincident waypoints
         while phase is not _DONE:
@@ -584,7 +577,7 @@ def run_mission(cfg: ScenarioConfig,
                 else:
                     shift(_DONE, t)
 
-        trajectory.append((t, *true_pos, *est_pos, *dr_pos, phase_name))
+        trajectory.append((t, *true_pos, *est_pos, *dr_pos, phase))
         if phase is _DONE:
             break
 
@@ -592,8 +585,8 @@ def run_mission(cfg: ScenarioConfig,
         if phase is not _HOLDING and t - last_advance > watchdog_s:
             raise MissionAborted(
                 f"waypoint {idx} not reached within {watchdog_s:.0f} s "
-                f"(phase {phase_name}, t={t:.2f} s)",
-                time=t, phase=phase_name, waypoint_index=idx,
+                f"(phase {phase}, t={t:.2f} s)",
+                time=t, phase=phase, waypoint_index=idx,
                 position=true_pos)
 
         solids = _in_reach(scene, fp, *true_pos, d_engage)

@@ -1,4 +1,4 @@
-"""Timed capture events, crack labeling, and fault-coordinate filtering.
+"""Capture records, crack labeling, and fault-coordinate filtering.
 
 No pixels exist: an "image" is a geometric visibility event carrying the
 drone's estimated pose.  The classifier labels a capture crack when a fault
@@ -41,14 +41,6 @@ class ClassifierSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError("accuracy must be in [0, 1]")
-
-
-def capture_tick(clock: float, last_capture: float,
-                 interval: float = CAPTURE_INTERVAL_S) -> bool:
-    """True when a capture is due.  Seed last_capture = -interval for t=0."""
-    if interval <= 0.0:
-        raise ValueError("interval must be positive")
-    return clock - last_capture >= interval - 1e-9
 
 
 class Classifier:

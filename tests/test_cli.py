@@ -380,6 +380,24 @@ def test_impossible_vehicle_value_exits_2(config_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", [
+    "sensors.gyro_noise_std=1.0e+200", "sensors.gyro_bias=[0,0,1.0e+300]",
+    "mission.dt=1.0e+300"])
+def test_gyro_turn_that_overflows_exits_2(config_dir, tmp_path, capsys,
+                                          override):
+    """Unchecked, a gyro turn per step past about 1.3e154 rad squares to
+    inf, and the dead reckoner's sin(inf) ends in a ValueError traceback."""
+    out = tmp_path / "never"
+    rc = main(["mission", "--config", str(config_dir / "default.yaml"),
+               "--out", str(out), "--set", override])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ")
+    for key in ("sensors.gyro_bias", "sensors.gyro_noise_std", "mission.dt"):
+        assert key in line
+    assert not out.exists()
+
+
 def test_missing_config_exits_4(tmp_path, capsys):
     rc = main(["mission", "--config", str(tmp_path / "ghost.yaml"),
                "--out", str(tmp_path / "never")])

@@ -23,7 +23,7 @@ from facadesim.control import avoidance_command, track_waypoint
 from facadesim.errors import InvalidScenario
 from facadesim.estimation import KalmanConfig
 from facadesim.mission import run_hover
-from facadesim.perception import capture_tick, filter_fault_coordinates
+from facadesim.perception import CAPTURE_INTERVAL_S, filter_fault_coordinates
 from facadesim.planner import generate_perimeter_path
 from facadesim.sensors import SensorParams
 from facadesim.vehicle import VehicleParams
@@ -415,7 +415,7 @@ def test_each_shared_default_has_one_source():
     assert _default(track_waypoint, "yaw_rate_max") == vehicle.yaw_rate_max
     assert _default(track_waypoint, "kp_yaw") == mission.kp_yaw
     assert _default(avoidance_command, "v_max") == vehicle.v_max
-    assert _default(capture_tick, "interval") == mission.capture_interval_s
+    assert CAPTURE_INTERVAL_S == mission.capture_interval_s
     assert (_default(filter_fault_coordinates, "merge_radius")
             == mission.merge_radius)
     assert _default(run_hover, "alpha") == cfg.alpha

@@ -1,5 +1,6 @@
 """Every top-level definition and every method in `src/facadesim/` has a
-user, and every function parameter there is read.
+user, every function parameter there is read, and no fallback is written
+as an exception that its own code catches.
 
 A function, class or module-level name must be used somewhere in `src/`
 (its own module included), be exported in `facadesim.__all__`, or be a name
@@ -97,3 +98,29 @@ def test_every_src_function_reads_its_parameters():
               for name in _unread_parameters(ast.parse(path.read_text()),
                                              path.stem)]
     assert not unread, f"parameters never read in their body: {unread}"
+
+
+def _caught_errors(handler: ast.ExceptHandler, errors: set) -> set:
+    """The `facadesim.errors` classes that an `except` clause names."""
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [
+        handler.type]
+    return {n.attr if isinstance(n, ast.Attribute) else n.id for n in names
+            if isinstance(n, (ast.Name, ast.Attribute))} & errors
+
+
+def test_errors_are_caught_only_by_the_cli_or_to_reraise():
+    """An exception from `facadesim.errors` is for a caller: inside `src/`
+    only `cli.py` catches one, to map it to an exit code, and any other
+    handler that names one holds a bare `raise`.  A fallback that its own
+    module catches is a branch written as an exception."""
+    errors = {node.name for node in ast.parse(
+        (_SRC / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)}
+    bad = [f"{path.stem}:{node.lineno}"
+           for path in sorted(_SRC.glob("*.py")) if path.stem != "cli"
+           for node in ast.walk(ast.parse(path.read_text()))
+           if isinstance(node, ast.ExceptHandler)
+           and _caught_errors(node, errors)
+           and not (len(node.body) == 1 and isinstance(node.body[0], ast.Raise)
+                    and node.body[0].exc is None)]
+    assert not bad, f"handlers that catch a facadesim error: {bad}"

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facadesim.config import apply_overrides, config_from_dict, load_raw
 from facadesim.geometry import quat_from_euler, v_dist
+from facadesim.mission import run_mission
 from facadesim.perception import (
     LABEL_CRACK,
     LABEL_NOT_CRACK,
     CaptureRecord,
     Classifier,
     ClassifierSpec,
-    capture_tick,
     filter_fault_coordinates,
 )
 
@@ -27,15 +28,40 @@ def record(i, pos, label, yaw=0.0):
 
 # -- cadence --------------------------------------------------------------------
 
-def test_capture_tick_period():
-    assert capture_tick(0.0, -10.0)
-    assert capture_tick(10.0, 0.0)
-    assert not capture_tick(9.99, 0.0)
-    # a half-ulp early clock still fires
-    assert capture_tick(9.9999999999, 0.0)
-    assert capture_tick(7.0, 2.0, interval=5.0)
-    with pytest.raises(ValueError):
-        capture_tick(1.0, 0.0, interval=0.0)
+def _due_steps(trajectory, interval):
+    """Times of the steps on which a capture is due: the step started in an
+    inspection phase (the previous row's, or Inspecting at t = 0) and at
+    least the interval, less 1e-9 s, has passed since the last capture."""
+    due, last, phase = [], -interval, "Inspecting"
+    for row in trajectory:
+        t = row[0]
+        if (phase in ("Inspecting", "ReturningHome")
+                and t - last >= interval - 1e-9):
+            due.append(t)
+            last = t
+        phase = row[-1]
+    return due
+
+
+def test_captures_fall_on_the_due_steps(default_run, obstacle_run):
+    for cfg, result in (default_run, obstacle_run):
+        times = [rec.time for rec in result.captures]
+        assert times
+        assert _due_steps(result.trajectory,
+                          cfg.mission.capture_interval_s) == times
+
+
+def test_a_capture_falls_every_interval_of_steps(config_dir):
+    """The rule's 1e-9 s of slack absorbs the rounding of t = steps * dt:
+    at a 0.1 s interval and dt 0.01, t - last reads 0.09999999999999998 at
+    step 30, and that step still captures."""
+    cfg = config_from_dict(apply_overrides(
+        load_raw(config_dir / "default.yaml"),
+        ["mission.capture_interval_s=0.1"]))
+    result = run_mission(cfg, inspection_only=True)
+    steps = [round(rec.time / cfg.mission.dt) for rec in result.captures]
+    assert len(steps) > 3
+    assert steps == list(range(0, 10 * len(steps), 10))
 
 
 def test_capture_record_label_validated():
