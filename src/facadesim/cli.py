@@ -14,6 +14,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     ScenarioConfig,
     _build,
@@ -139,30 +141,27 @@ def cmd_mission(args) -> int:
     return EXIT_OK
 
 
-def _read_trajectory(path: Path) -> list[list[float]]:
-    """Rows of `_TRAJ_FLOATS` values, each float parsed once."""
+def _read_trajectory(path: Path) -> np.ndarray | None:
+    """`_TRAJ_FLOATS` by header name as a (rows, 10) array; None if no rows."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
-            return []
+            return None
         cols = [header.index(name) for name in _TRAJ_FLOATS]
-        return [[float(rec[c]) for c in cols] for rec in reader if rec]
+        if not any(line.strip("\r\n") for line in fh):  # loadtxt would warn
+            return None
+    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=cols,
+                      ndmin=2, comments=None, quotechar='"')
 
 
-def _error_stats(rows, first: int) -> tuple[float, float]:
-    """Max and rms distance of columns first..first+2 from true_x..true_z."""
-    worst = 0.0
-    acc = 0.0
-    for rec in rows:
-        dx = rec[first] - rec[1]
-        dy = rec[first + 1] - rec[2]
-        dz = rec[first + 2] - rec[3]
-        e2 = dx * dx + dy * dy + dz * dz
-        acc += e2
-        worst = max(worst, e2)
-    n = max(1, len(rows))
-    return math.sqrt(worst), math.sqrt(acc / n)
+def _error_stats(traj, first: int) -> tuple[float, float]:
+    """Max and rms distance of columns first..first+2 from true_x..true_z,
+    as a float loop gives them: the max skips NaN, the sum adds in order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = traj[:, first:first + 3] - traj[:, 1:4]
+        e2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+        mean = np.add.accumulate(e2)[-1] / len(e2)
+    return math.sqrt(np.fmax.reduce(e2, initial=0.0)), math.sqrt(mean)
 
 
 def _read_captures(path: Path) -> tuple[int, int]:
@@ -198,13 +197,13 @@ def cmd_report(args) -> int:
         except (ValueError, IndexError, KeyError) as e:
             print(f"malformed run file {path}: {e!r}", file=sys.stderr)
             return EXIT_IO
-    rows, captures, rep = parsed
-    if not rows:
+    traj, captures, rep = parsed
+    if traj is None:
         print(f"no run found in {out}", file=sys.stderr)
         return EXIT_IO
-    kf_max, kf_rms = _error_stats(rows, _TRAJ_FLOATS.index("est_x"))
-    dr_max, dr_rms = _error_stats(rows, _TRAJ_FLOATS.index("dr_x"))
-    print(f"steps: {len(rows)}  duration: {rows[-1][0]:.2f} s")
+    kf_max, kf_rms = _error_stats(traj, _TRAJ_FLOATS.index("est_x"))
+    dr_max, dr_rms = _error_stats(traj, _TRAJ_FLOATS.index("dr_x"))
+    print(f"steps: {len(traj)}  duration: {traj[-1, 0]:.2f} s")
     print(f"kalman error: max {_fmt(kf_max)} m, rms {_fmt(kf_rms)} m")
     print(f"dead-reckoning error: max {_fmt(dr_max)} m, rms {_fmt(dr_rms)} m")
     if kf_max > 1e-12:

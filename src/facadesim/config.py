@@ -42,6 +42,10 @@ MAX_SCAN_BINS = 100_000        # the shipped configs scan 271
 # [rad] bound on the gyro's turn in one step; the shipped configs turn at
 # most 1.2e-8 rad, and past about 1.3e154 rad its square overflows
 MAX_GYRO_TURN = 1e6
+# bound on the steps of one leg or hold; the shipped configs allow at most
+# 12,000 (the watchdog) and 500 (a hold), and a tiny dt or a huge hold
+# would otherwise run for hours while the trajectory log grows
+MAX_LEG_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -123,6 +127,13 @@ class ScenarioConfig:
                     f"sensors.gyro_bias, sensors.gyro_noise_std and "
                     f"mission.dt give a gyro turn of about {turn:.3g} rad "
                     f"per step, more than {MAX_GYRO_TURN:g}")
+            m = self.mission
+            leg = max(m.watchdog_s, m.hold_s) / m.dt
+            if leg > MAX_LEG_STEPS:
+                raise ValueError(
+                    f"mission.watchdog_s {m.watchdog_s}, mission.hold_s "
+                    f"{m.hold_s} and mission.dt {m.dt} give a leg or hold "
+                    f"of about {leg:.3g} steps, more than {MAX_LEG_STEPS:,}")
         except ValueError as e:   # unprefixed: the key is in the message
             raise InvalidScenario(str(e)) from e
 

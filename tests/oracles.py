@@ -79,3 +79,19 @@ def segment_hits_circle(ax: float, ay: float, bx: float, by: float,
     t = 0.0 if vv == 0.0 else max(0.0, min(1.0, (wx * vx + wy * vy) / vv))
     ex, ey = ax + t * vx - cx, ay + t * vy - cy
     return ex * ex + ey * ey <= r * r
+
+
+def error_stats(rows, first: int):
+    """Max and rms distance of columns first..first+2 from columns 1..3 as a
+    running float loop gives them: a NaN row never beats the max, and the
+    squares add in row order."""
+    worst = acc = 0.0
+    for rec in rows:
+        dx = rec[first] - rec[1]
+        dy = rec[first + 1] - rec[2]
+        dz = rec[first + 2] - rec[3]
+        e2 = dx * dx + dy * dy + dz * dz
+        acc += e2
+        if e2 > worst:
+            worst = e2
+    return math.sqrt(worst), math.sqrt(acc / len(rows))

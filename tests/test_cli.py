@@ -4,16 +4,20 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
-from facadesim.cli import main
+from facadesim.cli import _error_stats, main, write_trajectory_csv
 from facadesim.config import MissionParams, ScenarioConfig, config_to_dict
 from facadesim.control import PidGains
 from facadesim.planner import PlanParams
 from facadesim.sensors import SensorParams
 from facadesim.vehicle import VehicleParams
 from facadesim.world import BuildingSpec, FaultDecal
+from oracles import error_stats
 
 PLAN_HEADER = ["layer", "x_m", "y_m", "z_m", "yaw_rad"]
 TRAJ_HEADER = ["t_s", "true_x", "true_y", "true_z", "est_x", "est_y",
@@ -216,6 +220,60 @@ def test_report_perfect_estimate_prints_na(tmp_path, capsys):
     assert "n/a (errors below 1e-12)" in capsys.readouterr().out
 
 
+def _traj(est):
+    """Trajectory rows at true position 0 with the given est_x..est_z; the
+    dead-reckoning columns hold the same values."""
+    return np.array([[0.01 * i, 0, 0, 0, *e, *e] for i, e in enumerate(est)],
+                    dtype=float)
+
+
+def test_error_stats_sum_squares_in_row_order():
+    """1e16 + 1 rounds back to 1e16, so fifteen rows of e2 = 1 after one of
+    e2 = 1e16 add nothing in row order, but do when summed pairwise."""
+    traj = _traj([(1e8, 0, 0)] + [(1, 0, 0)] * 15)
+    assert float(np.sum([1e16] + [1.0] * 15)) != 1e16
+    assert _error_stats(traj, 4) == (1e8, math.sqrt(1e16 / 16))
+
+
+def test_error_stats_nan_row():
+    """A NaN row leaves the max at the finite rows' value; the rms is NaN."""
+    kf_max, kf_rms = _error_stats(_traj([(3, 4, 0), (math.nan, 0, 0)]), 4)
+    assert kf_max == 5.0
+    assert math.isnan(kf_rms)
+
+
+@given(st.lists(st.lists(st.floats(), min_size=10, max_size=10),
+                min_size=1, max_size=40))
+def test_error_stats_matches_a_float_loop(rows):
+    """repr tells every pair of floats apart but for NaN's sign."""
+    for first in (4, 7):
+        assert repr(_error_stats(np.array(rows), first)) == \
+            repr(error_stats(rows, first))
+
+
+def test_report_reads_columns_by_name(tmp_path, capsys):
+    """Column order, an unknown column, LF line ends and a quoted number
+    leave the report as it is for the file the writer makes."""
+    rows = [(0.0, 1.0, 2.0, 3.0, 1.1, 2.05, 3.0, 1.0, 2.5, 2.9, "Inspecting"),
+            (0.01, 1.5, 2.0, 3.25, 1.375, 2.0, 3.1, 0.5, 4.0, 3.0, "Done")]
+    canon = tmp_path / "canon"
+    canon.mkdir()
+    write_trajectory_csv(canon / "trajectory.csv", rows)
+    assert main(["report", "--out", str(canon)]) == 0
+    expected = capsys.readouterr().out
+
+    order = [10, 7, 0, 4, 1, 8, 5, 2, 9, 6, 3]
+    lines = [",".join([str(row[c]) for c in order] + [extra])
+             for row, extra in ((TRAJ_HEADER, "battery"), (rows[0], "0.5"),
+                                (rows[1], "0.5"))]
+    lines[2] = lines[2].replace(",1.375,", ',"1.375",')
+    perm = tmp_path / "perm"
+    perm.mkdir()
+    (perm / "trajectory.csv").write_bytes(("\n".join(lines) + "\n").encode())
+    assert main(["report", "--out", str(perm)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 # -- failure exits ----------------------------------------------------------------
 
 def test_invalid_config_exits_2(tiny_yaml, tmp_path, capsys):
@@ -395,6 +453,21 @@ def test_gyro_turn_that_overflows_exits_2(config_dir, tmp_path, capsys,
     assert line.startswith("config error: ")
     for key in ("sensors.gyro_bias", "sensors.gyro_noise_std", "mission.dt"):
         assert key in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [
+    "mission.dt=1.0e-300", "mission.hold_s=1.0e+300"])
+def test_leg_without_end_exits_2(config_dir, tmp_path, capsys, override):
+    """Unchecked, t = steps * dt barely moves at a tiny dt, and a hold is
+    never timed out, so each of these runs forever while its log grows."""
+    out = tmp_path / "never"
+    rc = main(["mission", "--config", str(config_dir / "default.yaml"),
+               "--out", str(out), "--set", override])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ")
+    assert override.partition("=")[0] in line
     assert not out.exists()
 
 

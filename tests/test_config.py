@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from facadesim.config import (
+    MAX_LEG_STEPS,
     MAX_SCAN_BINS,
     MissionParams,
     ScenarioConfig,
@@ -113,8 +114,8 @@ def test_non_finite_numbers_rejected(override):
 
 def test_huge_integers_still_count_as_numbers():
     data = apply_overrides(config_to_dict(small_config()),
-                           ["mission.watchdog_s=" + "9" * 300])
-    assert config_from_dict(data).mission.watchdog_s == int("9" * 300)
+                           ["camera_max_range=" + "9" * 300])
+    assert config_from_dict(data).camera_max_range == int("9" * 300)
 
 
 _HUGE = "9" * 400   # no float holds it
@@ -299,6 +300,17 @@ def test_scan_limits_checked():
     with pytest.raises(ValueError, match="scan_n_bins"):
         small_config(scan_n_bins=MAX_SCAN_BINS + 1)
     small_config(scan_n_bins=MAX_SCAN_BINS)
+
+
+@pytest.mark.parametrize("limit", ["watchdog_s", "hold_s"])
+def test_leg_steps_bounded(limit):
+    """The watchdog or a hold lasts at most MAX_LEG_STEPS steps: past it,
+    a leg that cannot arrive, or a long hold, runs for hours."""
+    def with_steps(n):
+        return small_config(mission=MissionParams(dt=0.5, **{limit: n / 2}))
+    with_steps(MAX_LEG_STEPS)
+    with pytest.raises(ValueError, match=f"mission.{limit}.*1,000,000$"):
+        with_steps(MAX_LEG_STEPS + 1)
 
 
 @pytest.mark.parametrize("change, match", [
