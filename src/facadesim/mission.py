@@ -25,7 +25,7 @@ from .control import (
 )
 from .errors import MissionAborted
 from .estimation import KalmanConfig, _filter_start
-from .geometry import TWO_PI, Quat, Vec3, v_dist, wrap_angle, yaw_of
+from .geometry import TWO_PI, Vec3, v_dist, wrap_angle, yaw_of
 from .perception import CaptureRecord, Classifier, filter_fault_coordinates
 from .planner import (
     Waypoint,
@@ -151,13 +151,30 @@ def _hidden(insets, solids, est_pos, est_yaw: float, true_pos,
 def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
                  alpha: float, start: Vec3, yaw: float, dt: float,
                  gains: PidGains, vehicle: VehicleParams, kp_yaw: float):
-    """One run's sense -> estimate -> track -> fly step on local scalars.
+    """One run's sense -> estimate -> track -> fly step, as a generator.
 
-    Returns sense() -> (est position, dr position, est quat, est yaw),
-    track(wp) -> (v_body, yaw_rate), reset_track() for a fresh tracking PID,
-    fly(v_body, yaw_rate) -> true (position, attitude), and true_state().
-    sense, track and fly are straight-line arithmetic calling only math
-    functions and next() on the streams.  They compute what Imu.measure,
+    next() senses step 0.  send(cmd) tracks cmd when it is a Waypoint, or
+    flies cmd = (v_body, yaw_rate) with a fresh tracking PID, then senses
+    the next step.  Both yield (est position, dr position, est quat, est
+    yaw, true position, true attitude).  send(None) yields the TrueState
+    without stepping.  The arguments are checked here, not at next().
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    ComplementaryGain(alpha)   # rejects an alpha outside [0, 1]
+    # rejects dt <= 0; InertialEstimator starts from it too
+    filter_start = _filter_start(kalman, start, yaw, dt)
+    return _kernel_steps(sensors, seed, filter_start, alpha, start, yaw, dt,
+                         gains, vehicle, kp_yaw)
+
+
+def _kernel_steps(sensors: SensorParams, seed: int, filter_start,
+                  alpha: float, start: Vec3, yaw: float, dt: float,
+                  gains: PidGains, vehicle: VehicleParams, kp_yaw: float):
+    """`_step_kernel`'s generator: the whole state is its local floats.
+
+    Each step is straight-line arithmetic calling only math functions and
+    next() on the streams.  It computes what Imu.measure,
     InertialEstimator.step, DeadReckoner.step, track_waypoint and
     step_dynamics compute, operand for operand, each fallback a branch on
     the same threshold; `x if x < hi else hi` is min(hi, x), NaN included.
@@ -166,12 +183,8 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     measurement, which the blend weighs 0.0, and the Kalman gains are
     replayed.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     noise1, noise2 = _noise_stream(seed, 0), _noise_stream(seed, 1)
-    ComplementaryGain(alpha)   # rejects an alpha outside [0, 1]
-    # rejects dt <= 0; InertialEstimator starts from it too
-    attitude, axes, gain_stream = _filter_start(kalman, start, yaw, dt)
+    attitude, axes, gain_stream = filter_start
     (px, py, pz), (vx, vy, vz), (qw, qx, qy, qz), (wx, wy, wz), \
         (ax, ay, az), t_true = astuple(TrueState.at_rest(start, yaw=yaw))
     roll, pitch, yaw, (ew, ex, ey, ez), _ = astuple(attitude)
@@ -193,11 +206,7 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     v_max, yaw_rate_max = vehicle.v_max, vehicle.yaw_rate_max
     kp, ki, kd = gains.kp, gains.ki, gains.kd
 
-    def sense():
-        nonlocal roll, pitch, yaw, ew, ex, ey, ez
-        nonlocal kpx, kvx, kax, kpy, kvy, kay, kpz, kvz, kaz
-        nonlocal dqw, dqx, dqy, dqz, dpx, dpy, dpz, dvx, dvy, dvz
-        nonlocal dax, day, daz, dr_has_accel
+    while True:
         # Imu.measure: specific force and MAG_WORLD rotated to the body by
         # the conjugate attitude (qw, ix, iy, iz), then bias and noise
         ix, iy, iz = -qx, -qy, -qz
@@ -351,58 +360,59 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
             dpz += 0.5 * (dvz + uz) * dt
             dvx, dvy, dvz = ux, uy, uz
         dax, day, daz, dr_has_accel = cax, cay, caz, True
-        return (kpx, kpy, kpz), (dpx, dpy, dpz), (ew, ex, ey, ez), yaw
+        cmd = yield ((kpx, kpy, kpz), (dpx, dpy, dpz), (ew, ex, ey, ez), yaw,
+                     (px, py, pz), (qw, qx, qy, qz))
+        while cmd is None:
+            cmd = yield TrueState((px, py, pz), (vx, vy, vz),
+                                  (qw, qx, qy, qz), (wx, wy, wz),
+                                  (ax, ay, az), t_true)
 
-    def track(wp: Waypoint):
-        nonlocal integral, prev_error, initialized
-        # track_waypoint: a PID on the distance gives the speed, and the
-        # velocity points straight at wp, rotated to the body frame
-        sx, sy, sz = wp.position
-        dx, dy, dz = sx - kpx, sy - kpy, sz - kpz
-        dist = sqrt(dx * dx + dy * dy + dz * dz)
-        # dist >= 0 and dt > 0, so only the upper clamp can bind; it maps a
-        # NaN integral to I_MAX
-        integral = integral + dist * dt
-        integral = integral if integral < I_MAX else I_MAX
-        prev = dist if not initialized else prev_error
-        speed = kp * dist + ki * integral + kd * ((dist - prev) / dt)
-        prev_error, initialized = dist, True
-        speed = speed if speed < v_max else v_max
-        speed = speed if speed > 0.0 else 0.0
-        if dist > 1e-9 and speed > 0.0:
-            k = speed / dist
-            ux, uy, uz = dx * k, dy * k, dz * k
-            ix, iy, iz = -ex, -ey, -ez
-            tx = 2.0 * (iy * uz - iz * uy)
-            ty = 2.0 * (iz * ux - ix * uz)
-            tz = 2.0 * (ix * uy - iy * ux)
-            v_body = (ux + ew * tx + (iy * tz - iz * ty),
-                      uy + ew * ty + (iz * tx - ix * tz),
-                      uz + ew * tz + (ix * ty - iy * tx))
-        else:
-            v_body = (0.0, 0.0, 0.0)
-        yaw_err = remainder(wp.yaw - yaw, TWO_PI)
-        yaw_err = pi if yaw_err <= -pi else yaw_err
-        yaw_rate = kp_yaw * yaw_err
-        yaw_rate = yaw_rate if yaw_rate < yaw_rate_max else yaw_rate_max
-        return v_body, (yaw_rate if yaw_rate > -yaw_rate_max
+        if cmd.__class__ is Waypoint:
+            # track_waypoint: a PID on the distance gives the speed, and
+            # the velocity points straight at cmd, rotated to the body frame
+            sx, sy, sz = cmd.position
+            dx, dy, dz = sx - kpx, sy - kpy, sz - kpz
+            dist = sqrt(dx * dx + dy * dy + dz * dz)
+            # dist >= 0 and dt > 0, so only the upper clamp can bind; it
+            # maps a NaN integral to I_MAX
+            integral = integral + dist * dt
+            integral = integral if integral < I_MAX else I_MAX
+            prev = dist if not initialized else prev_error
+            speed = kp * dist + ki * integral + kd * ((dist - prev) / dt)
+            prev_error, initialized = dist, True
+            speed = speed if speed < v_max else v_max
+            speed = speed if speed > 0.0 else 0.0
+            if dist > 1e-9 and speed > 0.0:
+                k = speed / dist
+                ux, uy, uz = dx * k, dy * k, dz * k
+                ix, iy, iz = -ex, -ey, -ez
+                tx = 2.0 * (iy * uz - iz * uy)
+                ty = 2.0 * (iz * ux - ix * uz)
+                tz = 2.0 * (ix * uy - iy * ux)
+                v_body = (ux + ew * tx + (iy * tz - iz * ty),
+                          uy + ew * ty + (iz * tx - ix * tz),
+                          uz + ew * tz + (ix * ty - iy * tx))
+            else:
+                v_body = (0.0, 0.0, 0.0)
+            yaw_err = remainder(cmd.yaw - yaw, TWO_PI)
+            yaw_err = pi if yaw_err <= -pi else yaw_err
+            yaw_rate = kp_yaw * yaw_err
+            yaw_rate = yaw_rate if yaw_rate < yaw_rate_max else yaw_rate_max
+            yaw_rate = (yaw_rate if yaw_rate > -yaw_rate_max
                         else -yaw_rate_max)
+        else:   # an override; tracking resumes with a fresh PID
+            integral, prev_error, initialized = _FRESH_PID
+            v_body, yaw_rate = cmd
 
-    def reset_track() -> None:
-        nonlocal integral, prev_error, initialized
-        integral, prev_error, initialized = _FRESH_PID
-
-    def fly(v_body: Vec3, yaw_rate: float) -> tuple[Vec3, Quat]:
-        nonlocal px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz
-        nonlocal ax, ay, az, t_true
-        # step_dynamics: clamp the command; v_max > 0, so speed > 0 here
+        # step_dynamics: clamp the command; v_max > 0, so speed > 0 here.
+        # yaw_rate stays the command flown; rate is its clamp
         bx, by, bz = v_body
         speed = sqrt(bx * bx + by * by + bz * bz)
         if speed > v_max:
             k = v_max / speed
             bx, by, bz = bx * k, by * k, bz * k
-        yaw_rate = yaw_rate if yaw_rate < yaw_rate_max else yaw_rate_max
-        yaw_rate = yaw_rate if yaw_rate > -yaw_rate_max else -yaw_rate_max
+        rate = yaw_rate if yaw_rate < yaw_rate_max else yaw_rate_max
+        rate = rate if rate > -yaw_rate_max else -yaw_rate_max
         # lag toward the command rotated to the world frame
         tx = 2.0 * (qy * bz - qz * by)
         ty = 2.0 * (qz * bx - qx * bz)
@@ -428,7 +438,7 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
         pitch0 = asin(s if s > -1.0 else -1.0)
         yaw0 = atan2(2.0 * (qw * qz + qx * qy),
                      1.0 - 2.0 * (qy * qy + qz * qz))
-        yaw1 = remainder(yaw0 + yaw_rate * dt, TWO_PI)
+        yaw1 = remainder(yaw0 + rate * dt, TWO_PI)
         yaw1 = pi if yaw1 <= -pi else yaw1
         # roll/pitch that align body z with the thrust direction accel - g,
         # expressed in the yaw-aligned frame
@@ -465,13 +475,6 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
         wy = dpitch * cr + dyaw * cp * sr
         wz = -dpitch * sr + dyaw * cp * cr
         t_true += dt
-        return (px, py, pz), (qw, qx, qy, qz)
-
-    def true_state() -> TrueState:
-        return TrueState((px, py, pz), (vx, vy, vz), (qw, qx, qy, qz),
-                         (wx, wy, wz), (ax, ay, az), t_true)
-
-    return sense, track, reset_track, fly, true_state
 
 
 def run_mission(cfg: ScenarioConfig,
@@ -488,7 +491,7 @@ def run_mission(cfg: ScenarioConfig,
     home = cfg.home
     home_yaw = facing_yaw(fp, home[0], home[1])
 
-    sense, track, reset_track, fly, true_state = _step_kernel(
+    kernel = _step_kernel(
         cfg.sensors, cfg.seed, cfg.kalman(), cfg.alpha, home, home_yaw, dt,
         gains, cfg.vehicle, mp.kp_yaw)
     classifier = Classifier(cfg.classifier, cfg.seed)
@@ -511,7 +514,8 @@ def run_mission(cfg: ScenarioConfig,
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
     lanes = _FRESH_LANES
     scan_step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (scan_n_bins - 1)
-    true_pos, true_att = home, true_state().attitude
+    (est_pos, dr_pos, est_quat, est_yaw, true_pos,
+     true_att) = next(kernel)
     steps = 0
 
     def shift(to: str, t: float) -> None:
@@ -532,12 +536,11 @@ def run_mission(cfg: ScenarioConfig,
 
     while True:
         t = steps * dt
-        est_pos, dr_pos, est_quat, est_yaw = sense()
 
         if ((phase is _INSPECTING or phase is _RETURNING_HOME)
                 and t - last_capture >= capture_interval_s - 1e-9):
             last_capture = t
-            seen = tuple(visible_decals(scene, true_state(), camera))
+            seen = tuple(visible_decals(scene, kernel.send(None), camera))
             label = classifier.label(seen)
             captures.append(CaptureRecord(
                 image_id=f"img_{len(captures):06d}", time=t,
@@ -604,15 +607,9 @@ def run_mission(cfg: ScenarioConfig,
             cmd, lanes = avoidance_command(sectors, gains, lanes, dt, v_max)
         else:   # all sectors clear: what avoidance_command returns then
             cmd, lanes = None, _FRESH_LANES
-        if cmd is None:
-            v_body, yaw_rate = track(wps[idx])
-            engaged.append(False)
-        else:
-            reset_track()
-            v_body, yaw_rate = cmd, 0.0
-            engaged.append(True)
-
-        true_pos, true_att = fly(v_body, yaw_rate)
+        engaged.append(cmd is not None)
+        (est_pos, dr_pos, est_quat, est_yaw, true_pos,
+         true_att) = kernel.send(wps[idx] if cmd is None else (cmd, 0.0))
         steps += 1
 
     # the true poses flown from: every row's but the last, Done, which
@@ -662,19 +659,18 @@ def run_hover(duration_s: float = 120.0, seed: int = 0,
                          f"one step of {dt} s, got {duration_s}")
     sensors = SensorParams()
     setpoint = (0.0, 0.0, 2.0)
-    sense, track, _, fly, _ = _step_kernel(
+    kernel = _step_kernel(
         sensors, seed, KalmanConfig.for_accel_noise(sensors.accel_noise_std),
         alpha, setpoint, 0.0, dt, PidGains(), VehicleParams(),
         MissionParams.kp_yaw)
     wp = Waypoint(setpoint, 0.0, 0)
-    true_pos = setpoint
+    est_pos, dr_pos, _, _, true_pos, _ = next(kernel)
 
     res = HoverResult(times=[], est_err=[], dr_err=[], true_err=[])
     for k in range(round(duration_s / dt)):
-        est_pos, dr_pos, _, _ = sense()
         res.times.append(k * dt)
         res.est_err.append(v_dist(est_pos, setpoint))
         res.dr_err.append(v_dist(dr_pos, setpoint))
         res.true_err.append(v_dist(true_pos, setpoint))
-        true_pos, _ = fly(*track(wp))
+        est_pos, dr_pos, _, _, true_pos, _ = kernel.send(wp)
     return res

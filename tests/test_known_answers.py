@@ -42,12 +42,15 @@ def test_open_loop_error_follows_the_random_walk_law():
                            (0.0, 0.0, 0.0))
     squared = []
     for seed in NOISE_LAW_SEEDS:
-        sense, _, _, fly, _ = _step_kernel(
+        kernel = _step_kernel(
             sensors, seed, KalmanConfig.for_accel_noise(SIGMA_A), 1.0, start,
             0.0, dt, PidGains(), VehicleParams(), MissionParams.kp_yaw)
-        for _ in range(round(NOISE_LAW_T / dt)):
-            est_pos, _, _, _ = sense()
-            true_pos, _ = fly((0.0, 0.0, 0.0), 0.0)
+        # step 0's estimate, then one more per zero command: the estimate
+        # after NOISE_LAW_T / dt filter steps
+        est_pos, _, _, _, true_pos, _ = next(kernel)
+        for _ in range(round(NOISE_LAW_T / dt) - 1):
+            est_pos, _, _, _, true_pos, _ = kernel.send(((0.0, 0.0, 0.0),
+                                                         0.0))
         assert true_pos == start
         squared += [(e - s) ** 2 for e, s in zip(est_pos, start)]
     rms = math.sqrt(3.0 * sum(squared) / len(squared))

@@ -1,7 +1,7 @@
 """The mission's step kernel equals the per-layer API, and calls no helper.
 
-`run_hover` and `run_mission` drive `mission._step_kernel`, whose `sense`,
-`track` and `fly` steps are straight-line arithmetic of their own.  The
+`run_hover` and `run_mission` drive the generator `mission._step_kernel`
+returns, whose step is straight-line arithmetic of its own.  The
 public functions of the sensor, attitude, estimation, control and vehicle
 modules compute the same step separately, so a loop that composes
 `Imu.measure` -> `InertialEstimator.step` / `DeadReckoner.step` ->
@@ -14,6 +14,7 @@ import inspect
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,23 +57,24 @@ def _row(true: TrueState, est_pos, quat, yaw, dr_pos, v_body, yaw_rate):
 
 
 def kernel_traces(run: dict) -> np.ndarray:
-    sense, track, reset_track, fly, true_state = _step_kernel(
+    """Each step asks for the TrueState with send(None), then sends the
+    waypoint or the override.  The command a step flew is read back from
+    the generator's frame, whose locals `v_body` and `yaw_rate` hold it."""
+    kernel = _step_kernel(
         run["sensors"], run["seed"], run["kalman"], run["alpha"],
         run["start"], run["yaw"], run["dt"], run["gains"], run["vehicle"],
         run["kp_yaw"])
     wp = Waypoint(run["setpoint"], 0.0, 0)
+    est_pos, dr_pos, quat, yaw, _, _ = next(kernel)
     rows = []
     for k in range(STEPS):
-        est_pos, dr_pos, quat, yaw = sense()
-        true = true_state()
-        if _overridden(k):
-            reset_track()
-            v_body, yaw_rate = (run["override"].v_body,
-                                run["override"].yaw_rate)
-        else:
-            v_body, yaw_rate = track(wp)
-        rows.append(_row(true, est_pos, quat, yaw, dr_pos, v_body, yaw_rate))
-        fly(v_body, yaw_rate)
+        true = kernel.send(None)
+        sensed = kernel.send((run["override"].v_body, run["override"].yaw_rate)
+                             if _overridden(k) else wp)
+        flown = kernel.gi_frame.f_locals
+        rows.append(_row(true, est_pos, quat, yaw, dr_pos, flown["v_body"],
+                         flown["yaw_rate"]))
+        est_pos, dr_pos, quat, yaw, _, _ = sensed
     return np.array(rows, dtype=np.float64)
 
 
@@ -230,24 +232,76 @@ def _is_math_or_builtin(call: ast.Call) -> bool:
     return vars(mission).get(f.id, None) is getattr(math, f.id, False)
 
 
+# a valid run: `_step_kernel(**_RUN)` returns the kernel's generator
+_RUN = dict(sensors=SensorParams(), seed=0, kalman=KalmanConfig(),
+            alpha=0.98, start=(0.0, 0.0, 2.0), yaw=0.0, dt=0.01,
+            gains=PidGains(), vehicle=VehicleParams(), kp_yaw=0.8)
+
+
 def test_kernel_steps_call_only_math_and_streams():
-    """sense, track and fly call no helper: a call added back to a core or a
-    geometry function fails here.  Building the exception of a `raise` is
-    not a step's arithmetic and is exempt."""
-    tree = ast.parse(inspect.getsource(_step_kernel))
-    steps = {f.name: f for f in ast.walk(tree)
-             if isinstance(f, ast.FunctionDef)
-             and f.name in ("sense", "track", "fly")}
-    assert set(steps) == {"sense", "track", "fly"}
-    for name, fn in steps.items():
-        raised = {id(n) for r in ast.walk(fn) if isinstance(r, ast.Raise)
-                  and r.exc is not None for n in ast.walk(r.exc)}
-        calls = [c for c in ast.walk(fn)
-                 if isinstance(c, ast.Call) and id(c) not in raised]
-        assert calls, name
-        bad = [ast.unparse(c.func) for c in calls
-               if not _is_math_or_builtin(c)]
-        assert not bad, f"{name} calls {bad}"
+    """The step, the `while True:` body of the kernel's generator, calls no
+    helper: a call added back to a core or a geometry function fails here.
+    The `TrueState(...)` yielded for a send(None) request is not a step's
+    arithmetic and is exempt."""
+    tree = ast.parse(inspect.getsource(_step_kernel(**_RUN).gi_code))
+    loops = [w for w in ast.walk(tree) if isinstance(w, ast.While)
+             and isinstance(w.test, ast.Constant) and w.test.value is True]
+    assert len(loops) == 1
+    requests = [y.value for w in ast.walk(loops[0])
+                if isinstance(w, ast.While)
+                and ast.unparse(w.test) == "cmd is None"
+                for y in ast.walk(w) if isinstance(y, ast.Yield)]
+    assert [ast.unparse(c.func) for c in requests] == ["TrueState"]
+    calls = [c for c in ast.walk(loops[0])
+             if isinstance(c, ast.Call) and c is not requests[0]]
+    assert calls
+    bad = [ast.unparse(c.func) for c in calls if not _is_math_or_builtin(c)]
+    assert not bad, f"the step calls {bad}"
+
+
+def test_kernel_state_is_in_one_frame():
+    """`_step_kernel` and its generator define no closure and bind no
+    `nonlocal`: the state stays fast locals of one generator frame, not
+    cells shared by nested functions."""
+    kernel = _step_kernel(**_RUN)
+    assert inspect.isgenerator(kernel)
+    for code in (_step_kernel.__code__, kernel.gi_code):
+        fn = ast.parse(inspect.getsource(code)).body[0]
+        bad = [ast.unparse(n).splitlines()[0] for n in ast.walk(fn)
+               if isinstance(n, (ast.Nonlocal, ast.Lambda, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and n is not fn]
+        assert not bad, f"{code.co_name}: {bad}"
+        assert not code.co_cellvars and not code.co_freevars, code.co_name
+
+
+@pytest.mark.parametrize("bad", [
+    dict(seed=-1), dict(alpha=-0.1), dict(alpha=1.5), dict(alpha=math.nan),
+    dict(dt=0.0), dict(dt=-0.01)], ids=str)
+def test_bad_arguments_raise_at_the_call(bad):
+    """A generator body runs only at its first next(): the checks run in
+    `_step_kernel` itself, so the call raises, with nothing advanced."""
+    with pytest.raises(ValueError):
+        _step_kernel(**{**_RUN, **bad})
+
+
+def test_state_requests_leave_the_run_unchanged():
+    """A run that sends None before every step, twice before every other
+    one, yields the same estimate, dead-reckoning and true traces, bit for
+    bit, as one that never does: a capture cannot perturb the run."""
+    wp = Waypoint((3.0, -2.0, 4.0), 1.0, 0)
+
+    def trace(requests: bool) -> bytes:
+        kernel = _step_kernel(**_RUN)
+        rows = [next(kernel)]
+        for k in range(STEPS):
+            for _ in range((1 + k % 2) * requests):
+                assert isinstance(kernel.send(None), TrueState)
+            rows.append(kernel.send((OVERRIDE.v_body, OVERRIDE.yaw_rate)
+                                    if _overridden(k) else wp))
+        return np.array([[*e, *d, *q, y, *p, *a]
+                         for e, d, q, y, p, a in rows]).tobytes()
+
+    assert trace(True) == trace(False)
 
 
 _FRAMES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
