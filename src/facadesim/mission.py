@@ -514,8 +514,7 @@ def run_mission(cfg: ScenarioConfig,
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
     lanes = _FRESH_LANES
     scan_step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (scan_n_bins - 1)
-    (est_pos, dr_pos, est_quat, est_yaw, true_pos,
-     true_att) = next(kernel)
+    est_pos, dr_pos, est_quat, est_yaw, true_pos, true_att = next(kernel)
     steps = 0
 
     def shift(to: str, t: float) -> None:
