@@ -156,8 +156,8 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     next() senses step 0.  send(cmd) tracks cmd when it is a Waypoint, or
     flies cmd = (v_body, yaw_rate) with a fresh tracking PID, then senses
     the next step.  Both yield (est position, dr position, est quat, est
-    yaw, true position, true attitude).  send(None) yields the TrueState
-    without stepping.  The arguments are checked here, not at next().
+    yaw, true position, true attitude).  The arguments are checked here,
+    not at next().
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -186,7 +186,7 @@ def _kernel_steps(sensors: SensorParams, seed: int, filter_start,
     noise1, noise2 = _noise_stream(seed, 0), _noise_stream(seed, 1)
     attitude, axes, gain_stream = filter_start
     (px, py, pz), (vx, vy, vz), (qw, qx, qy, qz), (wx, wy, wz), \
-        (ax, ay, az), t_true = astuple(TrueState.at_rest(start, yaw=yaw))
+        (ax, ay, az), _ = astuple(TrueState.at_rest(start, yaw=yaw))
     roll, pitch, yaw, (ew, ex, ey, ez), _ = astuple(attitude)
     (kpx, kvx, kax), (kpy, kvy, kay), (kpz, kvz, kaz) = axes
     # the dead reckoner starts from the true state, with no previous accel
@@ -362,10 +362,6 @@ def _kernel_steps(sensors: SensorParams, seed: int, filter_start,
         dax, day, daz, dr_has_accel = cax, cay, caz, True
         cmd = yield ((kpx, kpy, kpz), (dpx, dpy, dpz), (ew, ex, ey, ez), yaw,
                      (px, py, pz), (qw, qx, qy, qz))
-        while cmd is None:
-            cmd = yield TrueState((px, py, pz), (vx, vy, vz),
-                                  (qw, qx, qy, qz), (wx, wy, wz),
-                                  (ax, ay, az), t_true)
 
         if cmd.__class__ is Waypoint:
             # track_waypoint: a PID on the distance gives the speed, and
@@ -474,7 +470,6 @@ def _kernel_steps(sensors: SensorParams, seed: int, filter_start,
         wx = droll - dyaw * sp
         wy = dpitch * cr + dyaw * cp * sr
         wz = -dpitch * sr + dyaw * cp * cr
-        t_true += dt
 
 
 def run_mission(cfg: ScenarioConfig,
@@ -505,10 +500,7 @@ def run_mission(cfg: ScenarioConfig,
     captures: list[CaptureRecord] = []
     fault_poses: list[tuple[Vec3, float]] = []
     detect_i = 0
-    leg_start = 0.0
     hold_until = 0.0
-    inspection_duration = 0.0
-    detection_durations: list[float] = []
     trajectory: list[tuple] = []
     engaged: list[bool] = []
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
@@ -517,73 +509,65 @@ def run_mission(cfg: ScenarioConfig,
     est_pos, dr_pos, est_quat, est_yaw, true_pos, true_att = next(kernel)
     steps = 0
 
-    def shift(to: str, t: float) -> None:
-        nonlocal phase
-        transitions.append((t, phase, to))
-        phase = to
-
-    def next_leg(t: float, start: Vec3) -> None:
-        """Fly to fault detect_i's capture pose, or home after the last."""
-        nonlocal wps, idx, last_advance, leg_start
-        if detect_i < len(fault_poses):
-            wps = plan_return_path(start, *fault_poses[detect_i])
-        else:
-            wps = home_leg(home, home_yaw, start[2])
-        idx = 0
-        last_advance = leg_start = t
-        shift(_DETECTING, t)
-
     while True:
         t = steps * dt
 
         if ((phase is _INSPECTING or phase is _RETURNING_HOME)
                 and t - last_capture >= capture_interval_s - 1e-9):
             last_capture = t
-            seen = tuple(visible_decals(scene, kernel.send(None), camera))
+            seen = tuple(visible_decals(scene, true_pos, true_att, camera))
             label = classifier.label(seen)
             captures.append(CaptureRecord(
                 image_id=f"img_{len(captures):06d}", time=t,
                 est_position=est_pos, est_quat=est_quat,
                 visible_decals=seen, label=label))
 
-        # phase machine; a single step may retire several coincident waypoints
+        # phase machine; a single step may retire several coincident
+        # waypoints.  Each branch that ends in a phase change names it `to`
         while phase is not _DONE:
             if phase is _HOLDING:
                 if t < hold_until - 1e-9:
                     break
-                detection_durations.append(t - leg_start)
                 hold_end_poses.append(
                     (detect_i, t, true_pos, yaw_of(true_att)))
                 detect_i += 1
-                next_leg(t, est_pos)
-                continue
-            if v_dist(est_pos, wps[idx].position) >= arrival_tol:
+                to = _DETECTING
+            elif v_dist(est_pos, wps[idx].position) >= arrival_tol:
                 break
-            last_advance = t
-            if idx + 1 < len(wps):
+            elif idx + 1 < len(wps):
                 idx += 1
-                if phase is _INSPECTING and wps[idx].layer == -1:
-                    shift(_RETURNING_HOME, t)
+                last_advance = t
+                if phase is not _INSPECTING or wps[idx].layer != -1:
+                    continue   # the leg goes on in the same phase
+                to = _RETURNING_HOME
             elif phase is _DETECTING:
                 if detect_i < len(fault_poses):
                     hold_until = t + mp.hold_s
-                    shift(_HOLDING, t)
+                    to = _HOLDING
                 else:
-                    shift(_DONE, t)
+                    to = _DONE
             else:   # the inspection ring and its return leg are flown
-                inspection_duration = t
                 fault_poses = filter_fault_coordinates(captures,
                                                        mp.merge_radius)
-                if fault_poses and not inspection_only:
-                    next_leg(t, est_pos)
+                to = (_DETECTING if fault_poses and not inspection_only
+                      else _DONE)
+            if to is _DETECTING:
+                # a leg to fault detect_i's capture pose, or home after the
+                # last; it restarts the watchdog
+                if detect_i < len(fault_poses):
+                    wps = plan_return_path(est_pos, *fault_poses[detect_i])
                 else:
-                    shift(_DONE, t)
+                    wps = home_leg(home, home_yaw, est_pos[2])
+                idx = 0
+                last_advance = t
+            transitions.append((t, phase, to))
+            phase = to
 
         trajectory.append((t, *true_pos, *est_pos, *dr_pos, phase))
         if phase is _DONE:
             break
 
-        # a hold is not a leg: next_leg restarts the watchdog when it ends
+        # a hold is not a leg: the leg after it restarts the watchdog
         if phase is not _HOLDING and t - last_advance > watchdog_s:
             raise MissionAborted(
                 f"waypoint {idx} not reached within {watchdog_s:.0f} s "
@@ -614,16 +598,26 @@ def run_mission(cfg: ScenarioConfig,
     # the true poses flown from: every row's but the last, Done, which
     # stops the loop before a fly step
     flown = trajectory[:-1]
+    # the generators read only these names, so no name the loop reads is a
+    # closure cell
+    obstacles, height, contains = (scene.obstacles, scene.building.height,
+                                   fp.contains)
     min_clear = min((_cylinder_clearance(o, row[1], row[2], row[3])
-                     for row in flown for o in scene.obstacles), default=None)
-    height = scene.building.height
-    entered_fp = any(row[3] <= height and fp.contains(row[1], row[2])
+                     for row in flown for o in obstacles), default=None)
+    entered_fp = any(row[3] <= height and contains(row[1], row[2])
                      for row in flown)
+    # every inspection ends on its return leg; each leg to a fault starts
+    # in Detecting and ends when its hold does
+    inspection_duration = next(t for t, frm, _ in transitions
+                               if frm is _RETURNING_HOME)
+    leg_starts = [t for t, _, to in transitions if to is _DETECTING]
+    hold_ends = [t for t, frm, _ in transitions if frm is _HOLDING]
     report = MissionReport(
         faults=tuple(FaultEntry(i, p, y)
                      for i, (p, y) in enumerate(fault_poses)),
         inspection_duration=inspection_duration,
-        detection_durations=tuple(detection_durations),
+        detection_durations=tuple(
+            end - start for start, end in zip(leg_starts, hold_ends)),
         min_obstacle_clearance=min_clear,
     )
     return MissionResult(report=report, captures=tuple(captures),

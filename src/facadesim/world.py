@@ -15,6 +15,7 @@ import numpy as np
 
 from .geometry import (
     TWO_PI,
+    Quat,
     Rect,
     Vec3,
     quat_rotate_inverse,
@@ -350,13 +351,13 @@ def _occluded(scene: Scene, start: Vec3, end: Vec3) -> bool:
     return False
 
 
-def visible_decals(scene: Scene, pose: TrueState,
+def visible_decals(scene: Scene, position: Vec3, attitude: Quat,
                    camera: CameraModel) -> list[int]:
     """Ids of decals inside the frustum, on a facing facade, unoccluded."""
     out: list[int] = []
     tan_h = math.tan(0.5 * camera.hfov)
     tan_v = math.tan(0.5 * camera.vfov)
-    px, py, pz = pose.position
+    px, py, pz = position
     for d in scene.decals:
         c = decal_world_center(scene.building, d)
         vx, vy, vz = view = (c[0] - px, c[1] - py, c[2] - pz)
@@ -366,12 +367,12 @@ def visible_decals(scene: Scene, pose: TrueState,
         n = _FACE_NORMALS[d.face]
         if n[0] * view[0] + n[1] * view[1] + n[2] * view[2] >= 0.0:
             continue  # back face
-        bx, by, bz = quat_rotate_inverse(pose.attitude, view)
+        bx, by, bz = quat_rotate_inverse(attitude, view)
         if bx <= 1e-9:
             continue
         if abs(by) > bx * tan_h or abs(bz) > bx * tan_v:
             continue
-        if _occluded(scene, pose.position, c):
+        if _occluded(scene, position, c):
             continue
         out.append(d.id)
     return out

@@ -11,7 +11,13 @@ import pytest
 
 import facadesim
 from facadesim import mission, world
-from facadesim.config import MissionParams, load_config
+from facadesim.config import (
+    MissionParams,
+    apply_overrides,
+    config_from_dict,
+    load_config,
+    load_raw,
+)
 from facadesim.errors import MissionAborted
 from facadesim.geometry import v_dist, wrap_angle
 from facadesim.mission import run_hover, run_mission
@@ -334,6 +340,26 @@ def test_multi_fault_holds_each_fault_in_order(multi_fault_run):
                    + ["Detecting", "Holding"] * 5 + ["Detecting", "Done"])
     assert result.trajectory[-1][-1] == "Done"
     assert not result.entered_footprint
+
+
+def test_a_hold_shorter_than_a_step_ends_on_its_arrival_step(config_dir):
+    """Each fault's hold starts and expires on one step, which logs
+    Detecting -> Holding, then Holding -> Detecting, at the same t.  The
+    report's timings, read from that log, are pinned bit for bit."""
+    cfg = config_from_dict(apply_overrides(
+        load_raw(config_dir / "default.yaml"),
+        ["mission.hold_s=1.0e-12", "mission.merge_radius=0.0"]))
+    result = run_mission(cfg)
+    # 317.74 s and 327.26 s: t is the step count times dt
+    holds = [31774 * cfg.mission.dt, 32726 * cfg.mission.dt]
+    for t in holds:
+        assert [(frm, to) for u, frm, to in result.transitions if u == t] == [
+            ("Detecting", "Holding"), ("Holding", "Detecting")]
+    assert [h[1] for h in result.hold_end_poses] == holds
+    rep = result.report
+    assert rep.inspection_duration == float.fromhex("0x1.30428f5c28f5cp+8")
+    assert rep.detection_durations == (float.fromhex("0x1.af5c28f5c2900p+3"),
+                                       float.fromhex("0x1.30a3d70a3d700p+3"))
 
 
 # -- hover and failure paths ---------------------------------------------------------

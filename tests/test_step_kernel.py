@@ -50,16 +50,21 @@ def _overridden(k: int) -> bool:
     return k % 50 >= 45
 
 
-def _row(true: TrueState, est_pos, quat, yaw, dr_pos, v_body, yaw_rate):
-    return (true.position + true.velocity + true.attitude + true.angular_rate
-            + true.accel_world + (true.time,) + est_pos + quat + (yaw,)
-            + dr_pos + v_body + (yaw_rate,))
+# the kernel's locals holding the true position, velocity, attitude,
+# angular rate and world acceleration
+_TRUE = ("px", "py", "pz", "vx", "vy", "vz", "qw", "qx", "qy", "qz",
+         "wx", "wy", "wz", "ax", "ay", "az")
+
+
+def _row(true: tuple, est_pos, quat, yaw, dr_pos, v_body, yaw_rate):
+    return true + est_pos + quat + (yaw,) + dr_pos + v_body + (yaw_rate,)
 
 
 def kernel_traces(run: dict) -> np.ndarray:
-    """Each step asks for the TrueState with send(None), then sends the
-    waypoint or the override.  The command a step flew is read back from
-    the generator's frame, whose locals `v_body` and `yaw_rate` hold it."""
+    """Each step reads the true state it senses from the generator's frame,
+    then sends the waypoint or the override.  The command a step flew is
+    read back from the frame too, whose locals `v_body` and `yaw_rate`
+    hold it."""
     kernel = _step_kernel(
         run["sensors"], run["seed"], run["kalman"], run["alpha"],
         run["start"], run["yaw"], run["dt"], run["gains"], run["vehicle"],
@@ -68,7 +73,8 @@ def kernel_traces(run: dict) -> np.ndarray:
     est_pos, dr_pos, quat, yaw, _, _ = next(kernel)
     rows = []
     for k in range(STEPS):
-        true = kernel.send(None)
+        state = kernel.gi_frame.f_locals
+        true = tuple(state[name] for name in _TRUE)
         sensed = kernel.send((run["override"].v_body, run["override"].yaw_rate)
                              if _overridden(k) else wp)
         flown = kernel.gi_frame.f_locals
@@ -105,7 +111,9 @@ def composed_traces(run: dict) -> np.ndarray:
                                       kp_yaw=run["kp_yaw"],
                                       yaw_rate_max=vehicle.yaw_rate_max)
         att = est.attitude
-        rows.append(_row(true, est.position, att.quat, att.yaw, dr_pos,
+        rows.append(_row(true.position + true.velocity + true.attitude
+                         + true.angular_rate + true.accel_world,
+                         est.position, att.quat, att.yaw, dr_pos,
                          cmd.v_body, cmd.yaw_rate))
         true = step_dynamics(true, cmd, vehicle, dt)
     return np.array(rows, dtype=np.float64)
@@ -240,20 +248,12 @@ _RUN = dict(sensors=SensorParams(), seed=0, kalman=KalmanConfig(),
 
 def test_kernel_steps_call_only_math_and_streams():
     """The step, the `while True:` body of the kernel's generator, calls no
-    helper: a call added back to a core or a geometry function fails here.
-    The `TrueState(...)` yielded for a send(None) request is not a step's
-    arithmetic and is exempt."""
+    helper: a call added back to a core or a geometry function fails here."""
     tree = ast.parse(inspect.getsource(_step_kernel(**_RUN).gi_code))
     loops = [w for w in ast.walk(tree) if isinstance(w, ast.While)
              and isinstance(w.test, ast.Constant) and w.test.value is True]
     assert len(loops) == 1
-    requests = [y.value for w in ast.walk(loops[0])
-                if isinstance(w, ast.While)
-                and ast.unparse(w.test) == "cmd is None"
-                for y in ast.walk(w) if isinstance(y, ast.Yield)]
-    assert [ast.unparse(c.func) for c in requests] == ["TrueState"]
-    calls = [c for c in ast.walk(loops[0])
-             if isinstance(c, ast.Call) and c is not requests[0]]
+    calls = [c for c in ast.walk(loops[0]) if isinstance(c, ast.Call)]
     assert calls
     bad = [ast.unparse(c.func) for c in calls if not _is_math_or_builtin(c)]
     assert not bad, f"the step calls {bad}"
@@ -284,26 +284,6 @@ def test_bad_arguments_raise_at_the_call(bad):
         _step_kernel(**{**_RUN, **bad})
 
 
-def test_state_requests_leave_the_run_unchanged():
-    """A run that sends None before every step, twice before every other
-    one, yields the same estimate, dead-reckoning and true traces, bit for
-    bit, as one that never does: a capture cannot perturb the run."""
-    wp = Waypoint((3.0, -2.0, 4.0), 1.0, 0)
-
-    def trace(requests: bool) -> bytes:
-        kernel = _step_kernel(**_RUN)
-        rows = [next(kernel)]
-        for k in range(STEPS):
-            for _ in range((1 + k % 2) * requests):
-                assert isinstance(kernel.send(None), TrueState)
-            rows.append(kernel.send((OVERRIDE.v_body, OVERRIDE.yaw_rate)
-                                    if _overridden(k) else wp))
-        return np.array([[*e, *d, *q, y, *p, *a]
-                         for e, d, q, y, p, a in rows]).tobytes()
-
-    assert trace(True) == trace(False)
-
-
 _FRAMES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -329,3 +309,21 @@ def test_mission_loop_reads_no_enum_member_and_builds_no_frame():
         bad += [ast.unparse(n) for n in ast.walk(ast.parse(
             inspect.getsource(fn))) if isinstance(n, _FRAMES)]
     assert not bad, f"the mission step runs {bad}"
+
+
+def test_mission_loop_state_is_in_fast_locals():
+    """`run_mission` defines no closure and binds no `nonlocal`, and its
+    `while True:` body loads no name that a post-loop generator made a
+    closure cell: each step reads and writes fast locals only."""
+    fn = ast.parse(inspect.getsource(mission.run_mission)).body[0]
+    bad = [ast.unparse(n).splitlines()[0] for n in ast.walk(fn)
+           if isinstance(n, (ast.Nonlocal, ast.Lambda, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and n is not fn]
+    assert not bad, bad
+    loops = [w for w in ast.walk(fn) if isinstance(w, ast.While)
+             and isinstance(w.test, ast.Constant) and w.test.value is True]
+    assert len(loops) == 1
+    cells = set(mission.run_mission.__code__.co_cellvars)
+    loaded = {n.id for n in ast.walk(loops[0])
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    assert loaded and not loaded & cells, sorted(loaded & cells)

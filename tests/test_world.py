@@ -261,21 +261,21 @@ def test_decal_visible_head_on():
     cam = CameraModel()
     # decal at (5, 0, 1.5); camera 3 m east facing west
     state = pose(8.0, 2.5, 1.5, math.pi)
-    assert visible_decals(scene, state, cam) == [0]
+    assert visible_decals(scene, state.position, state.attitude, cam) == [0]
 
 
 def test_decal_not_visible_through_back_face():
     scene = vis_scene()
     cam = CameraModel()
     state = pose(-8.0, 0.0, 1.5, 0.0)   # west side looking east
-    assert visible_decals(scene, state, cam) == []
+    assert visible_decals(scene, state.position, state.attitude, cam) == []
 
 
 def test_decal_outside_range():
     scene = vis_scene()
     cam = CameraModel(max_range=2.0)
     state = pose(8.0, 0.5, 1.5, math.pi)
-    assert visible_decals(scene, state, cam) == []
+    assert visible_decals(scene, state.position, state.attitude, cam) == []
 
 
 def test_decal_outside_horizontal_fov():
@@ -283,18 +283,19 @@ def test_decal_outside_horizontal_fov():
     # decal bearing from this pose is atan2(2.5, 3) ~ 39.8 deg off-axis:
     # inside the default 45 deg half-fov, outside a 20 deg one
     state = pose(8.0, 2.5, 1.5, math.pi)
-    assert visible_decals(scene, state, CameraModel()) == [0]
-    assert visible_decals(scene, state, CameraModel(
-        hfov=math.radians(40.0))) == []
+    assert visible_decals(scene, state.position, state.attitude,
+                          CameraModel()) == [0]
+    assert visible_decals(scene, state.position, state.attitude,
+                          CameraModel(hfov=math.radians(40.0))) == []
 
 
 def test_decal_outside_vertical_fov():
     scene = vis_scene()
     cam = CameraModel(vfov=math.radians(30.0))
     level = pose(8.0, 2.5, 1.8, math.pi)   # 0.3 m above the decal
-    assert visible_decals(scene, level, cam) == [0]
+    assert visible_decals(scene, level.position, level.attitude, cam) == [0]
     high = pose(8.0, 2.5, 4.8, math.pi)    # 3.3 m above, looking level
-    assert visible_decals(scene, high, cam) == []
+    assert visible_decals(scene, high.position, high.attitude, cam) == []
 
 
 def test_decal_occluded_by_cylinder():
@@ -302,10 +303,10 @@ def test_decal_occluded_by_cylinder():
     cam = CameraModel()
     # the cylinder at (6.8, 0) sits exactly on the sight line at this pose
     state = pose(8.6, 0.0, 1.5, math.pi)
-    assert visible_decals(scene, state, cam) == []
+    assert visible_decals(scene, state.position, state.attitude, cam) == []
     # stepping sideways restores the view around the cylinder
     state2 = pose(8.0, 2.5, 1.5, math.pi)
-    assert visible_decals(scene, state2, cam) == [0]
+    assert visible_decals(scene, state2.position, state2.attitude, cam) == [0]
 
 
 def test_tilt_moves_frustum():
@@ -313,7 +314,7 @@ def test_tilt_moves_frustum():
                   decals=(FaultDecal(0, "east", (0.0, 1.5)),))
     cam = CameraModel(vfov=math.radians(30.0))
     high = pose(8.0, 0.0, 4.8, math.pi)
-    assert visible_decals(scene, high, cam) == []
+    assert visible_decals(scene, high.position, high.attitude, cam) == []
     # pitching the nose down brings the low decal back into the vertical fov
     down = pose(8.0, 0.0, 4.8, math.pi, pitch=0.9)
-    assert visible_decals(scene, down, cam) == [0]
+    assert visible_decals(scene, down.position, down.attitude, cam) == [0]
