@@ -20,7 +20,6 @@ from .geometry import (
     Vec3,
     quat_rotate_inverse,
     segment_circle_interval,
-    wrap_angle,
     yaw_of,
 )
 from .vehicle import TrueState
@@ -182,29 +181,6 @@ def _bin_trig(angle_min: float, angle_max: float, n_bins: int):
     return np.cos(angles).tolist(), np.sin(angles).tolist()
 
 
-def _rect_window(rect: Rect, x: float, y: float, radius: float):
-    """Bearings from (x, y) that meet the rectangle within `radius`.
-
-    The part inside the disc is convex, so its extreme bearings are those
-    of the edges' ends clipped to the disc; from outside they span under
-    pi, so bearings taken from the nearest point's do not wrap.
-    """
-    if rect.contains(x, y):
-        return -math.inf, math.inf
-    nx, ny = rect.nearest_point(x, y)
-    ref = math.atan2(ny - y, nx - x)
-    lo = hi = 0.0
-    x0, x1 = rect.cx - rect.hx, rect.cx + rect.hx
-    y0, y1 = rect.cy - rect.hy, rect.cy + rect.hy
-    corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        for t in segment_circle_interval(a, b, (x, y), radius) or ():
-            ang = wrap_angle(math.atan2(a[1] + t * (b[1] - a[1]) - y,
-                                        a[0] + t * (b[0] - a[0]) - x) - ref)
-            lo, hi = min(lo, ang), max(hi, ang)
-    return ref + lo, ref + hi
-
-
 def _window_bins(window, yaw: float, angle_min: float, step: float,
                  n_bins: int):
     """Bins whose angle plus yaw lies in `window` (mod 2 pi).
@@ -256,10 +232,14 @@ def _scan_hits(solids: list, x: float, y: float, yaw: float,
     """(bin, range) of the bins that `simulate_scan` ray-casts and that hit,
     each range floored at 1e-6 m.
 
-    `solids` are the ones `_in_reach` keeps at the pose for this reach.  A
-    cylinder at centre distance D > r is cast within asin(r/D) of its
-    bearing, the footprint within `_rect_window`, a solid around the pose
-    at every bin.
+    `solids` are the ones `_in_reach` keeps at the pose for this reach.
+    Each is cast within a half-angle of one bearing: a cylinder at centre
+    distance D > r within asin(r/D) of its centre, the footprint at
+    distance d within acos(d/reach) of its nearest point, and a solid
+    around the pose, or on whose wall it stands, at every bin.  The
+    footprint is convex, so all of it lies beyond the line through that
+    point normal to the bearing, and its part within reach lies within
+    acos(d/reach) of the bearing.
     """
     cull = reach + _REACH_MARGIN
     cos_b, sin_b = _bin_trig(angle_min, angle_max, n_bins)
@@ -270,7 +250,11 @@ def _scan_hits(solids: list, x: float, y: float, yaw: float,
     for solid in solids:
         rect = isinstance(solid, Rect)
         if rect:
-            window = _rect_window(solid, x, y, cull)
+            nx, ny = solid.nearest_point(x, y)
+            # a pose on a wall to within rounding is its own nearest point
+            half = (math.inf if solid.contains(x, y) or (nx, ny) == (x, y)
+                    else math.acos(solid.distance_to(x, y) / cull))
+            bearing = math.atan2(ny - y, nx - x)
         else:
             ocx, ocy = solid.center_xy[0] - x, solid.center_xy[1] - y
             dist, radius = math.hypot(ocx, ocy), solid.radius
@@ -278,7 +262,7 @@ def _scan_hits(solids: list, x: float, y: float, yaw: float,
             half = (math.inf if c <= 0.0 or dist <= radius
                     else math.asin(radius / dist))
             bearing = math.atan2(ocy, ocx)
-            window = (bearing - half, bearing + half)
+        window = (bearing - half, bearing + half)
         for i in _window_bins(window, yaw, angle_min, step, n_bins):
             dx = cy * cos_b[i] - sy * sin_b[i]
             dy = sy * cos_b[i] + cy * sin_b[i]
@@ -316,8 +300,9 @@ def simulate_scan(scene: Scene, pose: TrueState,
     """Planar range scan at the drone's altitude, body-frame bins.
 
     Only solids whose horizontal distance from the pose is below
-    `reach` + 1e-6 m are ray-cast, and of each only the bins in its
-    angular window; every other bin reads `range_max`, like a miss.  Every
+    `reach` + 1e-6 m are ray-cast, and of each only the bins within a
+    half-angle of one bearing that holds all of the solid within reach
+    (`_scan_hits`); every other bin reads `range_max`, like a miss.  Every
     bin whose full-scan range is below `reach` is therefore bit-identical
     to the full scan, and every other bin reads at least its full-scan
     range.

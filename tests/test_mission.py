@@ -22,7 +22,7 @@ from facadesim.errors import MissionAborted
 from facadesim.geometry import v_dist, wrap_angle
 from facadesim.mission import run_hover, run_mission
 from facadesim.perception import LABEL_CRACK
-from facadesim.world import decal_world_center
+from facadesim.world import Obstacle, decal_world_center
 
 
 def phases_in_order(transitions):
@@ -272,6 +272,33 @@ def test_mission_avoids_only_on_a_step_whose_cast_hit(config_dir, name,
         assert calls["avoidance"] == 0
     else:
         assert sum(result.engaged) > 0
+
+
+def test_a_pole_by_the_ring_casts_the_footprint(config_dir, monkeypatch):
+    """With obstacle 1 moved to (0, 7.3), outside the ring, the mission
+    casts the footprint, which no shipped run does.  The pole's surface is
+    within d_engage of a ring waypoint, so avoidance holds the drone off it
+    until the watchdog aborts, as pinned."""
+    casts = collections.Counter()
+
+    def counting_hits(solids, *args):
+        casts["footprint"] += fp in solids
+        return scan_hits(solids, *args)
+
+    scan_hits = mission._scan_hits
+    monkeypatch.setattr(mission, "_scan_hits", counting_hits)
+    cfg = load_config(config_dir / "obstacle_course.yaml")
+    cfg = dataclasses.replace(cfg, obstacles=(
+        cfg.obstacles[0], Obstacle(1, (0.0, 7.3), 0.25, 3.0)))
+    fp = cfg.building.footprint()
+    with pytest.raises(MissionAborted) as aborted:
+        run_mission(cfg)
+    assert casts["footprint"] > 0
+    err = aborted.value
+    assert (err.time, err.phase, err.waypoint_index) == (172.97, "Inspecting",
+                                                         7)
+    assert err.position == (2.9836342251839953, 6.012622466441086,
+                            1.3771280000304096)
 
 
 # -- coverage scenario -------------------------------------------------------------

@@ -118,9 +118,12 @@ def _shipped(name, *overrides):
     return cfg.scene(), avoidance_polygon(cfg.building, cfg.plan)
 
 
+OFF_CENTRE = BuildingSpec(6.0, 6.0, 5.0, center_xy=(1.4, 0.0))
+
 SCENES = {
     "scan": (scan_scene(),
              BuildingSpec(10.0, 6.0, 5.0).footprint().expanded(0.5)),
+    "off_centre": (Scene(OFF_CENTRE), OFF_CENTRE.footprint().expanded(0.5)),
     "default": _shipped("default"),
     "obstacle_course": _shipped("obstacle_course"),
 }
@@ -138,17 +141,23 @@ reaches = st.one_of(st.floats(0.0, 20.0, exclude_min=True),
 
 # -- windowed scan == oracle below reach --------------------------------------
 
-# The first three examples put a bin's ray on the edge of a solid's window,
-# where the one-bin padding keeps it in (each fails without it):
+# Two examples put a bin's ray on the edge of a cylinder's window, where
+# the one-bin padding keeps it in (each fails without it):
 #   - bin 14 at yaw pi is tangent to obstacle 0;
-#   - bin 42 at yaw 0 passes through the footprint's south-east corner;
 #   - obstacle 1 sits 0.87 m behind the pose, so its window straddles the
 #     +-pi rear blind spot and reaches both ends of the scan; bin 1 is
 #     tangent to it.
+# Between them, bin 42 at yaw 0 passes through the footprint's south-east
+# corner, 2.56 m away.  The corner lies 87.00 deg off the bearing of the
+# nearest point, 0.44 bin inside the 87.44 deg of acos(d/reach), so this
+# one passes without the padding.
 # Then: the pose is inside obstacle 0's radius, so every bin sees it; bin 135
 # (angle 0) at yaw 0 runs along the footprint's north edge, and with the
 # building dead ahead, with dy == 0.0 exactly (a parallel ray); yaw 1e-310
-# makes bin 135's dy subnormal, so 1/dy overflows to inf.
+# makes bin 135's dy subnormal, so 1/dy overflows to inf.  Last, x = 4.4 is
+# the off-centre footprint's east wall (1.4 + 3.0) yet lies
+# 3.0000000000000004 from its centre: `Rect.contains` puts the pose
+# outside, and the pose is its own nearest point, which gives no bearing.
 @given(st.sampled_from(sorted(SCENES)), st.floats(-14.0, 14.0),
        st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
        st.floats(-math.pi, math.pi), reaches)
@@ -159,6 +168,7 @@ reaches = st.one_of(st.floats(0.0, 20.0, exclude_min=True),
 @example("scan", -7.0, 3.0, 1.0, 0.0, math.inf)
 @example("scan", -8.0, 0.0, 1.0, 0.0, 3.0)
 @example("scan", -8.0, 0.0, 2.0, 1e-310, 3.0)
+@example("off_centre", 4.4, 0.0, 1.0, math.pi, math.inf)
 @settings(max_examples=150, deadline=None)
 def test_windowed_scan_matches_all_bin_oracle(name, x, y, z, yaw, reach):
     scene = SCENES[name][0]
