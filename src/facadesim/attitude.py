@@ -32,13 +32,11 @@ class AttitudeEstimate:
     pitch: float
     yaw: float
     quat: Quat
-    time: float
 
     @staticmethod
     def level(yaw: float = 0.0) -> "AttitudeEstimate":
         yaw = wrap_angle(yaw)
-        return AttitudeEstimate(0.0, 0.0, yaw, quat_from_euler(0.0, 0.0, yaw),
-                                0.0)
+        return AttitudeEstimate(0.0, 0.0, yaw, quat_from_euler(0.0, 0.0, yaw))
 
 
 def accel_roll_pitch(accel: Vec3) -> tuple[float, float] | None:
@@ -105,4 +103,4 @@ def complementary_step(prev: AttitudeEstimate, imu: ImuSample,
 
     quat = quat_from_euler(roll, pitch, yaw)
     roll, pitch, yaw = euler_from_quat(quat)  # canonical ranges
-    return AttitudeEstimate(roll, pitch, yaw, quat, prev.time + dt)
+    return AttitudeEstimate(roll, pitch, yaw, quat)

@@ -93,7 +93,6 @@ class KalmanConfig:
 class KalmanState:
     x: Vec3   # [position, velocity, acceleration] on one world axis
     P: Mat3
-    time: float = 0.0
 
 
 def _to_world(quat: Quat, accel: Vec3) -> Vec3:
@@ -125,8 +124,8 @@ def _predict_covariance(p: Mat3, q: Mat3, d: float, h: float) -> Mat3:
 
 
 def _update_covariance(p: Mat3, r: float) -> tuple[tuple, Mat3]:
-    """Gain (P[:,2], c, c), K[i][j] = P[i][2] * c, and posterior P; c is
-    each column sum of S^-1 for S = H P H^T + R = P22 + r I."""
+    """Gain (P[:,2], c) and posterior P: K[i][j] = P[i][2] * c for both
+    IMUs j, c the column sum of S^-1 for S = H P H^T + R = P22 + r I."""
     p22 = p[2][2]
     s = p22 + r
     det = s * s - p22 * p22
@@ -144,12 +143,12 @@ def _update_covariance(p: Mat3, r: float) -> tuple[tuple, Mat3]:
     sym = tuple(
         tuple(0.5 * (raw[i][j] + raw[j][i]) for j in range(3))
         for i in range(3))
-    return (col, c, c), sym
+    return (col, c), sym
 
 
 def _update_state(x: Vec3, z: tuple[float, float], gain) -> Vec3:
-    (k0, k1, k2), c0, c1 = gain
-    u = c0 * (z[0] - x[2]) + c1 * (z[1] - x[2])
+    (k0, k1, k2), c = gain
+    u = c * (z[0] - x[2]) + c * (z[1] - x[2])
     return (x[0] + k0 * u, x[1] + k1 * u, x[2] + k2 * u)
 
 
@@ -179,16 +178,14 @@ def kalman_predict(state: KalmanState, cfg: KalmanConfig,
         raise ValueError(f"dt must be positive, got {dt}")
     h = 0.5 * dt * dt
     return KalmanState(x=_predict_state(state.x, dt, h),
-                       P=_predict_covariance(state.P, diag3(*cfg.q), dt, h),
-                       time=state.time + dt)
+                       P=_predict_covariance(state.P, diag3(*cfg.q), dt, h))
 
 
 def kalman_update(state: KalmanState, z: tuple[float, float],
                   cfg: KalmanConfig) -> KalmanState:
     """Fuse the two accelerometer readings for this axis."""
     gain, p = _update_covariance(state.P, cfg.r)
-    return KalmanState(x=_update_state(state.x, z, gain), P=p,
-                       time=state.time)
+    return KalmanState(x=_update_state(state.x, z, gain), P=p)
 
 
 def _filter_start(cfg: KalmanConfig, position: Vec3, yaw: float,
@@ -208,7 +205,6 @@ class EstimatedState:
     position: Vec3
     velocity: Vec3
     attitude: AttitudeEstimate
-    time: float
 
 
 class InertialEstimator:
@@ -248,7 +244,6 @@ class InertialEstimator:
             position=(ax[0], ay[0], az[0]),
             velocity=(ax[1], ay[1], az[1]),
             attitude=self.attitude,
-            time=self.attitude.time,
         )
 
 

@@ -162,7 +162,10 @@ def segment_circle_interval(a: tuple[float, float], b: tuple[float, float],
     if aa == 0.0:
         return (0.0, 1.0) if cc <= 0.0 else None
     bb = fx * vx + fy * vy
-    disc = bb * bb - aa * cc
+    # bb^2 - aa cc by Lagrange's identity: the direct difference cancels
+    # where the segment is tangent, and can miss it (Goldberg 1991)
+    cross = fx * vy - fy * vx
+    disc = aa * r * r - cross * cross
     if disc < 0.0:
         return None
     root = math.sqrt(disc)

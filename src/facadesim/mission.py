@@ -154,10 +154,10 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     """One run's sense -> estimate -> track -> fly step, as a generator.
 
     next() senses step 0.  send(cmd) tracks cmd when it is a Waypoint, or
-    flies cmd = (v_body, yaw_rate) with a fresh tracking PID, then senses
-    the next step.  Both yield (est position, dr position, est quat, est
-    yaw, true position, true attitude).  The arguments are checked here,
-    not at next().
+    flies the body velocity cmd at yaw rate 0 with a fresh tracking PID,
+    then senses the next step.  Both yield (est position, dr position, est
+    quat, est yaw, true position, true attitude).  The arguments are
+    checked here, not at next().
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -186,8 +186,8 @@ def _kernel_steps(sensors: SensorParams, seed: int, filter_start,
     noise1, noise2 = _noise_stream(seed, 0), _noise_stream(seed, 1)
     attitude, axes, gain_stream = filter_start
     (px, py, pz), (vx, vy, vz), (qw, qx, qy, qz), (wx, wy, wz), \
-        (ax, ay, az), _ = astuple(TrueState.at_rest(start, yaw=yaw))
-    roll, pitch, yaw, (ew, ex, ey, ez), _ = astuple(attitude)
+        (ax, ay, az) = astuple(TrueState.at_rest(start, yaw=yaw))
+    roll, pitch, yaw, (ew, ex, ey, ez) = astuple(attitude)
     (kpx, kvx, kax), (kpy, kvy, kay), (kpz, kvz, kaz) = axes
     # the dead reckoner starts from the true state, with no previous accel
     dqw, dqx, dqy, dqz = qw, qx, qy, qz
@@ -317,14 +317,14 @@ def _kernel_steps(sensors: SensorParams, seed: int, filter_start,
         w2x = a2x + ew * tx + (ey * tz - ez * ty) + g0
         w2y = a2y + ew * ty + (ez * tx - ex * tz) + g1
         w2z = a2z + ew * tz + (ex * ty - ey * tx) + g2
-        (p02, p12, p22), c0, c1 = next(gain_stream)
-        u = c0 * (w1x - kax) + c1 * (w2x - kax)
+        (p02, p12, p22), c = next(gain_stream)
+        u = c * (w1x - kax) + c * (w2x - kax)
         kpx, kvx, kax = (kpx + dt * kvx + h * kax + p02 * u,
                          kvx + dt * kax + p12 * u, kax + p22 * u)
-        u = c0 * (w1y - kay) + c1 * (w2y - kay)
+        u = c * (w1y - kay) + c * (w2y - kay)
         kpy, kvy, kay = (kpy + dt * kvy + h * kay + p02 * u,
                          kvy + dt * kay + p12 * u, kay + p22 * u)
-        u = c0 * (w1z - kaz) + c1 * (w2z - kaz)
+        u = c * (w1z - kaz) + c * (w2z - kaz)
         kpz, kvz, kaz = (kpz + dt * kvz + h * kaz + p02 * u,
                          kvz + dt * kaz + p12 * u, kaz + p22 * u)
 
@@ -398,17 +398,15 @@ def _kernel_steps(sensors: SensorParams, seed: int, filter_start,
                         else -yaw_rate_max)
         else:   # an override; tracking resumes with a fresh PID
             integral, prev_error, initialized = _FRESH_PID
-            v_body, yaw_rate = cmd
+            v_body, yaw_rate = cmd, 0.0
 
-        # step_dynamics: clamp the command; v_max > 0, so speed > 0 here.
-        # yaw_rate stays the command flown; rate is its clamp
+        # step_dynamics: clamp the speed; v_max > 0, so speed > 0 here.
+        # track already clamped yaw_rate, and 0.0 needs no clamp
         bx, by, bz = v_body
         speed = sqrt(bx * bx + by * by + bz * bz)
         if speed > v_max:
             k = v_max / speed
             bx, by, bz = bx * k, by * k, bz * k
-        rate = yaw_rate if yaw_rate < yaw_rate_max else yaw_rate_max
-        rate = rate if rate > -yaw_rate_max else -yaw_rate_max
         # lag toward the command rotated to the world frame
         tx = 2.0 * (qy * bz - qz * by)
         ty = 2.0 * (qz * bx - qx * bz)
@@ -434,7 +432,7 @@ def _kernel_steps(sensors: SensorParams, seed: int, filter_start,
         pitch0 = asin(s if s > -1.0 else -1.0)
         yaw0 = atan2(2.0 * (qw * qz + qx * qy),
                      1.0 - 2.0 * (qy * qy + qz * qz))
-        yaw1 = remainder(yaw0 + rate * dt, TWO_PI)
+        yaw1 = remainder(yaw0 + yaw_rate * dt, TWO_PI)
         yaw1 = pi if yaw1 <= -pi else yaw1
         # roll/pitch that align body z with the thrust direction accel - g,
         # expressed in the yaw-aligned frame
@@ -592,7 +590,7 @@ def run_mission(cfg: ScenarioConfig,
             cmd, lanes = None, _FRESH_LANES
         engaged.append(cmd is not None)
         (est_pos, dr_pos, est_quat, est_yaw, true_pos,
-         true_att) = kernel.send(wps[idx] if cmd is None else (cmd, 0.0))
+         true_att) = kernel.send(wps[idx] if cmd is None else cmd)
         steps += 1
 
     # the true poses flown from: every row's but the last, Done, which

@@ -41,7 +41,6 @@ class ImuSample:
     gyro: Vec3    # [rad/s] body frame
     accel: Vec3   # [m/s^2] specific force, body frame
     mag: Vec3     # unit vector, body frame
-    time: float
 
 
 class Imu:
@@ -80,7 +79,7 @@ class Imu:
                   w[2] + gb[2] + sg * n[2]),
             accel=(f[0] + ab[0] + sa * n[3], f[1] + ab[1] + sa * n[4],
                    f[2] + ab[2] + sa * n[5]),
-            mag=(mx, my, mz), time=state.time)
+            mag=(mx, my, mz))
 
 
 def _noise_stream(seed: int, imu_id: int):

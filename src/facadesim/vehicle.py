@@ -54,7 +54,6 @@ class TrueState:
     attitude: Quat                  # body -> world
     angular_rate: Vec3              # [rad/s] body frame
     accel_world: Vec3               # [m/s^2] acceleration over the last step
-    time: float
 
     @staticmethod
     def at_rest(position: Vec3, yaw: float = 0.0) -> "TrueState":
@@ -64,7 +63,6 @@ class TrueState:
             attitude=quat_from_euler(0.0, 0.0, yaw),
             angular_rate=(0.0, 0.0, 0.0),
             accel_world=(0.0, 0.0, 0.0),
-            time=0.0,
         )
 
 
@@ -136,4 +134,4 @@ def step_dynamics(state: TrueState, cmd: VelocityCommand, params: VehicleParams,
         position=(px, py, pz), velocity=(vx, vy, vz), attitude=attitude,
         angular_rate=(droll - dyaw * sp, dpitch * cr + dyaw * cp * sr,
                       -dpitch * sr + dyaw * cp * cr),
-        accel_world=(ax, ay, az), time=state.time + dt)
+        accel_world=(ax, ay, az))

@@ -36,7 +36,6 @@ _FACE_NORMALS: dict[str, Vec3] = {
 SCAN_ANGLE_MIN = -0.75 * math.pi
 SCAN_ANGLE_MAX = 0.75 * math.pi
 SCAN_N_BINS = 271
-SCAN_RANGE_MAX = 20.0
 # degrees, as the config file gives them: radians would not round-trip
 CAMERA_HFOV_DEG = 90.0
 CAMERA_VFOV_DEG = 60.0
@@ -165,7 +164,6 @@ class LaserScan:
     angle_min: float
     angle_max: float
     n_bins: int
-    range_max: float
     ranges: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -295,31 +293,28 @@ def simulate_scan(scene: Scene, pose: TrueState,
                   angle_min: float = SCAN_ANGLE_MIN,
                   angle_max: float = SCAN_ANGLE_MAX,
                   n_bins: int = SCAN_N_BINS,
-                  range_max: float = SCAN_RANGE_MAX,
                   reach: float = math.inf) -> LaserScan:
     """Planar range scan at the drone's altitude, body-frame bins.
 
     Only solids whose horizontal distance from the pose is below
     `reach` + 1e-6 m are ray-cast, and of each only the bins within a
     half-angle of one bearing that holds all of the solid within reach
-    (`_scan_hits`); every other bin reads `range_max`, like a miss.  Every
-    bin whose full-scan range is below `reach` is therefore bit-identical
-    to the full scan, and every other bin reads at least its full-scan
-    range.
+    (`_scan_hits`); every other bin reads inf, like a miss, and no hit is
+    clipped.  Every bin whose full-scan range is below `reach` is therefore
+    bit-identical to the full scan, and every other bin reads at least its
+    full-scan range.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
-    if range_max <= 0:
-        raise ValueError("range_max must be positive")
     if not reach > 0.0:
         raise ValueError(f"reach must be positive, got {reach}")
     x, y, z = pose.position
-    ranges = [range_max] * n_bins
+    ranges = [math.inf] * n_bins
     solids = _in_reach(scene, scene.building.footprint(), x, y, z, reach)
     for i, r in _scan_hits(solids, x, y, yaw_of(pose.attitude), angle_min,
                            angle_max, n_bins, reach):
-        ranges[i] = max(min(r, range_max), 1e-6)
-    return LaserScan(angle_min, angle_max, n_bins, range_max, tuple(ranges))
+        ranges[i] = r
+    return LaserScan(angle_min, angle_max, n_bins, tuple(ranges))
 
 
 def _occluded(scene: Scene, start: Vec3, end: Vec3) -> bool:

@@ -73,17 +73,18 @@ def test_criterion_02_step_response():
     wp = Waypoint((10.0, 0.0, 2.0), 0.0, 0)
     pid = PidState()
     reach_t = None
-    worst_x = 0.0
+    worst_x = t = 0.0
     from facadesim.estimation import EstimatedState
     for _ in range(3000):
         est = EstimatedState(position=s.position, velocity=s.velocity,
                              attitude=AttitudeEstimate.level(
-                                 yaw_of(s.attitude)), time=s.time)
+                                 yaw_of(s.attitude)))
         cmd, pid = track_waypoint(est, wp, gains, pid, DT)
         s = step_dynamics(s, cmd, VehicleParams(), DT)
+        t += DT
         worst_x = max(worst_x, s.position[0])
         if reach_t is None and v_dist(s.position, wp.position) <= 0.05:
-            reach_t = s.time
+            reach_t = t
     overshoot = worst_x - 10.0
     final = v_dist(s.position, wp.position)
     ok = (reach_t is not None and reach_t <= 30.0
@@ -273,10 +274,10 @@ def test_criterion_09_filter_unit_suites():
     # alpha = 1: measurements must not influence the output at all
     prev = AttitudeEstimate.level(0.0)
     gyro = (0.02, -0.01, 0.3)
-    a = complementary_step(prev, ImuSample(gyro, (0, 0, GRAVITY), (1, 0, 0),
-                                           DT), ComplementaryGain(1.0), DT)
+    a = complementary_step(prev, ImuSample(gyro, (0, 0, GRAVITY), (1, 0, 0)),
+                           ComplementaryGain(1.0), DT)
     b = complementary_step(prev, ImuSample(gyro, (5.0, -7.0, 3.0),
-                                           (0, 0, -1), DT),
+                                           (0, 0, -1)),
                            ComplementaryGain(1.0), DT)
     pure_gyro_ok = a == b and a.yaw == pytest.approx(0.3 * DT, abs=1e-15)
 
@@ -284,8 +285,8 @@ def test_criterion_09_filter_unit_suites():
     q = quat_from_euler(0.1, -0.2, 0.6)
     sample = ImuSample((9.0, 9.0, 9.0),
                        quat_rotate_inverse(q, (0.0, 0.0, GRAVITY)),
-                       quat_rotate_inverse(q, (1.0, 0.0, 0.0)), DT)
-    quiet = ImuSample((0.0, 0.0, 0.0), sample.accel, sample.mag, DT)
+                       quat_rotate_inverse(q, (1.0, 0.0, 0.0)))
+    quiet = ImuSample((0.0, 0.0, 0.0), sample.accel, sample.mag)
     c = complementary_step(prev, sample, ComplementaryGain(0.0), DT)
     d = complementary_step(prev, quiet, ComplementaryGain(0.0), DT)
     pure_meas_ok = (c == d and c.roll == pytest.approx(0.1, abs=1e-9)
@@ -295,11 +296,11 @@ def test_criterion_09_filter_unit_suites():
     # stationary convergence: offset start pulled level within 0.1 deg
     est = AttitudeEstimate(math.radians(5.0), math.radians(-3.0), 0.0,
                            quat_from_euler(math.radians(5.0),
-                                           math.radians(-3.0), 0.0), 0.0)
+                                           math.radians(-3.0), 0.0))
     level_q = quat_from_euler(0.0, 0.0, 0.0)
     still = ImuSample((0.0, 0.0, 0.0),
                       quat_rotate_inverse(level_q, (0.0, 0.0, GRAVITY)),
-                      (1.0, 0.0, 0.0), 0.0)
+                      (1.0, 0.0, 0.0))
     for _ in range(2000):
         est = complementary_step(est, still, ComplementaryGain(0.98), DT)
     conv_ok = (abs(est.roll) < math.radians(0.1)

@@ -21,12 +21,12 @@ from facadesim.vehicle import GRAVITY
 DT = 0.01
 
 
-def rest_sample(roll, pitch, yaw, gyro=(0.0, 0.0, 0.0), t=0.0):
+def rest_sample(roll, pitch, yaw, gyro=(0.0, 0.0, 0.0)):
     """Noise-free IMU output for a static body at the given attitude."""
     q = quat_from_euler(roll, pitch, yaw)
     accel = quat_rotate_inverse(q, (0.0, 0.0, GRAVITY))
     mag = quat_rotate_inverse(q, (1.0, 0.0, 0.0))
-    return ImuSample(gyro=gyro, accel=accel, mag=mag, time=t)
+    return ImuSample(gyro=gyro, accel=accel, mag=mag)
 
 
 def test_gain_validation():
@@ -82,8 +82,7 @@ def test_alpha_one_is_pure_gyro_integration():
     prev = AttitudeEstimate.level(0.2)
     gyro = (0.03, -0.02, 0.05)
     # wildly wrong accel/mag: pure gyro must ignore them entirely
-    sample = ImuSample(gyro=gyro, accel=(5.0, 5.0, 5.0),
-                       mag=(0.0, 1.0, 0.0), time=0.0)
+    sample = ImuSample(gyro=gyro, accel=(5.0, 5.0, 5.0), mag=(0.0, 1.0, 0.0))
     out = complementary_step(prev, sample, ComplementaryGain(1.0), DT)
     p, q, r = gyro
     droll = p  # roll=pitch=0: map is identity at level attitude
@@ -114,7 +113,7 @@ def test_stationary_convergence_to_level():
                            math.radians(10.0),
                            quat_from_euler(math.radians(5.0),
                                            math.radians(-3.0),
-                                           math.radians(10.0)), 0.0)
+                                           math.radians(10.0)))
     sample = rest_sample(0.0, 0.0, 0.0)
     gain = ComplementaryGain(0.98)
     for _ in range(2000):
@@ -155,7 +154,7 @@ def test_gyro_bias_bounded_by_measurement_leg():
 def test_free_fall_falls_back_to_gyro():
     est = AttitudeEstimate.level(0.0)
     sample = ImuSample(gyro=(0.1, 0.0, 0.0), accel=(0.0, 0.0, 0.0),
-                       mag=(1.0, 0.0, 0.0), time=0.0)
+                       mag=(1.0, 0.0, 0.0))
     out = complementary_step(est, sample, ComplementaryGain(0.5), DT)
     # roll advances by the gyro increment; no measurement pull
     assert out.roll == pytest.approx(0.1 * DT, abs=1e-12)
@@ -163,9 +162,9 @@ def test_free_fall_falls_back_to_gyro():
 
 def test_gimbal_guard_survives_vertical_pitch():
     q = quat_from_euler(0.0, math.pi / 2.0 - 1e-12, 0.0)
-    est = AttitudeEstimate(0.0, math.pi / 2.0 - 1e-12, 0.0, q, 0.0)
+    est = AttitudeEstimate(0.0, math.pi / 2.0 - 1e-12, 0.0, q)
     sample = ImuSample(gyro=(0.0, 0.0, 0.5), accel=(-GRAVITY, 0.0, 0.0),
-                       mag=(0.0, 0.0, -1.0), time=0.0)
+                       mag=(0.0, 0.0, -1.0))
     out = complementary_step(est, sample, ComplementaryGain(1.0), DT)
     assert math.isfinite(out.roll) and math.isfinite(out.yaw)
 
@@ -185,4 +184,3 @@ def test_step_output_quat_is_unit(roll, pitch, yaw, alpha):
     out = complementary_step(est, sample, ComplementaryGain(alpha), DT)
     w, x, y, z = out.quat
     assert math.isclose(w * w + x * x + y * y + z * z, 1.0, abs_tol=1e-9)
-    assert out.time == pytest.approx(DT)

@@ -28,16 +28,15 @@ DT = 0.01
 
 def est_at(x, y, z, yaw=0.0):
     return EstimatedState(position=(x, y, z), velocity=(0.0, 0.0, 0.0),
-                          attitude=AttitudeEstimate.level(yaw), time=0.0)
+                          attitude=AttitudeEstimate.level(yaw))
 
 
-def scan_of(bins, n_bins=9, range_max=20.0):
+def scan_of(bins, n_bins=9):
     """Sparse scan: {index: range} over the usual -135..135 deg span."""
-    ranges = [range_max] * n_bins
+    ranges = [math.inf] * n_bins
     for i, r in bins.items():
         ranges[i] = r
-    return LaserScan(-0.75 * math.pi, 0.75 * math.pi, n_bins, range_max,
-                     tuple(ranges))
+    return LaserScan(-0.75 * math.pi, 0.75 * math.pi, n_bins, tuple(ranges))
 
 
 # -- scalar PID ---------------------------------------------------------------
@@ -143,14 +142,16 @@ def test_step_response_settles_quickly_without_overshoot():
     params = VehicleParams()
     pid = PidState()
     xs, ts = [], []
+    t = 0.0
     for _ in range(3000):
         est = EstimatedState(position=s.position, velocity=s.velocity,
                              attitude=AttitudeEstimate.level(
-                                 yaw_of(s.attitude)), time=s.time)
+                                 yaw_of(s.attitude)))
         cmd, pid = track_waypoint(est, wp, PidGains(), pid, DT)
         s = step_dynamics(s, cmd, params, DT)
+        t += DT
         xs.append(s.position[0])
-        ts.append(s.time)
+        ts.append(t)
     overshoot = max(xs) - 10.0
     assert overshoot < 0.2 * 10.0
     assert abs(xs[-1] - 10.0) < 0.05

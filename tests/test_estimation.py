@@ -265,9 +265,8 @@ def test_dead_reckoner_streaming_matches_batch():
     accels = [tuple(rng.uniform(-1, 1, 3)) for _ in range(n)]
     samples = [
         ImuSample(gyro=(0.0, 0.0, 0.0),
-                  accel=(a[0], a[1], a[2] + GRAVITY), mag=(1.0, 0.0, 0.0),
-                  time=k * DT)
-        for k, a in enumerate(accels)
+                  accel=(a[0], a[1], a[2] + GRAVITY), mag=(1.0, 0.0, 0.0))
+        for a in accels
     ]
     reck = DeadReckoner((0.0, 0.0, 0.0), quat_from_euler(0, 0, 0), dt=DT)
     last = None
@@ -285,9 +284,8 @@ def test_world_accel_inverts_sensor_model():
         q = quat_from_euler(roll, pitch, yaw)
         f_body = quat_rotate_inverse(
             q, (a_world[0], a_world[1], a_world[2] + GRAVITY))
-        att = AttitudeEstimate(roll, pitch, yaw, q, 0.0)
-        sample = ImuSample(gyro=(0, 0, 0), accel=f_body,
-                           mag=(1, 0, 0), time=0.0)
+        att = AttitudeEstimate(roll, pitch, yaw, q)
+        sample = ImuSample(gyro=(0, 0, 0), accel=f_body, mag=(1, 0, 0))
         assert world_accel(sample, att) == pytest.approx(a_world, abs=1e-9)
 
 
@@ -431,8 +429,8 @@ def _first_repeat(p, q, r, d, h, n, entries):
 
 
 def _gain_hex(gain):
-    (k0, k1, k2), c0, c1 = gain
-    return [g.hex() for g in (k0, k1, k2, c0, c1)]
+    (k0, k1, k2), c = gain
+    return [g.hex() for g in (k0, k1, k2, c)]
 
 
 def _default_yaml_kalman():
@@ -514,7 +512,7 @@ def test_estimator_singular_innovation_raises():
     est = InertialEstimator(KalmanConfig(r=0.0),
                             ComplementaryGain(0.98), (0.0, 0.0, 0.0), dt=DT)
     sample = ImuSample(gyro=(0.0, 0.0, 0.0), accel=(0.0, 0.0, GRAVITY),
-                       mag=(1.0, 0.0, 0.0), time=DT)
+                       mag=(1.0, 0.0, 0.0))
     with pytest.raises(InvalidScenario, match=SINGULAR):
         est.step(sample, sample)
 

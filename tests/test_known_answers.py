@@ -49,8 +49,7 @@ def test_open_loop_error_follows_the_random_walk_law():
         # after NOISE_LAW_T / dt filter steps
         est_pos, _, _, _, true_pos, _ = next(kernel)
         for _ in range(round(NOISE_LAW_T / dt) - 1):
-            est_pos, _, _, _, true_pos, _ = kernel.send(((0.0, 0.0, 0.0),
-                                                         0.0))
+            est_pos, _, _, _, true_pos, _ = kernel.send((0.0, 0.0, 0.0))
         assert true_pos == start
         squared += [(e - s) ** 2 for e, s in zip(est_pos, start)]
     rms = math.sqrt(3.0 * sum(squared) / len(squared))

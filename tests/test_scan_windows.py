@@ -28,7 +28,6 @@ from facadesim.world import (
     SCAN_ANGLE_MAX,
     SCAN_ANGLE_MIN,
     SCAN_N_BINS,
-    SCAN_RANGE_MAX,
     _REACH_MARGIN,
     BuildingSpec,
     Obstacle,
@@ -84,8 +83,7 @@ def _circle_ray_distances(cx, cy, radius, ox, oy, dx, dy):
 
 
 def oracle_scan(scene, state, angle_min=SCAN_ANGLE_MIN,
-                angle_max=SCAN_ANGLE_MAX, n_bins=SCAN_N_BINS,
-                range_max=SCAN_RANGE_MAX):
+                angle_max=SCAN_ANGLE_MAX, n_bins=SCAN_N_BINS):
     ox, oy, z = state.position
     angles = np.linspace(angle_min, angle_max, n_bins)
     cos_b, sin_b = np.cos(angles), np.sin(angles)
@@ -101,7 +99,7 @@ def oracle_scan(scene, state, angle_min=SCAN_ANGLE_MIN,
         if z <= o.height:
             best = np.minimum(best, _circle_ray_distances(
                 o.center_xy[0], o.center_xy[1], o.radius, ox, oy, dx, dy))
-    return np.maximum(np.minimum(best, range_max), 1e-6).tolist()
+    return np.maximum(best, 1e-6).tolist()
 
 
 # -- scenes -------------------------------------------------------------------
@@ -132,7 +130,7 @@ SCENES = {
 def pose(x, y, z, yaw):
     return TrueState(position=(x, y, z), velocity=(0, 0, 0),
                      attitude=quat_from_euler(0.0, 0.0, yaw),
-                     angular_rate=(0, 0, 0), accel_world=(0, 0, 0), time=0.0)
+                     angular_rate=(0, 0, 0), accel_world=(0, 0, 0))
 
 
 reaches = st.one_of(st.floats(0.0, 20.0, exclude_min=True),

@@ -22,8 +22,7 @@ def attitude_state(roll, pitch, yaw, angular_rate=(0.0, 0.0, 0.0),
                    accel_world=(0.0, 0.0, 0.0)):
     return TrueState(position=(0.0, 0.0, 2.0), velocity=(0.0, 0.0, 0.0),
                      attitude=quat_from_euler(roll, pitch, yaw),
-                     angular_rate=angular_rate, accel_world=accel_world,
-                     time=0.0)
+                     angular_rate=angular_rate, accel_world=accel_world)
 
 
 def test_rest_sample_measures_gravity_up_body_z():

@@ -36,9 +36,9 @@ from facadesim.vehicle import (
 )
 
 STEPS = 150
-# an avoidance-like override: faster than v_max and yawing faster than
-# yaw_rate_max, so the plant's clamps run; it also resets the tracking PID
-OVERRIDE = VelocityCommand(v_body=(0.5, 4.0, -0.3), yaw_rate=2.0)
+# an avoidance-like override: faster than v_max, so the plant's speed
+# clamp runs, and flown at yaw rate 0; it also resets the tracking PID
+OVERRIDE = VelocityCommand(v_body=(0.5, 4.0, -0.3), yaw_rate=0.0)
 # at dt 0.01 s from rest, straight down at the speed whose lagged step
 # accelerates at -g: the thrust vanishes and the plant holds its tilt
 FREE_FALL = VelocityCommand(
@@ -75,8 +75,8 @@ def kernel_traces(run: dict) -> np.ndarray:
     for k in range(STEPS):
         state = kernel.gi_frame.f_locals
         true = tuple(state[name] for name in _TRUE)
-        sensed = kernel.send((run["override"].v_body, run["override"].yaw_rate)
-                             if _overridden(k) else wp)
+        sensed = kernel.send(run["override"].v_body if _overridden(k)
+                             else wp)
         flown = kernel.gi_frame.f_locals
         rows.append(_row(true, est_pos, quat, yaw, dr_pos, flown["v_body"],
                          flown["yaw_rate"]))

@@ -223,4 +223,3 @@ def test_step_invariants(vx, vy, vz, wz, yaw_q):
         assert s.position[2] >= 0.0
         assert v_norm(s.velocity) <= max(v_norm(prev.velocity),
                                          params.v_max) + 1e-9
-        assert s.time == pytest.approx(prev.time + DT)
