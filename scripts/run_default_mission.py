@@ -15,6 +15,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "src"))
 
 from facadesim import load_config, run_mission  # noqa: E402
+from facadesim.perception import LABEL_CRACK  # noqa: E402
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -35,7 +36,7 @@ def main() -> int:
     print(f"scenario: {cfg.name}")
     print(f"inspection: {rep.inspection_duration:.2f} s, "
           f"{len(result.captures)} captures")
-    crack = sum(1 for c in result.captures if c.label == "crack")
+    crack = sum(1 for c in result.captures if c.label == LABEL_CRACK)
     print(f"crack-labeled captures: {crack}")
     if rep.min_obstacle_clearance is not None:
         print(f"min obstacle clearance: {rep.min_obstacle_clearance:.3f} m")

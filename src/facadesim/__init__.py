@@ -10,7 +10,6 @@ cadence, and revisits every crack-labeled capture pose.
 from .config import MissionParams, ScenarioConfig, config_to_dict, load_config
 from .errors import InvalidScenario, MissionAborted
 from .mission import (
-    MissionPhase,
     MissionReport,
     MissionResult,
     run_hover,
@@ -26,7 +25,6 @@ __all__ = [
     "InvalidScenario",
     "MissionAborted",
     "MissionParams",
-    "MissionPhase",
     "MissionReport",
     "MissionResult",
     "Obstacle",

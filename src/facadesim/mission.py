@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from enum import Enum
 from math import asin, atan2, cos, pi, remainder, sin, sqrt
 
 from .attitude import ComplementaryGain
@@ -30,7 +29,6 @@ from .perception import CaptureRecord, Classifier, filter_fault_coordinates
 from .planner import (
     Waypoint,
     avoidance_polygon,
-    facing_yaw,
     generate_perimeter_path,
     home_leg,
     plan_return_path,
@@ -52,22 +50,13 @@ from .vehicle import step_dynamics  # noqa: F401
 from .world import simulate_scan  # noqa: F401
 
 
-class MissionPhase(Enum):
-    IDLE = "Idle"
-    INSPECTING = "Inspecting"
-    RETURNING_HOME = "ReturningHome"
-    DETECTING = "Detecting"
-    HOLDING = "Holding"
-    DONE = "Done"
-
-
-# The phase names the loop holds, compares with `is` and logs: an enum
-# attribute read costs ten times more.
-_INSPECTING = MissionPhase.INSPECTING.value
-_RETURNING_HOME = MissionPhase.RETURNING_HOME.value
-_DETECTING = MissionPhase.DETECTING.value
-_HOLDING = MissionPhase.HOLDING.value
-_DONE = MissionPhase.DONE.value
+# The phase names the loop holds, compares with `is` and logs; a run starts
+# from "Idle", which only its first transition names.
+_INSPECTING = "Inspecting"
+_RETURNING_HOME = "ReturningHome"
+_DETECTING = "Detecting"
+_HOLDING = "Holding"
+_DONE = "Done"
 
 
 @dataclass(frozen=True)
@@ -482,7 +471,8 @@ def run_mission(cfg: ScenarioConfig,
     watchdog_s, capture_interval_s = mp.watchdog_s, mp.capture_interval_s
     gains, v_max, scan_n_bins = cfg.gains, cfg.vehicle.v_max, cfg.scan_n_bins
     home = cfg.home
-    home_yaw = facing_yaw(fp, home[0], home[1])
+    wps = generate_perimeter_path(cfg.building, cfg.plan, home)
+    home_yaw = wps[0].yaw   # the entry climb faces the building from home
 
     kernel = _step_kernel(
         cfg.sensors, cfg.seed, cfg.kalman(), cfg.alpha, home, home_yaw, dt,
@@ -490,8 +480,7 @@ def run_mission(cfg: ScenarioConfig,
     classifier = Classifier(cfg.classifier, cfg.seed)
 
     phase = _INSPECTING
-    transitions = [(0.0, MissionPhase.IDLE.value, phase)]
-    wps = generate_perimeter_path(cfg.building, cfg.plan, home)
+    transitions = [(0.0, "Idle", phase)]
     idx = 0
     last_advance = 0.0
     last_capture = -capture_interval_s   # a capture is due on the first step

@@ -24,14 +24,13 @@ from .geometry import (
 )
 from .vehicle import TrueState
 
-FACES = ("north", "south", "east", "west")
-
 _FACE_NORMALS: dict[str, Vec3] = {
     "north": (0.0, 1.0, 0.0),
     "south": (0.0, -1.0, 0.0),
     "east": (1.0, 0.0, 0.0),
     "west": (-1.0, 0.0, 0.0),
 }
+FACES = tuple(_FACE_NORMALS)
 
 SCAN_ANGLE_MIN = -0.75 * math.pi
 SCAN_ANGLE_MAX = 0.75 * math.pi

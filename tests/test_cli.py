@@ -488,6 +488,11 @@ def test_report_on_empty_dir_exits_4(tmp_path, capsys):
     with open(run / "trajectory.csv", "w", newline="") as fh:
         csv.writer(fh).writerow(TRAJ_HEADER)
     assert main(["report", "--out", str(run)]) == 4
+    assert "no run found" in capsys.readouterr().err
+    # nor is an empty trajectory, with no header at all
+    (run / "trajectory.csv").write_text("")
+    assert main(["report", "--out", str(run)]) == 4
+    assert "no run found" in capsys.readouterr().err
 
 
 _GOOD_ROW = "0,1,2,3,1,2,3,1,2,3,Done"

@@ -25,7 +25,7 @@ from facadesim.errors import InvalidScenario
 from facadesim.estimation import KalmanConfig
 from facadesim.mission import run_hover
 from facadesim.perception import CAPTURE_INTERVAL_S, filter_fault_coordinates
-from facadesim.planner import generate_perimeter_path
+from facadesim.planner import PlanParams, generate_perimeter_path
 from facadesim.sensors import SensorParams
 from facadesim.vehicle import VehicleParams
 from facadesim.world import BuildingSpec, CameraModel, FaultDecal, Obstacle
@@ -267,6 +267,13 @@ def test_plan_too_large_to_build_rejected(overrides):
     with pytest.raises(InvalidScenario, match=r"plan\.layer_height .* and "
                        r"plan\.waypoint_spacing .* waypoints, more than"):
         config_from_dict(data)
+
+
+def test_plan_spacing_too_large_for_a_float_rejected():
+    """A config built in Python may hold an int no float reaches; the
+    planner's own division would raise OverflowError on it."""
+    with pytest.raises(InvalidScenario, match="give about inf waypoints"):
+        small_config(plan=PlanParams(waypoint_spacing=10**400))
 
 
 def test_plan_with_no_layer_rejected():

@@ -190,6 +190,14 @@ def test_obstacle_clearance_log_matches_geometry(obstacle_run):
     assert reported == pytest.approx(best, abs=1e-12)
 
 
+def test_cylinder_clearance_above_the_top_and_beyond_the_rim():
+    pole = Obstacle(0, (0.0, 0.0), 1.0, 3.0)
+    # over the pole: straight up to its top
+    assert mission._cylinder_clearance(pole, 0.5, 0.0, 5.0) == 2.0
+    # outside the rim and above the top: to the top's edge, 3 m out, 4 m up
+    assert mission._cylinder_clearance(pole, 4.0, 0.0, 7.0) == 5.0
+
+
 def test_obstacle_run_builds_no_dataclass_per_step(config_dir, monkeypatch):
     """Avoidance steps `_pid` tuples on `ObstacleSectors`, a named tuple,
     and returns a bare velocity: no step builds a frozen dataclass, so a

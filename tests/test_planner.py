@@ -85,6 +85,8 @@ def test_path_structure():
     # entry point hovers over home at the first ring altitude
     assert path[0].position == (16.0, 0.0, 1.5)
     assert path[0].layer == 0
+    # run_mission starts the drone at this yaw
+    assert path[0].yaw == facing_yaw(b.footprint(), *home[:2])
     assert path[0].yaw == pytest.approx(math.pi)
     # ring: 13 + 8 segments per side pair, closed loop per layer
     per_layer = 2 * (13 + 8) + 1

@@ -33,3 +33,13 @@ def test_run_default_mission_help():
     proc = _run(SCRIPTS / "run_default_mission.py", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "--config" in proc.stdout
+
+
+def test_run_default_mission_reports_the_fault():
+    proc = _run(SCRIPTS / "run_default_mission.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "scenario: default"
+    assert "crack-labeled captures: 2" in lines
+    faults = [ln for ln in lines if ln.startswith("fault ")]
+    assert len(faults) == 1 and faults[0].startswith("fault 0: ")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from facadesim.config import load_config
 from facadesim.control import classify_sectors
 from facadesim.geometry import quat_from_euler
 from facadesim.vehicle import TrueState
@@ -94,6 +95,9 @@ def test_obstacle_validation():
     b = BuildingSpec(10.0, 6.0, 5.0)
     with pytest.raises(ValueError):
         Scene(b, obstacles=(Obstacle(0, (5.2, 0.0), 0.5, 2.0),))
+    with pytest.raises(ValueError, match="obstacle ids must be unique"):
+        Scene(b, obstacles=(Obstacle(0, (9.0, 0.0), 0.5, 2.0),
+                            Obstacle(0, (-9.0, 0.0), 0.5, 2.0)))
 
 
 def test_camera_validation():
@@ -267,6 +271,16 @@ def test_decal_not_visible_through_back_face():
     cam = CameraModel()
     state = pose(-8.0, 0.0, 1.5, 0.0)   # west side looking east
     assert visible_decals(scene, state.position, state.attitude, cam) == []
+
+
+def test_decal_behind_the_camera(config_dir):
+    """From (9, 0, 1.5) the east-face decal of `default` faces the camera's
+    position, but at yaw 0 it lies behind the camera."""
+    cfg = load_config(config_dir / "default.yaml")
+    scene, cam = cfg.scene(), cfg.camera()
+    back, front = pose(9.0, 0.0, 1.5, 0.0), pose(9.0, 0.0, 1.5, math.pi)
+    assert visible_decals(scene, back.position, back.attitude, cam) == []
+    assert visible_decals(scene, front.position, front.attitude, cam) == [0]
 
 
 def test_decal_outside_range():
