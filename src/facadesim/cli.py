@@ -61,9 +61,11 @@ def write_plan_csv(path: Path, plan: WaypointPath) -> None:
                 ((wp.layer, *wp.position, wp.yaw) for wp in plan))
 
 
-def write_trajectory_csv(path: Path, rows) -> None:
+def write_trajectory_csv(path: Path, table, phases) -> None:
+    floats = iter(memoryview(table.ravel()))   # one float at a time
     _write_rows(path, ",".join(TRAJ_COLUMNS),
-                "%.9g," * len(_TRAJ_FLOATS) + "%s\r\n", rows)
+                "%.9g," * len(_TRAJ_FLOATS) + "%s\r\n",
+                zip(*[floats] * len(_TRAJ_FLOATS), phases))
 
 
 def write_capture_csv(path: Path, captures) -> None:
@@ -73,8 +75,8 @@ def write_capture_csv(path: Path, captures) -> None:
                  for c in captures))
 
 
-def report_to_dict(report: MissionReport) -> dict:
-    return {
+def write_report_json(path: Path, report: MissionReport) -> None:
+    rep = {
         "faults": [
             {"id": f.id, "position": list(f.position), "yaw": f.yaw}
             for f in report.faults
@@ -83,11 +85,8 @@ def report_to_dict(report: MissionReport) -> dict:
         "detection_durations_s": list(report.detection_durations),
         "min_obstacle_clearance_m": report.min_obstacle_clearance,
     }
-
-
-def write_report_json(path: Path, report: MissionReport) -> None:
     with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(rep, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -106,7 +105,8 @@ def _write_outputs(out: Path, cfg: ScenarioConfig,
     write_plan_csv(out / PLAN_CSV, plan)
     if result is None:
         return
-    write_trajectory_csv(out / TRAJECTORY_CSV, result.trajectory)
+    write_trajectory_csv(out / TRAJECTORY_CSV, result.trajectory,
+                         result.phases)
     write_capture_csv(out / CAPTURE_CSV, result.captures)
     if with_report:
         write_report_json(out / REPORT_JSON, result.report)

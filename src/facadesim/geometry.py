@@ -133,8 +133,8 @@ class Rect:
     hx: float
     hy: float
 
-    def contains(self, x: float, y: float) -> bool:
-        return abs(x - self.cx) <= self.hx and abs(y - self.cy) <= self.hy
+    def contains(self, x, y):   # floats or arrays, elementwise
+        return (abs(x - self.cx) <= self.hx) & (abs(y - self.cy) <= self.hy)
 
     def expanded(self, margin: float) -> "Rect":
         return Rect(self.cx, self.cy, self.hx + margin, self.hy + margin)

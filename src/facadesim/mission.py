@@ -9,8 +9,11 @@ the loggers.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import astuple, dataclass
 from math import asin, atan2, cos, pi, remainder, sin, sqrt
+
+import numpy as np
 
 from .attitude import ComplementaryGain
 from .config import MissionParams, ScenarioConfig
@@ -78,8 +81,8 @@ class MissionReport:
 class MissionResult:
     report: MissionReport
     captures: tuple[CaptureRecord, ...]
-    # rows: (t, true xyz, est xyz, dead-reckoning xyz, phase name)
-    trajectory: list[tuple]
+    trajectory: np.ndarray                 # float64 rows: t, true, est, dr xyz
+    phases: list[str]                      # phase name, per row
     transitions: list[tuple[float, str, str]]
     engaged: list[bool]                    # avoidance active, per step
     entered_footprint: bool
@@ -87,16 +90,13 @@ class MissionResult:
     hold_end_poses: list[tuple[int, float, Vec3, float]]
 
 
-def _cylinder_clearance(o, x: float, y: float, z: float) -> float:
-    dx = x - o.center_xy[0]
-    dy = y - o.center_xy[1]
-    horiz = math.sqrt(dx * dx + dy * dy) - o.radius
+def _cylinder_clearance(o, x, y, z):
+    dx, dy = x - o.center_xy[0], y - o.center_xy[1]
+    horiz = np.sqrt(dx * dx + dy * dy) - o.radius
     dz = z - o.height
-    if horiz <= 0.0:
-        return dz if dz > 0.0 else 0.0
-    if dz <= 0.0:
-        return horiz
-    return math.sqrt(horiz * horiz + dz * dz)
+    return np.where(horiz <= 0.0, np.where(dz > 0.0, dz, 0.0),
+                    np.where(dz <= 0.0, horiz,
+                             np.sqrt(horiz * horiz + dz * dz)))
 
 
 # [m] Added to the slack of `_hidden`: it covers the 1e-6 m floor of a
@@ -488,7 +488,8 @@ def run_mission(cfg: ScenarioConfig,
     fault_poses: list[tuple[Vec3, float]] = []
     detect_i = 0
     hold_until = 0.0
-    trajectory: list[tuple] = []
+    table = array("d")   # (t, true xyz, est xyz, dr xyz) per step
+    phases: list[str] = []
     engaged: list[bool] = []
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
     lanes = _FRESH_LANES
@@ -550,7 +551,8 @@ def run_mission(cfg: ScenarioConfig,
             transitions.append((t, phase, to))
             phase = to
 
-        trajectory.append((t, *true_pos, *est_pos, *dr_pos, phase))
+        table.extend((t, *true_pos, *est_pos, *dr_pos))
+        phases.append(phase)
         if phase is _DONE:
             break
 
@@ -582,17 +584,15 @@ def run_mission(cfg: ScenarioConfig,
          true_att) = kernel.send(wps[idx] if cmd is None else cmd)
         steps += 1
 
+    trajectory = np.frombuffer(table).reshape(-1, 10)
     # the true poses flown from: every row's but the last, Done, which
     # stops the loop before a fly step
-    flown = trajectory[:-1]
-    # the generators read only these names, so no name the loop reads is a
-    # closure cell
-    obstacles, height, contains = (scene.obstacles, scene.building.height,
-                                   fp.contains)
-    min_clear = min((_cylinder_clearance(o, row[1], row[2], row[3])
-                     for row in flown for o in obstacles), default=None)
-    entered_fp = any(row[3] <= height and contains(row[1], row[2])
-                     for row in flown)
+    x, y, z = trajectory[:-1, 1:4].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        clear = [_cylinder_clearance(o, x, y, z) for o in scene.obstacles]
+        min_clear = float(np.min(clear)) if clear and len(z) else None
+        entered_fp = bool(np.any((z <= scene.building.height)
+                                 & fp.contains(x, y)))
     # every inspection ends on its return leg; each leg to a fault starts
     # in Detecting and ends when its hold does
     inspection_duration = next(t for t, frm, _ in transitions
@@ -608,8 +608,8 @@ def run_mission(cfg: ScenarioConfig,
         min_obstacle_clearance=min_clear,
     )
     return MissionResult(report=report, captures=tuple(captures),
-                         trajectory=trajectory, transitions=transitions,
-                         engaged=engaged,
+                         trajectory=trajectory, phases=phases,
+                         transitions=transitions, engaged=engaged,
                          entered_footprint=entered_fp,
                          hold_end_poses=hold_end_poses)
 
@@ -618,10 +618,10 @@ def run_mission(cfg: ScenarioConfig,
 class HoverResult:
     """Station-keeping traces: distance of each pipeline from the setpoint."""
 
-    times: list[float]
-    est_err: list[float]     # Kalman estimate vs setpoint
-    dr_err: list[float]      # dead-reckoning vs setpoint
-    true_err: list[float]    # ground truth vs setpoint
+    times: np.ndarray        # float64, one entry per step, as are the rest
+    est_err: np.ndarray      # Kalman estimate vs setpoint
+    dr_err: np.ndarray       # dead-reckoning vs setpoint
+    true_err: np.ndarray     # ground truth vs setpoint
 
 
 def run_hover(duration_s: float = 120.0, seed: int = 0,
@@ -646,11 +646,11 @@ def run_hover(duration_s: float = 120.0, seed: int = 0,
     wp = Waypoint(setpoint, 0.0, 0)
     est_pos, dr_pos, _, _, true_pos, _ = next(kernel)
 
-    res = HoverResult(times=[], est_err=[], dr_err=[], true_err=[])
-    for k in range(round(duration_s / dt)):
-        res.times.append(k * dt)
-        res.est_err.append(v_dist(est_pos, setpoint))
-        res.dr_err.append(v_dist(dr_pos, setpoint))
-        res.true_err.append(v_dist(true_pos, setpoint))
+    log = array("d")   # (est xyz, dr xyz, true xyz) per step
+    for _ in range(round(duration_s / dt)):
+        log.extend((*est_pos, *dr_pos, *true_pos))
         est_pos, dr_pos, _, _, true_pos, _ = kernel.send(wp)
-    return res
+    # each pipeline's distance from the setpoint, as v_dist computes it
+    dx, dy, dz = (np.frombuffer(log).reshape(-1, 3, 3) - setpoint).T
+    return HoverResult(np.arange(len(log) // 9) * dt,
+                       *np.sqrt(dx * dx + dy * dy + dz * dz))

@@ -19,7 +19,7 @@ from .vehicle import G_VEC, TrueState
 
 MAG_WORLD: Vec3 = (1.0, 0.0, 0.0)
 
-_CHUNK = 4096  # samples per noise draw; 9 normals per sample
+_CHUNK = 512  # samples per noise draw; 9 normals per sample
 
 
 @dataclass(frozen=True)

@@ -95,3 +95,34 @@ def error_stats(rows, first: int):
         if e2 > worst:
             worst = e2
     return math.sqrt(worst), math.sqrt(acc / len(rows))
+
+
+def cylinder_clearance(o, x: float, y: float, z: float) -> float:
+    """Distance from a point to a vertical cylinder standing on the ground,
+    branch by branch: straight up over its top inside the rim (0.0 for a
+    height that is not above it), straight out at or below the top, and to
+    the top's edge otherwise."""
+    dx = x - o.center_xy[0]
+    dy = y - o.center_xy[1]
+    horiz = math.sqrt(dx * dx + dy * dy) - o.radius
+    dz = z - o.height
+    if horiz <= 0.0:
+        return dz if dz > 0.0 else 0.0
+    if dz <= 0.0:
+        return horiz
+    return math.sqrt(horiz * horiz + dz * dz)
+
+
+def flown_folds(rows, obstacles, footprint: Rect, height: float):
+    """A mission's minimum obstacle clearance (None with no obstacle or no
+    flown row) and footprint entry, as a float loop over the true positions,
+    columns 1..3, of every row but the last: the final Done row ends the
+    run before a fly step."""
+    flown = rows[:-1]
+    clear = min((cylinder_clearance(o, *row[1:4])
+                 for row in flown for o in obstacles), default=None)
+    entered = any(row[3] <= height
+                  and abs(row[1] - footprint.cx) <= footprint.hx
+                  and abs(row[2] - footprint.cy) <= footprint.hy
+                  for row in flown)
+    return clear, entered

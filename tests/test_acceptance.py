@@ -131,7 +131,7 @@ def test_criterion_04_avoidance(obstacle_run):
     """Engagement only near a real cylinder; clearance > 0.5 m; completes."""
     cfg, result = obstacle_run
     violations = 0
-    for row, engaged in zip(result.trajectory, result.engaged):
+    for row, engaged in zip(result.trajectory.tolist(), result.engaged):
         if not engaged:
             continue
         x, y, z = row[1:4]
@@ -141,7 +141,7 @@ def test_criterion_04_avoidance(obstacle_run):
         if near >= cfg.mission.d_engage:
             violations += 1
     clearance = result.report.min_obstacle_clearance
-    done = result.trajectory[-1][-1] == "Done"
+    done = result.phases[-1] == "Done"
     ok = (violations == 0 and any(result.engaged) and clearance > 0.5
           and done)
     line = verdict(4, ok,

@@ -258,7 +258,9 @@ def test_report_reads_columns_by_name(tmp_path, capsys):
             (0.01, 1.5, 2.0, 3.25, 1.375, 2.0, 3.1, 0.5, 4.0, 3.0, "Done")]
     canon = tmp_path / "canon"
     canon.mkdir()
-    write_trajectory_csv(canon / "trajectory.csv", rows)
+    write_trajectory_csv(canon / "trajectory.csv",
+                         np.array([row[:10] for row in rows]),
+                         [row[10] for row in rows])
     assert main(["report", "--out", str(canon)]) == 0
     expected = capsys.readouterr().out
 

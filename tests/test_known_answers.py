@@ -67,6 +67,6 @@ def test_perfect_sensors_keep_the_estimate_on_the_truth(name):
         load_config(CONFIG_DIR / f"{name}.yaml"),
         sensors=SensorParams(0.0, 0.0, 0.0, (0.0, 0.0, 0.0),
                              (0.0, 0.0, 0.0)))
-    rows = run_mission(cfg, inspection_only=True).trajectory
+    rows = run_mission(cfg, inspection_only=True).trajectory.tolist()
     worst = max(math.dist(row[1:4], row[4:7]) for row in rows)
     assert worst < 0.01

@@ -6,7 +6,10 @@ import importlib
 import inspect
 import math
 import pkgutil
+import types
+from array import array
 
+import numpy as np
 import pytest
 
 import facadesim
@@ -23,6 +26,7 @@ from facadesim.geometry import v_dist, wrap_angle
 from facadesim.mission import run_hover, run_mission
 from facadesim.perception import LABEL_CRACK
 from facadesim.world import Obstacle, decal_world_center
+from oracles import cylinder_clearance, flown_folds
 
 
 def phases_in_order(transitions):
@@ -38,9 +42,17 @@ def capture_times(result):
 
 def test_default_run_completes(default_run):
     cfg, result = default_run
-    assert result.trajectory[-1][-1] == "Done"
+    assert result.phases[-1] == "Done"
     assert result.transitions[-1][2] == "Done"
     assert not result.entered_footprint
+
+
+def test_default_trajectory_is_one_float64_table(default_run):
+    _, result = default_run
+    traj = result.trajectory
+    assert traj.dtype == np.float64 and traj.flags.c_contiguous
+    assert traj.shape == (len(result.phases), 10)
+    assert len(result.engaged) == len(result.phases) - 1
 
 
 def test_default_phase_sequence(default_run):
@@ -104,14 +116,16 @@ def test_default_hold_end_pose_matches_fault(default_run):
 
 def test_default_estimate_stays_close_to_truth(default_run):
     _, result = default_run
-    worst = max(v_dist(row[1:4], row[4:7]) for row in result.trajectory)
+    worst = max(v_dist(row[1:4], row[4:7])
+                for row in result.trajectory.tolist())
     assert worst < 0.5
 
 
 def test_default_dead_reckoning_diverges(default_run):
     _, result = default_run
-    est = max(v_dist(row[1:4], row[4:7]) for row in result.trajectory)
-    dr = max(v_dist(row[1:4], row[7:10]) for row in result.trajectory)
+    rows = result.trajectory.tolist()
+    est = max(v_dist(row[1:4], row[4:7]) for row in rows)
+    dr = max(v_dist(row[1:4], row[7:10]) for row in rows)
     assert dr > 5.0
     assert dr > 10.0 * est
 
@@ -120,7 +134,8 @@ def test_default_trajectory_is_continuous(default_run):
     cfg, result = default_run
     dt = cfg.mission.dt
     step_cap = cfg.vehicle.v_max * dt + 1e-9
-    for a, b in zip(result.trajectory, result.trajectory[1:]):
+    rows = result.trajectory.tolist()
+    for a, b in zip(rows, rows[1:]):
         assert b[0] - a[0] == pytest.approx(dt, abs=1e-9)
         assert v_dist(a[1:4], b[1:4]) <= step_cap
 
@@ -128,7 +143,8 @@ def test_default_trajectory_is_continuous(default_run):
 def test_default_true_path_keeps_out_of_the_building(default_run):
     cfg, result = default_run
     fp = cfg.building.footprint()
-    assert not any(fp.contains(row[1], row[2]) for row in result.trajectory)
+    assert not any(fp.contains(row[1], row[2])
+                   for row in result.trajectory.tolist())
 
 
 def test_default_report_numbers(default_run):
@@ -147,7 +163,7 @@ def test_default_report_numbers(default_run):
 
 def test_obstacle_run_completes_with_clearance(obstacle_run):
     cfg, result = obstacle_run
-    assert result.trajectory[-1][-1] == "Done"
+    assert result.phases[-1] == "Done"
     assert len(result.report.faults) == 1
     assert result.report.min_obstacle_clearance is not None
     assert result.report.min_obstacle_clearance > 0.5
@@ -157,7 +173,7 @@ def test_obstacle_avoidance_engages_only_near_cylinders(obstacle_run):
     """Geometric check, independent of the sector logic."""
     cfg, result = obstacle_run
     assert any(result.engaged)
-    for row, engaged in zip(result.trajectory, result.engaged):
+    for row, engaged in zip(result.trajectory.tolist(), result.engaged):
         true_pos = row[1:4]
         horiz = []
         for o in cfg.obstacles:
@@ -175,7 +191,7 @@ def test_obstacle_clearance_log_matches_geometry(obstacle_run):
     cfg, result = obstacle_run
     reported = result.report.min_obstacle_clearance
     best = math.inf
-    for row in result.trajectory[:-1]:
+    for row in result.trajectory[:-1].tolist():
         x, y, z = row[1:4]
         for o in cfg.obstacles:
             dh = math.hypot(x - o.center_xy[0], y - o.center_xy[1]) - o.radius
@@ -196,6 +212,87 @@ def test_cylinder_clearance_above_the_top_and_beyond_the_rim():
     assert mission._cylinder_clearance(pole, 0.5, 0.0, 5.0) == 2.0
     # outside the rim and above the top: to the top's edge, 3 m out, 4 m up
     assert mission._cylinder_clearance(pole, 4.0, 0.0, 7.0) == 5.0
+
+
+def test_cylinder_clearance_columns_follow_the_scalar_rule():
+    """Over columns, `_cylinder_clearance` gives each point the branch a
+    float loop gives it, zero signs and NaN included: a height of -0.0 over
+    a top at 0.0 maps to 0.0, as `dz if dz > 0.0 else 0.0` does."""
+    pole = Obstacle(0, (0.0, 0.0), 1.0, 3.0)
+    flat = types.SimpleNamespace(center_xy=(0.0, 0.0), radius=1.0, height=0.0)
+    points = [(0.5, 0.0, 5.0), (4.0, 0.0, 7.0), (2.5, 0.0, 1.0),
+              (1.0, 0.0, 3.0), (0.0, 0.0, -0.0), (2.0, 0.0, -0.0),
+              (math.nan, 0.0, 5.0), (0.5, 0.0, math.nan),
+              (4.0, 0.0, math.nan)]
+    x, y, z = np.array(points).T
+    for o in (pole, flat):
+        got = mission._cylinder_clearance(o, x, y, z).tolist()
+        assert list(map(repr, got)) == [repr(cylinder_clearance(o, *p))
+                                        for p in points]
+
+
+class _HandLog(array):
+    """A trajectory log that holds hand rows and drops the run's own."""
+
+    def extend(self, row):
+        pass
+
+
+def _row(x, y, z):
+    """A trajectory row at true position (x, y, z)."""
+    return [0.0, x, y, z] + [0.0] * 6
+
+
+def _hand_folds(config_dir, monkeypatch, obstacles, rows):
+    """`run_mission`'s minimum clearance and footprint entry over hand rows,
+    and the float loop's: the run inspects `default.yaml`'s 12 x 8 x 6 m
+    building with `obstacles` added, its log preset to `rows`."""
+    cfg = dataclasses.replace(load_config(config_dir / "default.yaml"),
+                              obstacles=obstacles)
+    log = _HandLog("d", [v for row in rows for v in row])
+    monkeypatch.setattr(mission, "array", lambda typecode: log)
+    result = run_mission(cfg, inspection_only=True)
+    assert result.trajectory.shape == (len(rows), 10)
+    return ((result.report.min_obstacle_clearance, result.entered_footprint),
+            flown_folds(rows, obstacles, cfg.building.footprint(),
+                        cfg.building.height))
+
+
+_POLE = Obstacle(0, (40.0, 40.0), 1.0, 3.0)   # well clear of the flight
+_ABOVE = math.nextafter(6.0, 7.0)             # the next float over the roof
+_FOLD_CASES = {
+    # over the pole's top, beyond its rim and level beside it; just beyond
+    # the footprint's x edge, just over its roof; then the final Done row,
+    # inside the footprint, which no step flew from
+    "pole": ((_POLE,), [_row(40.5, 40.0, 5.0), _row(44.0, 40.0, 7.0),
+                        _row(42.5, 40.0, 1.0), _row(_ABOVE, 0.0, 6.0),
+                        _row(0.0, 4.0, _ABOVE), _row(0.0, 0.0, 1.0)],
+             (1.5, False)),
+    # z == height and |x - cx| == hx, |y - cy| == hy: all inclusive
+    "edges": ((), [_row(6.0, 4.0, 6.0), _row(20.0, 20.0, 1.0)],
+              (None, True)),
+    "one row": ((_POLE,), [_row(0.0, 0.0, 1.0)], (None, False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOLD_CASES))
+def test_flown_folds_follow_a_float_loop(case, config_dir, monkeypatch):
+    obstacles, rows, want = _FOLD_CASES[case]
+    got, loop = _hand_folds(config_dir, monkeypatch, obstacles, rows)
+    assert repr(got) == repr(loop) == repr(want)
+
+
+def test_a_nan_row_makes_the_clearance_nan(config_dir, monkeypatch):
+    """A NaN height over the first pole's top is 0.0 to it and NaN to the
+    second: the least clearance over all columns is NaN, where the float
+    loop's `min` keeps a NaN only when it comes first."""
+    poles = (_POLE, Obstacle(1, (60.0, 40.0), 1.0, 3.0))
+    rows = [_row(42.5, 40.0, 1.0), _row(40.0, 40.0, math.nan),
+            _row(0.0, 0.0, 1.0)]
+    (clear, entered), loop = _hand_folds(config_dir, monkeypatch, poles,
+                                         rows)
+    assert math.isnan(clear) and not entered
+    assert loop == (0.0, False)
 
 
 def test_obstacle_run_builds_no_dataclass_per_step(config_dir, monkeypatch):
@@ -347,7 +444,7 @@ def test_coverage_full_mission_enters_the_footprint(config_dir):
     result = run_mission(cfg)
     fp = cfg.building.footprint()
     inside = any(row[3] <= cfg.building.height and fp.contains(row[1], row[2])
-                 for row in result.trajectory[:-1])
+                 for row in result.trajectory[:-1].tolist())
     assert result.entered_footprint
     assert result.entered_footprint == inside
 
@@ -373,7 +470,7 @@ def test_multi_fault_holds_each_fault_in_order(multi_fault_run):
     seq = phases_in_order(result.transitions)
     assert seq == (["Idle", "Inspecting", "ReturningHome"]
                    + ["Detecting", "Holding"] * 5 + ["Detecting", "Done"])
-    assert result.trajectory[-1][-1] == "Done"
+    assert result.phases[-1] == "Done"
     assert not result.entered_footprint
 
 
@@ -401,6 +498,11 @@ def test_a_hold_shorter_than_a_step_ends_on_its_arrival_step(config_dir):
 
 def test_hover_kalman_beats_dead_reckoning():
     res = run_hover(duration_s=60.0, seed=0)
+    n, dt = round(60.0 / MissionParams.dt), MissionParams.dt
+    for trace in (res.times, res.est_err, res.dr_err, res.true_err):
+        assert isinstance(trace, np.ndarray)
+        assert trace.dtype == np.float64 and trace.shape == (n,)
+    assert res.times.tolist() == [k * dt for k in range(n)]
     assert max(res.est_err) < 2.0
     assert max(res.dr_err) > 10.0 * max(res.est_err)
     # control trusts the estimate, so truth inherits the estimate's slow

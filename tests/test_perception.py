@@ -28,18 +28,17 @@ def record(i, pos, label, yaw=0.0):
 
 # -- cadence --------------------------------------------------------------------
 
-def _due_steps(trajectory, interval):
+def _due_steps(result, interval):
     """Times of the steps on which a capture is due: the step started in an
     inspection phase (the previous row's, or Inspecting at t = 0) and at
     least the interval, less 1e-9 s, has passed since the last capture."""
     due, last, phase = [], -interval, "Inspecting"
-    for row in trajectory:
-        t = row[0]
+    for t, row_phase in zip(result.trajectory[:, 0].tolist(), result.phases):
         if (phase in ("Inspecting", "ReturningHome")
                 and t - last >= interval - 1e-9):
             due.append(t)
             last = t
-        phase = row[-1]
+        phase = row_phase
     return due
 
 
@@ -47,7 +46,7 @@ def test_captures_fall_on_the_due_steps(default_run, obstacle_run):
     for cfg, result in (default_run, obstacle_run):
         times = [rec.time for rec in result.captures]
         assert times
-        assert _due_steps(result.trajectory,
+        assert _due_steps(result,
                           cfg.mission.capture_interval_s) == times
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facadesim import sensors
 from facadesim.geometry import quat_from_euler, quat_rotate_inverse, v_norm
 from facadesim.sensors import MAG_WORLD, Imu, SensorParams
 from facadesim.vehicle import GRAVITY, TrueState
@@ -95,6 +96,17 @@ def test_sequence_is_reproducible_across_chunks():
     imu_b = Imu(params, seed=9)
     seq_b = [imu_b.measure(state).accel for _ in range(5000)]
     assert seq_a == seq_b
+
+
+@pytest.mark.parametrize("chunk", [4096, 512])
+def test_noise_stream_is_one_draw_whatever_the_chunk(chunk, monkeypatch):
+    """Generator.standard_normal gives the same stream in chunks of any
+    size, so `_CHUNK` sets only the memory a stream holds."""
+    monkeypatch.setattr(sensors, "_CHUNK", chunk)
+    stream = sensors._noise_stream(7, 1)
+    got = [next(stream) for _ in range(5000)]
+    rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(1,)))
+    assert got == rng.standard_normal((5000, 9)).tolist()
 
 
 def test_noise_statistics_match_configured_std():
