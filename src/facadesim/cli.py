@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -61,8 +62,14 @@ def write_plan_csv(path: Path, plan: WaypointPath) -> None:
                 ((wp.layer, *wp.position, wp.yaw) for wp in plan))
 
 
-def write_trajectory_csv(path: Path, table, phases) -> None:
+def write_trajectory_csv(path: Path, table, transitions) -> None:
+    """Rows of `table`, each with the `to` of the last (t, from, to)
+    transition at or before its t: coincident ones leave an empty run."""
     floats = iter(memoryview(table.ravel()))   # one float at a time
+    starts = np.searchsorted(table[:, 0], [t for t, _, _ in transitions])
+    phases = itertools.chain.from_iterable(map(
+        itertools.repeat, [to for _, _, to in transitions],
+        np.diff(starts, append=len(table)).tolist()))
     _write_rows(path, ",".join(TRAJ_COLUMNS),
                 "%.9g," * len(_TRAJ_FLOATS) + "%s\r\n",
                 zip(*[floats] * len(_TRAJ_FLOATS), phases))
@@ -106,7 +113,7 @@ def _write_outputs(out: Path, cfg: ScenarioConfig,
     if result is None:
         return
     write_trajectory_csv(out / TRAJECTORY_CSV, result.trajectory,
-                         result.phases)
+                         result.transitions)
     write_capture_csv(out / CAPTURE_CSV, result.captures)
     if with_report:
         write_report_json(out / REPORT_JSON, result.report)

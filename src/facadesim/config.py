@@ -93,6 +93,9 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         try:
+            bad = _non_finite(self, "scenario")
+            if bad is not None:   # the reader's message for the key
+                raise ValueError(f"{bad}: expected a finite number")
             fp = self.scene().building.footprint()
             if self.seed < 0:
                 raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -160,6 +163,21 @@ def _is_number(x) -> bool:
                 and math.isfinite(x))
     except OverflowError:
         return False
+
+
+def _non_finite(value, key: str) -> str | None:
+    """Key of the first float in a config, section or tuple that is not a
+    number by `_is_number`; NaN would pass every range check."""
+    if isinstance(value, float):
+        return None if _is_number(value) else key
+    if isinstance(value, tuple):
+        items = [(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    elif is_dataclass(value):
+        items = [(f"{key}.{f.name}", getattr(value, f.name))
+                 for f in fields(value)]
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, k) for k, v in items)), None)
 
 
 def config_to_dict(value):

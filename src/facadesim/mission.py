@@ -82,8 +82,7 @@ class MissionResult:
     report: MissionReport
     captures: tuple[CaptureRecord, ...]
     trajectory: np.ndarray                 # float64 rows: t, true, est, dr xyz
-    phases: list[str]                      # phase name, per row
-    transitions: list[tuple[float, str, str]]
+    transitions: list[tuple[float, str, str]]   # (t, from, to)
     engaged: list[bool]                    # avoidance active, per step
     entered_footprint: bool
     # ground truth sampled as each fault hold expires: (fault id, t, xyz, yaw)
@@ -489,7 +488,6 @@ def run_mission(cfg: ScenarioConfig,
     detect_i = 0
     hold_until = 0.0
     table = array("d")   # (t, true xyz, est xyz, dr xyz) per step
-    phases: list[str] = []
     engaged: list[bool] = []
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
     lanes = _FRESH_LANES
@@ -552,7 +550,6 @@ def run_mission(cfg: ScenarioConfig,
             phase = to
 
         table.extend((t, *true_pos, *est_pos, *dr_pos))
-        phases.append(phase)
         if phase is _DONE:
             break
 
@@ -571,11 +568,10 @@ def run_mission(cfg: ScenarioConfig,
             if not _hidden(insets, solids, est_pos, est_yaw, true_pos,
                            true_yaw, d_engage):
                 hits = _scan_hits(solids, true_pos[0], true_pos[1], true_yaw,
-                                  SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, scan_n_bins,
-                                  d_engage)
+                                  scan_n_bins, d_engage)
         if hits:
-            sectors = _sectors(hits, SCAN_ANGLE_MIN, scan_step, mask,
-                               est_pos[0], est_pos[1], est_yaw, d_engage)
+            sectors = _sectors(hits, scan_step, mask, est_pos[0], est_pos[1],
+                               est_yaw, d_engage)
             cmd, lanes = avoidance_command(sectors, gains, lanes, dt, v_max)
         else:   # all sectors clear: what avoidance_command returns then
             cmd, lanes = None, _FRESH_LANES
@@ -608,9 +604,8 @@ def run_mission(cfg: ScenarioConfig,
         min_obstacle_clearance=min_clear,
     )
     return MissionResult(report=report, captures=tuple(captures),
-                         trajectory=trajectory, phases=phases,
-                         transitions=transitions, engaged=engaged,
-                         entered_footprint=entered_fp,
+                         trajectory=trajectory, transitions=transitions,
+                         engaged=engaged, entered_footprint=entered_fp,
                          hold_end_poses=hold_end_poses)
 
 
@@ -634,7 +629,8 @@ def run_hover(duration_s: float = 120.0, seed: int = 0,
     position error.
     """
     dt = MissionParams.dt
-    if not (0 < duration_s < math.inf and round(duration_s / dt) >= 1):
+    steps = duration_s / dt   # inf for a finite duration near the float max
+    if not (0 < steps < math.inf and round(steps) >= 1):
         raise ValueError(f"duration_s must be finite and round to at least "
                          f"one step of {dt} s, got {duration_s}")
     sensors = SensorParams()
@@ -647,7 +643,7 @@ def run_hover(duration_s: float = 120.0, seed: int = 0,
     est_pos, dr_pos, _, _, true_pos, _ = next(kernel)
 
     log = array("d")   # (est xyz, dr xyz, true xyz) per step
-    for _ in range(round(duration_s / dt)):
+    for _ in range(round(steps)):
         log.extend((*est_pos, *dr_pos, *true_pos))
         est_pos, dr_pos, _, _, true_pos, _ = kernel.send(wp)
     # each pipeline's distance from the setpoint, as v_dist computes it

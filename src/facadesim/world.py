@@ -160,26 +160,20 @@ def decal_world_center(building: BuildingSpec, decal: FaultDecal) -> Vec3:
 
 @dataclass(frozen=True)
 class LaserScan:
-    angle_min: float
-    angle_max: float
-    n_bins: int
-    ranges: tuple[float, ...]
+    ranges: tuple[float, ...]   # one per bin, SCAN_ANGLE_MIN to SCAN_ANGLE_MAX
 
     def __post_init__(self) -> None:
-        if self.n_bins < 2:
-            raise ValueError("n_bins must be at least 2")
-        if len(self.ranges) != self.n_bins:
-            raise ValueError("ranges length must equal n_bins")
+        if len(self.ranges) < 2:
+            raise ValueError("a scan needs at least 2 bins")
 
 
 @functools.cache
-def _bin_trig(angle_min: float, angle_max: float, n_bins: int):
-    angles = np.linspace(angle_min, angle_max, n_bins)
+def _bin_trig(n_bins: int):
+    angles = np.linspace(SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, n_bins)
     return np.cos(angles).tolist(), np.sin(angles).tolist()
 
 
-def _window_bins(window, yaw: float, angle_min: float, step: float,
-                 n_bins: int):
+def _window_bins(window, yaw: float, step: float, n_bins: int):
     """Bins whose angle plus yaw lies in `window` (mod 2 pi).
 
     The window is padded by one bin a side, far more than the rounding of
@@ -189,10 +183,10 @@ def _window_bins(window, yaw: float, angle_min: float, step: float,
     if hi - lo >= TWO_PI:
         return range(n_bins)
     bins: list[int] = []
-    shift = math.ceil((angle_min - hi) / TWO_PI) * TWO_PI
-    while lo + shift <= angle_min + (n_bins - 1) * step:
-        first = math.ceil((lo + shift - angle_min) / step)
-        last = math.floor((hi + shift - angle_min) / step)
+    shift = math.ceil((SCAN_ANGLE_MIN - hi) / TWO_PI) * TWO_PI
+    while lo + shift <= SCAN_ANGLE_MIN + (n_bins - 1) * step:
+        first = math.ceil((lo + shift - SCAN_ANGLE_MIN) / step)
+        last = math.floor((hi + shift - SCAN_ANGLE_MIN) / step)
         bins += range(max(first, 0), min(last, n_bins - 1) + 1)
         shift += TWO_PI
     return bins
@@ -223,8 +217,7 @@ def _in_reach(scene: Scene, footprint: Rect, x: float, y: float, z: float,
     return solids
 
 
-def _scan_hits(solids: list, x: float, y: float, yaw: float,
-               angle_min: float, angle_max: float, n_bins: int,
+def _scan_hits(solids: list, x: float, y: float, yaw: float, n_bins: int,
                reach: float) -> list[tuple[int, float]]:
     """(bin, range) of the bins that `simulate_scan` ray-casts and that hit,
     each range floored at 1e-6 m.
@@ -239,10 +232,10 @@ def _scan_hits(solids: list, x: float, y: float, yaw: float,
     acos(d/reach) of the bearing.
     """
     cull = reach + _REACH_MARGIN
-    cos_b, sin_b = _bin_trig(angle_min, angle_max, n_bins)
+    cos_b, sin_b = _bin_trig(n_bins)
     # bins rotate with yaw only; scan plane stays horizontal under tilt
     cy, sy = math.cos(yaw), math.sin(yaw)
-    step = (angle_max - angle_min) / (n_bins - 1)
+    step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (n_bins - 1)
     best: dict[int, float] = {}
     for solid in solids:
         rect = isinstance(solid, Rect)
@@ -260,7 +253,7 @@ def _scan_hits(solids: list, x: float, y: float, yaw: float,
                     else math.asin(radius / dist))
             bearing = math.atan2(ocy, ocx)
         window = (bearing - half, bearing + half)
-        for i in _window_bins(window, yaw, angle_min, step, n_bins):
+        for i in _window_bins(window, yaw, step, n_bins):
             dx = cy * cos_b[i] - sy * sin_b[i]
             dy = sy * cos_b[i] + cy * sin_b[i]
             if rect:
@@ -288,10 +281,7 @@ def _scan_hits(solids: list, x: float, y: float, yaw: float,
     return [(i, max(t, 1e-6)) for i, t in best.items()]
 
 
-def simulate_scan(scene: Scene, pose: TrueState,
-                  angle_min: float = SCAN_ANGLE_MIN,
-                  angle_max: float = SCAN_ANGLE_MAX,
-                  n_bins: int = SCAN_N_BINS,
+def simulate_scan(scene: Scene, pose: TrueState, n_bins: int = SCAN_N_BINS,
                   reach: float = math.inf) -> LaserScan:
     """Planar range scan at the drone's altitude, body-frame bins.
 
@@ -310,10 +300,10 @@ def simulate_scan(scene: Scene, pose: TrueState,
     x, y, z = pose.position
     ranges = [math.inf] * n_bins
     solids = _in_reach(scene, scene.building.footprint(), x, y, z, reach)
-    for i, r in _scan_hits(solids, x, y, yaw_of(pose.attitude), angle_min,
-                           angle_max, n_bins, reach):
+    for i, r in _scan_hits(solids, x, y, yaw_of(pose.attitude), n_bins,
+                           reach):
         ranges[i] = r
-    return LaserScan(angle_min, angle_max, n_bins, tuple(ranges))
+    return LaserScan(tuple(ranges))
 
 
 def _occluded(scene: Scene, start: Vec3, end: Vec3) -> bool:

@@ -126,3 +126,16 @@ def flown_folds(rows, obstacles, footprint: Rect, height: float):
                   and abs(row[2] - footprint.cy) <= footprint.hy
                   for row in flown)
     return clear, entered
+
+
+def row_phases(times, transitions):
+    """Each row's phase: the `to` of the last (t, from, to) transition, in
+    log order, whose t is at or before the row's t; None before the first."""
+    phases = []
+    for t in times:
+        phase = None
+        for u, _, to in transitions:
+            if u <= t:
+                phase = to
+        phases.append(phase)
+    return phases

@@ -260,7 +260,8 @@ def test_report_reads_columns_by_name(tmp_path, capsys):
     canon.mkdir()
     write_trajectory_csv(canon / "trajectory.csv",
                          np.array([row[:10] for row in rows]),
-                         [row[10] for row in rows])
+                         [(0.0, "Idle", "Inspecting"),
+                          (0.01, "Inspecting", "Done")])
     assert main(["report", "--out", str(canon)]) == 0
     expected = capsys.readouterr().out
 

@@ -105,11 +105,31 @@ def test_missing_building_rejected():
     "obstacles=[{id: 0, center_xy: [8, .inf], radius: 0.3, height: 2}]"])
 def test_non_finite_numbers_rejected(override):
     """NaN fails every comparison, so a NaN field would pass the range
-    checks and switch features off; infinities are no scene's numbers."""
+    checks and switch features off; infinities are no scene's numbers.
+    The reader and a config built in Python reject them alike."""
     data = apply_overrides(config_to_dict(small_config()), [override])
     key = override.partition("=")[0]
     with pytest.raises(InvalidScenario, match=f"{key}.*finite"):
         config_from_dict(data)
+    with pytest.raises(InvalidScenario, match=f"{key}.*finite"):
+        _replaced(small_config(), override)
+
+
+def _replaced(cfg, override):
+    """`cfg` with one --set override applied in Python, section by section
+    with dataclasses.replace, so no check of the reader's runs."""
+    key, _, raw = override.partition("=")
+    value = yaml.safe_load(raw)
+    *section, name = key.split(".")
+    if name == "obstacles":
+        value = [Obstacle(**{**o, "center_xy": tuple(o["center_xy"])})
+                 for o in value]
+    if isinstance(value, list):
+        value = tuple(value)
+    if section:
+        value = dataclasses.replace(getattr(cfg, section[0]), **{name: value})
+        name = section[0]
+    return dataclasses.replace(cfg, **{name: value})
 
 
 def test_huge_integers_still_count_as_numbers():
@@ -328,7 +348,11 @@ def test_leg_steps_bounded(limit):
      "with a finite square"),
     ({"kalman_q_diag": (1e-6, 1e-4)}, "q and p0 must have 3 entries"),
     ({"sensors": SensorParams(accel_noise_std=int("9" * 400))},
-     "with a finite square")])
+     "with a finite square"),
+    # unchecked, NaN switched the watchdog off: this mission ran to Done at
+    # t = 271.82 s, where watchdog_s=1.0 aborts it at t = 1.01 s
+    ({"mission": MissionParams(watchdog_s=math.nan)},
+     r"^scenario.mission.watchdog_s: expected a finite number$")])
 def test_replace_checks_like_the_reader(change, match):
     """A config made from a loaded one with dataclasses.replace is checked
     as it is built: unchecked, scan_n_bins=1 divides by zero in

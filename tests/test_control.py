@@ -32,11 +32,11 @@ def est_at(x, y, z, yaw=0.0):
 
 
 def scan_of(bins, n_bins=9):
-    """Sparse scan: {index: range} over the usual -135..135 deg span."""
+    """Sparse scan: {index: range} over the scan's -135..135 deg span."""
     ranges = [math.inf] * n_bins
     for i, r in bins.items():
         ranges[i] = r
-    return LaserScan(-0.75 * math.pi, 0.75 * math.pi, n_bins, tuple(ranges))
+    return LaserScan(tuple(ranges))
 
 
 # -- scalar PID ---------------------------------------------------------------
@@ -219,8 +219,7 @@ def test_building_returns_masked_out():
 def test_sectors_with_no_active_return_are_the_clear_instance(hits, mask):
     """The mission skips `_sectors` on a step whose cast hit nothing, which
     is exact only if these inputs all give clear sectors."""
-    s = _sectors(hits, -0.75 * math.pi, 0.1875 * math.pi, mask, 0.0, 0.0,
-                 0.0, 3.0)
+    s = _sectors(hits, 0.1875 * math.pi, mask, 0.0, 0.0, 0.0, 3.0)
     assert s == ObstacleSectors()
 
 

@@ -235,6 +235,8 @@ def test_segment_hits_circle_cases():
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))
 # tangent: bb^2 - aa cc cancels to -4.4e-16 here, and the segment was missed
 @example(-0.5, 0.7818636975862079, -0.5, -1.0)
+# the line crosses the circle, but the whole segment lies beyond it
+@example(2.5, -0.25, 3.0, -0.25)
 @settings(max_examples=60)
 def test_segment_circle_interval_matches_predicate(ax, ay, bx, by):
     center = (0.5, -0.25)

@@ -75,7 +75,7 @@ def output_hashes(cfg, result, out) -> dict:
     write_plan_csv(out / "plan.csv",
                    generate_perimeter_path(cfg.building, cfg.plan, cfg.home))
     write_trajectory_csv(out / "trajectory.csv", result.trajectory,
-                         result.phases)
+                         result.transitions)
     write_capture_csv(out / "captures.csv", result.captures)
     write_report_json(out / "report.json", result.report)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -14,6 +14,7 @@ import pytest
 
 import facadesim
 from facadesim import mission, world
+from facadesim.cli import write_trajectory_csv
 from facadesim.config import (
     MissionParams,
     apply_overrides,
@@ -26,12 +27,17 @@ from facadesim.geometry import v_dist, wrap_angle
 from facadesim.mission import run_hover, run_mission
 from facadesim.perception import LABEL_CRACK
 from facadesim.world import Obstacle, decal_world_center
-from oracles import cylinder_clearance, flown_folds
+from oracles import cylinder_clearance, flown_folds, row_phases
 
 
 def phases_in_order(transitions):
     seq = [transitions[0][1]] + [to for _, _, to in transitions]
     return seq
+
+
+def last_phase(result):
+    """The phase logged on the last row."""
+    return row_phases([result.trajectory[-1, 0]], result.transitions)[0]
 
 
 def capture_times(result):
@@ -42,7 +48,7 @@ def capture_times(result):
 
 def test_default_run_completes(default_run):
     cfg, result = default_run
-    assert result.phases[-1] == "Done"
+    assert last_phase(result) == "Done"
     assert result.transitions[-1][2] == "Done"
     assert not result.entered_footprint
 
@@ -51,8 +57,7 @@ def test_default_trajectory_is_one_float64_table(default_run):
     _, result = default_run
     traj = result.trajectory
     assert traj.dtype == np.float64 and traj.flags.c_contiguous
-    assert traj.shape == (len(result.phases), 10)
-    assert len(result.engaged) == len(result.phases) - 1
+    assert traj.shape == (len(result.engaged) + 1, 10)
 
 
 def test_default_phase_sequence(default_run):
@@ -163,7 +168,7 @@ def test_default_report_numbers(default_run):
 
 def test_obstacle_run_completes_with_clearance(obstacle_run):
     cfg, result = obstacle_run
-    assert result.phases[-1] == "Done"
+    assert last_phase(result) == "Done"
     assert len(result.report.faults) == 1
     assert result.report.min_obstacle_clearance is not None
     assert result.report.min_obstacle_clearance > 0.5
@@ -470,14 +475,16 @@ def test_multi_fault_holds_each_fault_in_order(multi_fault_run):
     seq = phases_in_order(result.transitions)
     assert seq == (["Idle", "Inspecting", "ReturningHome"]
                    + ["Detecting", "Holding"] * 5 + ["Detecting", "Done"])
-    assert result.phases[-1] == "Done"
+    assert last_phase(result) == "Done"
     assert not result.entered_footprint
 
 
-def test_a_hold_shorter_than_a_step_ends_on_its_arrival_step(config_dir):
+def test_a_hold_shorter_than_a_step_ends_on_its_arrival_step(config_dir,
+                                                            tmp_path):
     """Each fault's hold starts and expires on one step, which logs
     Detecting -> Holding, then Holding -> Detecting, at the same t.  The
-    report's timings, read from that log, are pinned bit for bit."""
+    report's timings, read from that log, are pinned bit for bit, and the
+    phase column the writer reads from it follows the float loop."""
     cfg = config_from_dict(apply_overrides(
         load_raw(config_dir / "default.yaml"),
         ["mission.hold_s=1.0e-12", "mission.merge_radius=0.0"]))
@@ -492,6 +499,15 @@ def test_a_hold_shorter_than_a_step_ends_on_its_arrival_step(config_dir):
     assert rep.inspection_duration == float.fromhex("0x1.30428f5c28f5cp+8")
     assert rep.detection_durations == (float.fromhex("0x1.af5c28f5c2900p+3"),
                                        float.fromhex("0x1.30a3d70a3d700p+3"))
+    # the phase column: the last of the two transitions at a hold's t names
+    # that row, Detecting
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, result.trajectory, result.transitions)
+    times = result.trajectory[:, 0].tolist()
+    written = [line.rsplit(",", 1)[1]
+               for line in path.read_text().splitlines()[1:]]
+    assert written == row_phases(times, result.transitions)
+    assert [written[times.index(t)] for t in holds] == ["Detecting"] * 2
 
 
 # -- hover and failure paths ---------------------------------------------------------
@@ -512,7 +528,8 @@ def test_hover_kalman_beats_dead_reckoning():
 
 
 def test_hover_rejects_bad_duration():
-    for duration_s in (0.0, math.nan, math.inf, 0.004):
+    # 1e308 s is finite, but its step count, 1e308 / dt, is inf
+    for duration_s in (0.0, math.nan, math.inf, 0.004, 1e308):
         with pytest.raises(ValueError, match="duration_s"):
             run_hover(duration_s=duration_s)
 

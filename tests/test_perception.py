@@ -18,6 +18,8 @@ from facadesim.perception import (
     filter_fault_coordinates,
 )
 
+from oracles import row_phases
+
 
 def record(i, pos, label, yaw=0.0):
     return CaptureRecord(image_id=f"img_{i:06d}", time=10.0 * i,
@@ -33,7 +35,8 @@ def _due_steps(result, interval):
     inspection phase (the previous row's, or Inspecting at t = 0) and at
     least the interval, less 1e-9 s, has passed since the last capture."""
     due, last, phase = [], -interval, "Inspecting"
-    for t, row_phase in zip(result.trajectory[:, 0].tolist(), result.phases):
+    times = result.trajectory[:, 0].tolist()
+    for t, row_phase in zip(times, row_phases(times, result.transitions)):
         if (phase in ("Inspecting", "ReturningHome")
                 and t - last >= interval - 1e-9):
             due.append(t)

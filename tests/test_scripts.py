@@ -29,6 +29,15 @@ def test_hover_filter_comparison_rejects_a_too_short_hover():
     assert "error: duration_s" in proc.stderr.splitlines()[-1]
 
 
+def test_hover_filter_comparison_rejects_a_hover_of_too_many_steps():
+    """1e308 s is finite, but divided by dt it is inf."""
+    proc = _run(SCRIPTS / "hover_filter_comparison.py", "--duration", "1e308")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: duration_s" in proc.stderr.splitlines()[-1]
+
+
 def test_run_default_mission_help():
     proc = _run(SCRIPTS / "run_default_mission.py", "--help")
     assert proc.returncode == 0, proc.stderr
