@@ -29,7 +29,6 @@ from .vehicle import VehicleParams
 from .world import (
     CAMERA_HFOV_DEG,
     CAMERA_VFOV_DEG,
-    SCAN_N_BINS,
     BuildingSpec,
     CameraModel,
     FaultDecal,
@@ -38,7 +37,6 @@ from .world import (
 )
 
 MAX_PLAN_WAYPOINTS = 100_000   # the shipped plans have at most 81
-MAX_SCAN_BINS = 100_000        # the shipped configs scan 271
 # [rad] bound on the gyro's turn in one step; the shipped configs turn at
 # most 1.2e-8 rad, and past about 1.3e154 rad its square overflows
 MAX_GYRO_TURN = 1e6
@@ -89,7 +87,6 @@ class ScenarioConfig:
     camera_hfov_deg: float = CAMERA_HFOV_DEG
     camera_vfov_deg: float = CAMERA_VFOV_DEG
     camera_max_range: float = CameraModel.max_range
-    scan_n_bins: int = SCAN_N_BINS
 
     def __post_init__(self) -> None:
         try:
@@ -117,11 +114,6 @@ class ScenarioConfig:
                     f"about {size:.3g} waypoints, more than "
                     f"{MAX_PLAN_WAYPOINTS}")
             self.camera()
-            if self.scan_n_bins < 2:
-                raise ValueError("scan_n_bins must be at least 2")
-            if self.scan_n_bins > MAX_SCAN_BINS:
-                raise ValueError(
-                    f"scan_n_bins must be at most {MAX_SCAN_BINS}")
             self.kalman()
             turn = (max(map(abs, self.sensors.gyro_bias))
                     + self.sensors.gyro_noise_std) * self.mission.dt
@@ -165,19 +157,22 @@ def _is_number(x) -> bool:
         return False
 
 
-def _non_finite(value, key: str) -> str | None:
-    """Key of the first float in a config, section or tuple that is not a
-    number by `_is_number`; NaN would pass every range check."""
-    if isinstance(value, float):
+def _non_finite(value, key: str, kind=None) -> str | None:
+    """Key of the first float, or value of a float field, in a config,
+    section or tuple that is not a number by `_is_number`: NaN would pass
+    every range check, and an int no float holds would overflow in use."""
+    if kind is float or isinstance(value, float):
         return None if _is_number(value) else key
-    if isinstance(value, tuple):
-        items = [(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    if isinstance(value, tuple):   # each tuple of the schema holds one kind
+        items = [(f"{key}[{i}]", v, get_args(kind)[0])
+                 for i, v in enumerate(value)]
     elif is_dataclass(value):
-        items = [(f"{key}.{f.name}", getattr(value, f.name))
-                 for f in fields(value)]
+        items = [(f"{key}.{name}", getattr(value, name), k)
+                 for name, k in _kinds(type(value)).items()]
     else:
         return None
-    return next(filter(None, (_non_finite(v, k) for k, v in items)), None)
+    return next(filter(None, (_non_finite(v, k, t) for k, v, t in items)),
+                None)
 
 
 def config_to_dict(value):

@@ -18,7 +18,7 @@ from .estimation import EstimatedState
 from .geometry import Rect, Vec3, quat_rotate_inverse, wrap_angle
 from .planner import Waypoint
 from .vehicle import VehicleParams, VelocityCommand
-from .world import SCAN_ANGLE_MAX, SCAN_ANGLE_MIN, LaserScan
+from .world import SCAN_ANGLE_MIN, SCAN_STEP, LaserScan
 
 D_ENGAGE = 3.0          # [m] sector activation threshold
 SECTOR_EDGE = math.pi / 4.0   # front is |angle| <= 45 deg
@@ -100,14 +100,14 @@ class ObstacleSectors(NamedTuple):
                 or self.dist_front < math.inf)
 
 
-def _sectors(hits, step: float, mask: Rect | None, px: float, py: float,
-             yaw: float, d_engage: float) -> ObstacleSectors:
+def _sectors(hits, mask: Rect | None, px: float, py: float, yaw: float,
+             d_engage: float) -> ObstacleSectors:
     """Sectors from (bin, range) pairs; the core of `classify_sectors`."""
     d_left = d_right = d_front = math.inf
     for i, r in hits:
         if r >= d_engage:
             continue
-        angle = SCAN_ANGLE_MIN + i * step
+        angle = SCAN_ANGLE_MIN + i * SCAN_STEP
         if mask is not None:
             w = yaw + angle
             if mask.contains(px + r * math.cos(w), py + r * math.sin(w)):
@@ -133,10 +133,9 @@ def classify_sectors(scan: LaserScan, mask: Rect | None, position,
     `d_engage` are never read, so a scan cut off at `d_engage` gives the
     same sectors as a full one.
     """
-    step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (len(scan.ranges) - 1)
     return _sectors([(i, r) for i, r in enumerate(scan.ranges)
-                     if r < d_engage], step, mask, position[0], position[1],
-                    yaw, d_engage)
+                     if r < d_engage], mask, position[0], position[1], yaw,
+                    d_engage)
 
 
 def avoidance_command(sectors: ObstacleSectors, gains: PidGains, lanes: tuple,

@@ -16,7 +16,7 @@ from math import asin, atan2, cos, pi, remainder, sin, sqrt
 import numpy as np
 
 from .attitude import ComplementaryGain
-from .config import MissionParams, ScenarioConfig
+from .config import MAX_LEG_STEPS, MissionParams, ScenarioConfig
 from .control import (
     _FRESH_LANES,
     _FRESH_PID,
@@ -38,13 +38,7 @@ from .planner import (
 )
 from .sensors import MAG_WORLD, SensorParams, _noise_stream
 from .vehicle import G_VEC, GRAVITY, TrueState, VehicleParams, _lag
-from .world import (
-    SCAN_ANGLE_MAX,
-    SCAN_ANGLE_MIN,
-    _in_reach,
-    _scan_hits,
-    visible_decals,
-)
+from .world import _in_reach, _scan_hits, visible_decals
 
 # The loop does not call these four, but they stay names of this module:
 # perfbench/workloads.py wraps them here in its traced runs.
@@ -468,7 +462,7 @@ def run_mission(cfg: ScenarioConfig,
     mp = cfg.mission
     dt, d_engage, arrival_tol = mp.dt, mp.d_engage, mp.arrival_tol
     watchdog_s, capture_interval_s = mp.watchdog_s, mp.capture_interval_s
-    gains, v_max, scan_n_bins = cfg.gains, cfg.vehicle.v_max, cfg.scan_n_bins
+    gains, v_max = cfg.gains, cfg.vehicle.v_max
     home = cfg.home
     wps = generate_perimeter_path(cfg.building, cfg.plan, home)
     home_yaw = wps[0].yaw   # the entry climb faces the building from home
@@ -491,7 +485,6 @@ def run_mission(cfg: ScenarioConfig,
     engaged: list[bool] = []
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
     lanes = _FRESH_LANES
-    scan_step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (scan_n_bins - 1)
     est_pos, dr_pos, est_quat, est_yaw, true_pos, true_att = next(kernel)
     steps = 0
 
@@ -568,10 +561,10 @@ def run_mission(cfg: ScenarioConfig,
             if not _hidden(insets, solids, est_pos, est_yaw, true_pos,
                            true_yaw, d_engage):
                 hits = _scan_hits(solids, true_pos[0], true_pos[1], true_yaw,
-                                  scan_n_bins, d_engage)
+                                  d_engage)
         if hits:
-            sectors = _sectors(hits, scan_step, mask, est_pos[0], est_pos[1],
-                               est_yaw, d_engage)
+            sectors = _sectors(hits, mask, est_pos[0], est_pos[1], est_yaw,
+                               d_engage)
             cmd, lanes = avoidance_command(sectors, gains, lanes, dt, v_max)
         else:   # all sectors clear: what avoidance_command returns then
             cmd, lanes = None, _FRESH_LANES
@@ -630,9 +623,9 @@ def run_hover(duration_s: float = 120.0, seed: int = 0,
     """
     dt = MissionParams.dt
     steps = duration_s / dt   # inf for a finite duration near the float max
-    if not (0 < steps < math.inf and round(steps) >= 1):
-        raise ValueError(f"duration_s must be finite and round to at least "
-                         f"one step of {dt} s, got {duration_s}")
+    if not (0 < steps < math.inf and 1 <= round(steps) <= MAX_LEG_STEPS):
+        raise ValueError(f"duration_s must round to 1 to {MAX_LEG_STEPS:,} "
+                         f"steps of {dt} s, got {duration_s}")
     sensors = SensorParams()
     setpoint = (0.0, 0.0, 2.0)
     kernel = _step_kernel(

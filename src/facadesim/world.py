@@ -7,7 +7,6 @@ occlusion), no rendering.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +34,7 @@ FACES = tuple(_FACE_NORMALS)
 SCAN_ANGLE_MIN = -0.75 * math.pi
 SCAN_ANGLE_MAX = 0.75 * math.pi
 SCAN_N_BINS = 271
+SCAN_STEP = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (SCAN_N_BINS - 1)
 # degrees, as the config file gives them: radians would not round-trip
 CAMERA_HFOV_DEG = 90.0
 CAMERA_VFOV_DEG = 60.0
@@ -163,31 +163,31 @@ class LaserScan:
     ranges: tuple[float, ...]   # one per bin, SCAN_ANGLE_MIN to SCAN_ANGLE_MAX
 
     def __post_init__(self) -> None:
-        if len(self.ranges) < 2:
-            raise ValueError("a scan needs at least 2 bins")
+        if len(self.ranges) != SCAN_N_BINS:
+            raise ValueError(f"a scan has {SCAN_N_BINS} bins, "
+                             f"got {len(self.ranges)}")
 
 
-@functools.cache
-def _bin_trig(n_bins: int):
-    angles = np.linspace(SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, n_bins)
-    return np.cos(angles).tolist(), np.sin(angles).tolist()
+_BIN_ANGLES = np.linspace(SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS)
+_BIN_COS = np.cos(_BIN_ANGLES).tolist()
+_BIN_SIN = np.sin(_BIN_ANGLES).tolist()
 
 
-def _window_bins(window, yaw: float, step: float, n_bins: int):
+def _window_bins(window, yaw: float):
     """Bins whose angle plus yaw lies in `window` (mod 2 pi).
 
     The window is padded by one bin a side, far more than the rounding of
     the bearings and bin angles.
     """
-    lo, hi = window[0] - yaw - step, window[1] - yaw + step
+    lo, hi = window[0] - yaw - SCAN_STEP, window[1] - yaw + SCAN_STEP
     if hi - lo >= TWO_PI:
-        return range(n_bins)
+        return range(SCAN_N_BINS)
     bins: list[int] = []
     shift = math.ceil((SCAN_ANGLE_MIN - hi) / TWO_PI) * TWO_PI
-    while lo + shift <= SCAN_ANGLE_MIN + (n_bins - 1) * step:
-        first = math.ceil((lo + shift - SCAN_ANGLE_MIN) / step)
-        last = math.floor((hi + shift - SCAN_ANGLE_MIN) / step)
-        bins += range(max(first, 0), min(last, n_bins - 1) + 1)
+    while lo + shift <= SCAN_ANGLE_MIN + (SCAN_N_BINS - 1) * SCAN_STEP:
+        first = math.ceil((lo + shift - SCAN_ANGLE_MIN) / SCAN_STEP)
+        last = math.floor((hi + shift - SCAN_ANGLE_MIN) / SCAN_STEP)
+        bins += range(max(first, 0), min(last, SCAN_N_BINS - 1) + 1)
         shift += TWO_PI
     return bins
 
@@ -217,7 +217,7 @@ def _in_reach(scene: Scene, footprint: Rect, x: float, y: float, z: float,
     return solids
 
 
-def _scan_hits(solids: list, x: float, y: float, yaw: float, n_bins: int,
+def _scan_hits(solids: list, x: float, y: float, yaw: float,
                reach: float) -> list[tuple[int, float]]:
     """(bin, range) of the bins that `simulate_scan` ray-casts and that hit,
     each range floored at 1e-6 m.
@@ -232,10 +232,9 @@ def _scan_hits(solids: list, x: float, y: float, yaw: float, n_bins: int,
     acos(d/reach) of the bearing.
     """
     cull = reach + _REACH_MARGIN
-    cos_b, sin_b = _bin_trig(n_bins)
+    cos_b, sin_b = _BIN_COS, _BIN_SIN
     # bins rotate with yaw only; scan plane stays horizontal under tilt
     cy, sy = math.cos(yaw), math.sin(yaw)
-    step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (n_bins - 1)
     best: dict[int, float] = {}
     for solid in solids:
         rect = isinstance(solid, Rect)
@@ -253,7 +252,7 @@ def _scan_hits(solids: list, x: float, y: float, yaw: float, n_bins: int,
                     else math.asin(radius / dist))
             bearing = math.atan2(ocy, ocx)
         window = (bearing - half, bearing + half)
-        for i in _window_bins(window, yaw, step, n_bins):
+        for i in _window_bins(window, yaw):
             dx = cy * cos_b[i] - sy * sin_b[i]
             dy = sy * cos_b[i] + cy * sin_b[i]
             if rect:
@@ -281,7 +280,7 @@ def _scan_hits(solids: list, x: float, y: float, yaw: float, n_bins: int,
     return [(i, max(t, 1e-6)) for i, t in best.items()]
 
 
-def simulate_scan(scene: Scene, pose: TrueState, n_bins: int = SCAN_N_BINS,
+def simulate_scan(scene: Scene, pose: TrueState,
                   reach: float = math.inf) -> LaserScan:
     """Planar range scan at the drone's altitude, body-frame bins.
 
@@ -293,15 +292,12 @@ def simulate_scan(scene: Scene, pose: TrueState, n_bins: int = SCAN_N_BINS,
     bit-identical to the full scan, and every other bin reads at least its
     full-scan range.
     """
-    if n_bins < 2:
-        raise ValueError("n_bins must be at least 2")
     if not reach > 0.0:
         raise ValueError(f"reach must be positive, got {reach}")
     x, y, z = pose.position
-    ranges = [math.inf] * n_bins
+    ranges = [math.inf] * SCAN_N_BINS
     solids = _in_reach(scene, scene.building.footprint(), x, y, z, reach)
-    for i, r in _scan_hits(solids, x, y, yaw_of(pose.attitude), n_bins,
-                           reach):
+    for i, r in _scan_hits(solids, x, y, yaw_of(pose.attitude), reach):
         ranges[i] = r
     return LaserScan(tuple(ranges))
 

@@ -41,8 +41,7 @@ def tiny_scenario():
         vehicle=VehicleParams(v_max=1.5),
         mission=MissionParams(merge_radius=7.0),
         alpha=1.0,
-        camera_max_range=5.5,
-        scan_n_bins=91)
+        camera_max_range=5.5)
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +300,7 @@ def test_unknown_key_exits_2(tiny_yaml, tmp_path, capsys):
 
 @pytest.mark.parametrize("override", [
     "seed=abc", "home=[14,-6]", "kalman_q_diag=[1,2]",
-    "sensors.gyro_bias=[1]", "scan_n_bins=2.5", "alpha=abc", "home=abc",
+    "sensors.gyro_bias=[1]", "seed=2.5", "alpha=abc", "home=abc",
     "decals=5", "camera_hfov_deg=abc", "name=5", "name=[1, 2]"])
 def test_wrong_typed_value_exits_2(tiny_yaml, tmp_path, capsys, override):
     rc = main(["plan", "--config", str(tiny_yaml), "--out",
@@ -374,15 +373,15 @@ def test_kalman_r_that_overflows_exits_2(tiny_yaml, tmp_path, capsys,
      "scenario.classifier: unknown key(s) ['kind']"),
     ("classifier.seed=3", "scenario.classifier: unknown key(s) ['seed']"),
     ("kalman_r_std=0.01", "scenario: unknown key(s) ['kalman_r_std']"),
-    ("scan_n_bins=1" + "0" * 30, "scan_n_bins must be at most 100000")],
+    ("scan_n_bins=1" + "0" * 30, "scenario: unknown key(s) ['scan_n_bins']")],
     ids=["scan_range_max", "classifier_kind", "classifier_seed",
          "kalman_r_std", "scan_n_bins_1e30"])
 def test_removed_key_or_too_many_bins_exits_2(tiny_yaml, tmp_path, capsys,
                                               override, line):
-    """No maximum range and no classifier kind can change a run, and the
-    run seed and sensors.accel_noise_std already give the classifier's
-    stream and the Kalman r, so none of these is a key; 1e30 bins would
-    fail numpy's allocation at the first scan."""
+    """No maximum range and no classifier kind can change a run, the run
+    seed and sensors.accel_noise_std already give the classifier's stream
+    and the Kalman r, and the laser has its one bin count, so none of these
+    is a key, whatever its value."""
     out = tmp_path / "never"
     rc = main(["mission", "--config", str(tiny_yaml), "--out", str(out),
                "--set", override])

@@ -11,7 +11,6 @@ import yaml
 
 from facadesim.config import (
     MAX_LEG_STEPS,
-    MAX_SCAN_BINS,
     MissionParams,
     ScenarioConfig,
     apply_overrides,
@@ -102,11 +101,14 @@ def test_missing_building_rejected():
     "camera_max_range=-.inf", "sensors.accel_noise_std=.nan", "alpha=.nan",
     "building.length=.inf", "home=[9, 0, .nan]",
     "kalman_q_diag=[1.0e-4, .inf, 1.0e-4]", "sensors.gyro_bias=[0, .nan, 0]",
-    "obstacles=[{id: 0, center_xy: [8, .inf], radius: 0.3, height: 2}]"])
+    "obstacles=[{id: 0, center_xy: [8, .inf], radius: 0.3, height: 2}]",
+    pytest.param("camera_max_range=1" + "0" * 400,
+                 id="camera_max_range=10**400")])
 def test_non_finite_numbers_rejected(override):
     """NaN fails every comparison, so a NaN field would pass the range
-    checks and switch features off; infinities are no scene's numbers.
-    The reader and a config built in Python reject them alike."""
+    checks and switch features off; infinities, and ints no float holds,
+    are no scene's numbers.  The reader and a config built in Python reject
+    them alike."""
     data = apply_overrides(config_to_dict(small_config()), [override])
     key = override.partition("=")[0]
     with pytest.raises(InvalidScenario, match=f"{key}.*finite"):
@@ -277,7 +279,10 @@ def test_home_inside_footprint_rejected():
     # two ulps from the first layer to the roof: few layers, if z climbed
     ["plan.layer_height=1.0e-17", "building.height=1.5000000000000004"],
     ["building.height=" + "9" * 300],
-    ["plan.waypoint_spacing=1.0e-300"], ["plan.waypoint_spacing=5.0e-324"]],
+    ["plan.waypoint_spacing=1.0e-300"], ["plan.waypoint_spacing=5.0e-324"],
+    # two ints a float holds, whose sum no float holds
+    ["building.length=" + "9" * 308, "building.width=" + "9" * 308,
+     "home=[1.0e+308, 0, 0]"]],
     ids=lambda o: ",".join(o)[:60])
 def test_plan_too_large_to_build_rejected(overrides):
     """1.5 + 1e-17 == 1.5, so layer_altitudes would loop forever, as it does
@@ -292,7 +297,8 @@ def test_plan_too_large_to_build_rejected(overrides):
 def test_plan_spacing_too_large_for_a_float_rejected():
     """A config built in Python may hold an int no float reaches; the
     planner's own division would raise OverflowError on it."""
-    with pytest.raises(InvalidScenario, match="give about inf waypoints"):
+    with pytest.raises(InvalidScenario, match="^scenario.plan.waypoint_"
+                       "spacing: expected a finite number$"):
         small_config(plan=PlanParams(waypoint_spacing=10**400))
 
 
@@ -321,14 +327,6 @@ def test_kalman_diagonals_non_negative():
         small_config(sensors=SensorParams(accel_noise_std=-0.1))
 
 
-def test_scan_limits_checked():
-    with pytest.raises(ValueError, match="scan_n_bins"):
-        small_config(scan_n_bins=1)
-    with pytest.raises(ValueError, match="scan_n_bins"):
-        small_config(scan_n_bins=MAX_SCAN_BINS + 1)
-    small_config(scan_n_bins=MAX_SCAN_BINS)
-
-
 @pytest.mark.parametrize("limit", ["watchdog_s", "hold_s"])
 def test_leg_steps_bounded(limit):
     """The watchdog or a hold lasts at most MAX_LEG_STEPS steps: past it,
@@ -341,23 +339,25 @@ def test_leg_steps_bounded(limit):
 
 
 @pytest.mark.parametrize("change, match", [
-    ({"scan_n_bins": 1}, "^scan_n_bins must be at least 2$"),
-    ({"scan_n_bins": 10**30}, "^scan_n_bins must be at most 100000$"),
+    # unchecked, each ended in an OverflowError once the run converted it
+    ({"camera_max_range": 10**400},
+     r"^scenario.camera_max_range: expected a finite number$"),
+    ({"home": (10**400, 0.0, 0.0)},
+     r"^scenario.home\[0\]: expected a finite number$"),
     ({"seed": -1}, "^seed must be non-negative, got -1$"),
     ({"sensors": SensorParams(accel_noise_std=1e200)},
      "with a finite square"),
     ({"kalman_q_diag": (1e-6, 1e-4)}, "q and p0 must have 3 entries"),
     ({"sensors": SensorParams(accel_noise_std=int("9" * 400))},
-     "with a finite square"),
+     r"^scenario.sensors.accel_noise_std: expected a finite number$"),
     # unchecked, NaN switched the watchdog off: this mission ran to Done at
     # t = 271.82 s, where watchdog_s=1.0 aborts it at t = 1.01 s
     ({"mission": MissionParams(watchdog_s=math.nan)},
      r"^scenario.mission.watchdog_s: expected a finite number$")])
 def test_replace_checks_like_the_reader(change, match):
     """A config made from a loaded one with dataclasses.replace is checked
-    as it is built: unchecked, scan_n_bins=1 divides by zero in
-    run_mission and scan_n_bins=10**30 is more bins than numpy can allocate
-    at the first scan."""
+    as it is built, and a value the reader rejects by key gets the reader's
+    message."""
     cfg = load_config(CONFIG_DIR / "obstacle_course.yaml")
     with pytest.raises(InvalidScenario, match=match):
         dataclasses.replace(cfg, **change)

@@ -21,7 +21,7 @@ from facadesim.estimation import EstimatedState
 from facadesim.geometry import Rect, yaw_of
 from facadesim.planner import Waypoint
 from facadesim.vehicle import TrueState, VehicleParams, step_dynamics
-from facadesim.world import LaserScan
+from facadesim.world import SCAN_N_BINS, LaserScan
 
 DT = 0.01
 
@@ -31,9 +31,9 @@ def est_at(x, y, z, yaw=0.0):
                           attitude=AttitudeEstimate.level(yaw))
 
 
-def scan_of(bins, n_bins=9):
-    """Sparse scan: {index: range} over the scan's -135..135 deg span."""
-    ranges = [math.inf] * n_bins
+def scan_of(bins):
+    """Sparse scan: {index: range}; bin i points at i - 135 deg."""
+    ranges = [math.inf] * SCAN_N_BINS
     for i, r in bins.items():
         ranges[i] = r
     return LaserScan(tuple(ranges))
@@ -163,45 +163,49 @@ def test_step_response_settles_quickly_without_overshoot():
 # -- sector classification --------------------------------------------------------
 
 def test_single_front_return():
-    s = classify_sectors(scan_of({4: 1.5}), None, (0, 0), 0.0)
+    s = classify_sectors(scan_of({135: 1.5}), None, (0, 0), 0.0)
     assert s == ObstacleSectors(dist_front=1.5)
     assert s.any_active
 
 
 def test_left_and_right_sectors():
-    s = classify_sectors(scan_of({0: 2.0, 8: 2.5}), None, (0, 0), 0.0)
+    s = classify_sectors(scan_of({0: 2.0, 270: 2.5}), None, (0, 0), 0.0)
     assert s == ObstacleSectors(dist_left=2.5, dist_right=2.0)
 
 
 def test_sector_edges_are_inclusive_front():
-    # 7 bins puts returns exactly on the +-45 deg sector edges
-    s = classify_sectors(scan_of({2: 1.0, 4: 1.2}, n_bins=7), None,
-                         (0, 0), 0.0)
+    # bins 90 and 180 lie exactly on the +-45 deg sector edges, and the
+    # bins next to them, 89 and 181, lie outside the front
+    s = classify_sectors(scan_of({90: 1.0, 180: 1.2}), None, (0, 0), 0.0)
     assert s == ObstacleSectors(dist_front=1.0)
+    s = classify_sectors(scan_of({89: 1.0, 181: 1.2}), None, (0, 0), 0.0)
+    assert s == ObstacleSectors(dist_left=1.2, dist_right=1.0)
 
 
 def test_engage_threshold_is_strict():
-    s = classify_sectors(scan_of({4: 3.0}), None, (0, 0), 0.0, d_engage=3.0)
+    s = classify_sectors(scan_of({135: 3.0}), None, (0, 0), 0.0, d_engage=3.0)
     assert not s.any_active
-    s = classify_sectors(scan_of({4: 2.999}), None, (0, 0), 0.0, d_engage=3.0)
+    s = classify_sectors(scan_of({135: 2.999}), None, (0, 0), 0.0,
+                         d_engage=3.0)
     assert s == ObstacleSectors(dist_front=2.999)
 
 
 def test_scan_beyond_engage_is_clear():
     # every bin at or beyond d_engage: the early exit gives the default
-    s = classify_sectors(scan_of({0: 3.0, 4: 3.0, 8: 7.5}), None, (0, 0),
+    s = classify_sectors(scan_of({0: 3.0, 135: 3.0, 270: 7.5}), None, (0, 0),
                          0.0, d_engage=3.0)
     assert s == ObstacleSectors()
 
 
 def test_nearest_return_wins_per_sector():
-    s = classify_sectors(scan_of({3: 2.0, 4: 0.7, 5: 1.4}), None, (0, 0), 0.0)
+    s = classify_sectors(scan_of({101: 2.0, 135: 0.7, 169: 1.4}), None,
+                         (0, 0), 0.0)
     assert s.dist_front == 0.7
 
 
 def test_building_returns_masked_out():
     mask = Rect(2.0, 0.0, 1.0, 1.0)
-    scan = scan_of({4: 1.5})
+    scan = scan_of({135: 1.5})
     # hit point (1.5, 0) lands inside the mask: ignored
     assert not classify_sectors(scan, mask, (0, 0), 0.0).any_active
     # same scan rotated away from the building engages normally
@@ -212,14 +216,14 @@ def test_building_returns_masked_out():
 
 @pytest.mark.parametrize("hits, mask", [
     ([], None),
-    ([(4, 1.5)], Rect(2.0, 0.0, 1.0, 1.0)),   # the mask holds the hit
-    ([(0, 3.0), (4, 3.0), (8, 7.5)], None),    # at or beyond d_engage
-    ([(4, 1.5), (0, 3.0)], Rect(2.0, 0.0, 1.0, 1.0)),
+    ([(135, 1.5)], Rect(2.0, 0.0, 1.0, 1.0)),   # the mask holds the hit
+    ([(0, 3.0), (135, 3.0), (270, 7.5)], None),  # at or beyond d_engage
+    ([(135, 1.5), (0, 3.0)], Rect(2.0, 0.0, 1.0, 1.0)),
 ])
 def test_sectors_with_no_active_return_are_the_clear_instance(hits, mask):
     """The mission skips `_sectors` on a step whose cast hit nothing, which
     is exact only if these inputs all give clear sectors."""
-    s = _sectors(hits, 0.1875 * math.pi, mask, 0.0, 0.0, 0.0, 3.0)
+    s = _sectors(hits, mask, 0.0, 0.0, 0.0, 3.0)
     assert s == ObstacleSectors()
 
 

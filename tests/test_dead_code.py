@@ -5,11 +5,13 @@ as an exception that its own code catches.
 A function, class or module-level name must be used somewhere in `src/`
 (its own module included), be exported in `facadesim.__all__`, or be a name
 that perfbench's traced runs wrap.  A method or property of a class must be
-read somewhere in `src/` or in `perfbench/*.py`.  Anything else is code that
-only tests reach, or none.  perfbench is imported read-only, as in
-`test_bench_hooks.py`, and its sources are parsed, not run.  A parameter
-that its function never reads is an input that cannot change what the
-function does.
+read somewhere in `src/` or in `perfbench/*.py`, or be a method that
+perfbench's traced runs wrap.  A name that a module imports unused, under
+`# noqa: F401`, must be one that perfbench wraps in that module.  Anything
+else is code that only tests reach, or none.  perfbench is imported
+read-only, as in `test_bench_hooks.py`, and its sources are parsed, not
+run.  A parameter that its function never reads is an input that cannot
+change what the function does.
 """
 
 import ast
@@ -64,17 +66,42 @@ def test_every_src_definition_is_used_exported_or_traced():
     assert not unused, f"defined in src/facadesim but never used: {unused}"
 
 
+def test_every_kept_import_is_one_perfbench_wraps():
+    """An import that `src/` keeps unused, under `# noqa: F401`, is there
+    only for perfbench to wrap in that module; once perfbench stops
+    wrapping it, the import goes."""
+    traced = {(module, attr)
+              for module, attr, _ in workloads._TRACED_FUNCTIONS}
+    kept = []
+    for path in sorted(_SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        kept += [(path.stem, alias.asname or alias.name)
+                 for node in ast.parse(text).body
+                 if isinstance(node, ast.ImportFrom)
+                 and lines[node.end_lineno - 1].endswith("# noqa: F401")
+                 for alias in node.names]
+    assert kept, "no kept import found: the check reads nothing"
+    untraced = [f"{module}.{name}" for module, name in kept
+                if (module, name) not in traced]
+    assert not untraced, f"kept imports perfbench does not wrap: {untraced}"
+
+
 def test_every_src_method_is_read():
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(_SRC.glob("*.py"))}
     bench = [ast.parse(path.read_text())
              for path in sorted(Path(_PERFBENCH).glob("*.py"))]
     used = set().union(*map(_used_names, [*trees.values(), *bench]))
+    # perfbench names the methods it wraps in strings, which _used_names
+    # does not see
+    traced = {(cls, attr) for _, cls, attr, _ in workloads._TRACED_METHODS}
     unread = [f"{module}.{cls.name}.{node.name}"
               for module, tree in trees.items() for cls in ast.walk(tree)
               if isinstance(cls, ast.ClassDef) for node in cls.body
               if isinstance(node, ast.FunctionDef)
-              and not node.name.startswith("__") and node.name not in used]
+              and not node.name.startswith("__") and node.name not in used
+              and (cls.name, node.name) not in traced]
     assert not unread, f"methods never read in src or perfbench: {unread}"
 
 

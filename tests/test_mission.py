@@ -16,6 +16,7 @@ import facadesim
 from facadesim import mission, world
 from facadesim.cli import write_trajectory_csv
 from facadesim.config import (
+    MAX_LEG_STEPS,
     MissionParams,
     apply_overrides,
     config_from_dict,
@@ -528,8 +529,11 @@ def test_hover_kalman_beats_dead_reckoning():
 
 
 def test_hover_rejects_bad_duration():
-    # 1e308 s is finite, but its step count, 1e308 / dt, is inf
-    for duration_s in (0.0, math.nan, math.inf, 0.004, 1e308):
+    # 1e308 s is finite, but its step count, 1e308 / dt, is inf; 1e300 s
+    # and one step past MAX_LEG_STEPS have finite step counts, but a hover
+    # is bounded as a scenario's legs and holds are
+    for duration_s in (0.0, math.nan, math.inf, 0.004, 1e308, 1e300,
+                       (MAX_LEG_STEPS + 1) * MissionParams.dt):
         with pytest.raises(ValueError, match="duration_s"):
             run_hover(duration_s=duration_s)
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from facadesim import world
 from facadesim.config import apply_overrides, config_from_dict, load_raw
 from facadesim.control import _sectors, classify_sectors
-from facadesim.geometry import Rect, quat_from_euler, yaw_of
+from facadesim.geometry import TWO_PI, Rect, quat_from_euler, yaw_of
 from facadesim.mission import _MASK_MARGIN, _hidden, _mask_insets
 from facadesim.planner import avoidance_polygon
 from facadesim.vehicle import TrueState
@@ -33,6 +33,7 @@ from facadesim.world import (
     Obstacle,
     Scene,
     _scan_hits,
+    _window_bins,
     simulate_scan,
 )
 
@@ -82,15 +83,15 @@ def _circle_ray_distances(cx, cy, radius, ox, oy, dx, dy):
     return np.where(miss, np.inf, t)
 
 
-def oracle_scan(scene, state, n_bins=SCAN_N_BINS):
+def oracle_scan(scene, state):
     ox, oy, z = state.position
-    angles = np.linspace(SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, n_bins)
+    angles = np.linspace(SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS)
     cos_b, sin_b = np.cos(angles), np.sin(angles)
     yaw = yaw_of(state.attitude)
     cy, sy = math.cos(yaw), math.sin(yaw)
     dx = cy * cos_b - sy * sin_b
     dy = sy * cos_b + cy * sin_b
-    best = np.full(n_bins, np.inf)
+    best = np.full(SCAN_N_BINS, np.inf)
     if z <= scene.building.height:
         best = np.minimum(best, _rect_ray_distances(
             scene.building.footprint(), ox, oy, dx, dy))
@@ -151,10 +152,15 @@ reaches = st.one_of(st.floats(0.0, 20.0, exclude_min=True),
 # Then: the pose is inside obstacle 0's radius, so every bin sees it; bin 135
 # (angle 0) at yaw 0 runs along the footprint's north edge, and with the
 # building dead ahead, with dy == 0.0 exactly (a parallel ray); yaw 1e-310
-# makes bin 135's dy subnormal, so 1/dy overflows to inf.  Last, x = 4.4 is
+# makes bin 135's dy subnormal, so 1/dy overflows to inf.  Then x = 4.4 is
 # the off-centre footprint's east wall (1.4 + 3.0) yet lies
 # 3.0000000000000004 from its centre: `Rect.contains` puts the pose
 # outside, and the pose is its own nearest point, which gives no bearing.
+# Then obstacle 1 stands 1 m dead astern, so its window reaches both ends
+# of the scan by ten bins.  Last, the pose stands 4e-6 m off obstacle 0's
+# surface, so its window is within 0.26 deg of a half turn, and at yaw
+# 0.5 deg the padding casts bin 224, 90.5 deg off the bearing: its ray
+# meets the obstacle only behind the pose.
 @given(st.sampled_from(sorted(SCENES)), st.floats(-14.0, 14.0),
        st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
        st.floats(-math.pi, math.pi), reaches)
@@ -166,6 +172,8 @@ reaches = st.one_of(st.floats(0.0, 20.0, exclude_min=True),
 @example("scan", -8.0, 0.0, 1.0, 0.0, 3.0)
 @example("scan", -8.0, 0.0, 2.0, 1e-310, 3.0)
 @example("off_centre", 4.4, 0.0, 1.0, math.pi, math.inf)
+@example("scan", -7.0, -4.0, 1.0, 0.0, math.inf)
+@example("scan", 9.400004, 2.0, 1.0, math.radians(0.5), math.inf)
 @settings(max_examples=150, deadline=None)
 def test_windowed_scan_matches_all_bin_oracle(name, x, y, z, yaw, reach):
     scene = SCENES[name][0]
@@ -179,18 +187,27 @@ def test_windowed_scan_matches_all_bin_oracle(name, x, y, z, yaw, reach):
             assert g >= r, (i, g, r)
 
 
-def test_windowed_scan_matches_oracle_on_coarse_scans():
-    # few bins make the padding wider than the window; at (-7, -4, yaw 0)
-    # obstacle 1 stands 1 m dead astern, so its padded window straddles the
-    # +-pi blind spot and reaches both ends of the scan
-    scene = scan_scene()
-    for n_bins in (2, 7):
-        for x, y, yaw in ((7.0, 1.6, 0.0), (-7.0, -4.0, 2.5),
-                          (0.0, -7.0, -1.0), (9.0, 2.1, 0.3),
-                          (-7.0, -4.0, 0.0)):
-            state = pose(x, y, 1.0, yaw)
-            got = simulate_scan(scene, state, n_bins=n_bins).ranges
-            assert list(got) == oracle_scan(scene, state, n_bins=n_bins)
+def test_window_bins_of_a_window_ahead():
+    # +-2.86 deg about the heading, padded by one bin: -3 to 3 deg
+    assert list(_window_bins((-0.05, 0.05), 0.0)) == list(range(132, 139))
+    assert list(_window_bins((1.0 - 0.05, 1.0 + 0.05), 1.0)) == list(
+        range(132, 139))
+
+
+def test_window_bins_across_the_rear_blind_spot_reach_both_ends():
+    """A window about the bearing straight astern wraps through +-pi: its
+    part below -pi takes a second turn of the shift and reaches the first
+    bins, its part above the last ones."""
+    half = math.radians(50.5)   # padded: 128.5 to 231.5 deg, or -128.5
+    for yaw in (0.0, 1.0, -2.5):
+        bearing = yaw + math.pi
+        assert list(_window_bins((bearing - half, bearing + half), yaw)) == [
+            *range(0, 7), *range(264, SCAN_N_BINS)]
+
+
+def test_window_bins_of_a_full_turn_are_every_bin():
+    for window in ((1.0, 1.0 + TWO_PI), (-math.inf, math.inf)):
+        assert list(_window_bins(window, 0.4)) == list(range(SCAN_N_BINS))
 
 
 # -- the mission's sparse path == the public API ------------------------------
@@ -212,10 +229,8 @@ def test_sparse_sectors_match_public_api(name, x, y, z, yaw, d_engage, ex,
     est = (x + ex, y + ey)
     solids = world._in_reach(scene, scene.building.footprint(), x, y, z,
                              d_engage)
-    hits = _scan_hits(solids, x, y, yaw_of(state.attitude), SCAN_N_BINS,
-                      d_engage)
-    step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (SCAN_N_BINS - 1)
-    sparse = _sectors(hits, step, mask, est[0], est[1], yaw + eyaw, d_engage)
+    hits = _scan_hits(solids, x, y, yaw_of(state.attitude), d_engage)
+    sparse = _sectors(hits, mask, est[0], est[1], yaw + eyaw, d_engage)
     public = classify_sectors(simulate_scan(scene, state, reach=d_engage),
                               mask, est, yaw + eyaw, d_engage)
     assert sparse == public
@@ -261,8 +276,7 @@ def mission_hits(scene, insets, state, est, est_yaw, reach, d_engage):
     if not solids or _hidden(insets, solids, est, est_yaw, (x, y),
                              yaw_of(state.attitude), d_engage):
         return []
-    return _scan_hits(solids, x, y, yaw_of(state.attitude), SCAN_N_BINS,
-                      reach)
+    return _scan_hits(solids, x, y, yaw_of(state.attitude), reach)
 
 
 def occluders(insets, *slack_args):
@@ -283,7 +297,7 @@ def test_nothing_in_reach_casts_nothing(name, x, y, z, yaw, reach):
     assert solids == _in_reach(scene, fp, x, y, z, reach)
     if not solids:
         assert _scan_hits(solids, x, y, yaw_of(pose(x, y, z, yaw).attitude),
-                          SCAN_N_BINS, reach) == []
+                          reach) == []
 
 
 # The example is the pose of `test_occluders_leave_a_visible_solid_cast`:
@@ -305,7 +319,7 @@ def test_hidden_solids_cast_all_or_none(name, x, y, z, yaw, reach, picks):
     got = mission_hits(scene, dict.fromkeys(hidden, 1.0), state, (x, y),
                        yaw_of(state.attitude), reach, 3.0)
     args = (world._in_reach(scene, fp, x, y, z, reach), x, y,
-            yaw_of(state.attitude), SCAN_N_BINS, reach)
+            yaw_of(state.attitude), reach)
     if all(s in hidden for s in _in_reach(scene, fp, x, y, z, reach)):
         assert got == []
     else:
@@ -325,7 +339,7 @@ def test_occluders_leave_a_visible_solid_cast():
     assert not _hidden(insets, [fp, *scene.obstacles], (x, y), yaw, (x, y),
                        yaw, d_engage)
     args = (world._in_reach(scene, fp, x, y, z, d_engage), x, y, yaw,
-            SCAN_N_BINS, d_engage)
+            d_engage)
     full = sorted(_scan_hits(*args))
     assert len(full) == 57
     assert sorted(mission_hits(scene, insets, state, (x, y), yaw, d_engage,
@@ -372,8 +386,7 @@ def test_occluder_only_solids_keep_the_sectors(name, x, y, z, yaw, d_engage,
     fp = scene.building.footprint()
     hits = mission_hits(scene, _mask_insets(mask, fp, scene.obstacles), state,
                         est, est_yaw, d_engage, d_engage)
-    step = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (SCAN_N_BINS - 1)
-    sparse = _sectors(hits, step, mask, est[0], est[1], est_yaw, d_engage)
+    sparse = _sectors(hits, mask, est[0], est[1], est_yaw, d_engage)
     public = classify_sectors(simulate_scan(scene, state, reach=d_engage),
                               mask, est, est_yaw, d_engage)
     assert sparse == public

@@ -38,6 +38,16 @@ def test_hover_filter_comparison_rejects_a_hover_of_too_many_steps():
     assert "error: duration_s" in proc.stderr.splitlines()[-1]
 
 
+def test_hover_filter_comparison_rejects_a_hover_of_too_many_finite_steps():
+    """1e300 s gives a finite step count, but far more than the 1,000,000
+    steps a hover may run."""
+    proc = _run(SCRIPTS / "hover_filter_comparison.py", "--duration", "1e300")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: duration_s" in proc.stderr.splitlines()[-1]
+
+
 def test_run_default_mission_help():
     proc = _run(SCRIPTS / "run_default_mission.py", "--help")
     assert proc.returncode == 0, proc.stderr

@@ -14,6 +14,8 @@ from facadesim.vehicle import TrueState
 from facadesim.world import (
     SCAN_ANGLE_MAX,
     SCAN_ANGLE_MIN,
+    SCAN_N_BINS,
+    SCAN_STEP,
     BuildingSpec,
     CameraModel,
     FaultDecal,
@@ -33,16 +35,17 @@ def pose(x, y, z, yaw=0.0, roll=0.0, pitch=0.0):
                      angular_rate=(0, 0, 0), accel_world=(0, 0, 0))
 
 
-def march_scan(scene, state, n_bins, range_max, step=2e-3):
-    """Independent reference scan: sample each ray until a solid contains it."""
+def march_scan(scene, state, bins, range_max, step=2e-3):
+    """Independent reference scan of `bins`: sample each bin's ray until a
+    solid contains it."""
     x0, y0, z = state.position
     import facadesim.geometry as geo
     yaw = geo.yaw_of(state.attitude)
     fp = scene.building.footprint()
     t = np.arange(step, range_max + step, step)
     out = []
-    for i in range(n_bins):
-        ang = SCAN_ANGLE_MIN + i * (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (n_bins - 1)
+    for i in bins:
+        ang = SCAN_ANGLE_MIN + i * SCAN_STEP
         dx, dy = math.cos(yaw + ang), math.sin(yaw + ang)
         px = x0 + t * dx
         py = y0 + t * dy
@@ -131,13 +134,25 @@ def test_face_normals_point_outward():
 
 
 def test_laser_scan_validation():
-    # the ranges are the scan: their length is its bin count
-    assert LaserScan((1.0, 2.0)).ranges == (1.0, 2.0)
-    # one bin has no angular step, and no bin has no minimum range
-    with pytest.raises(ValueError):
-        LaserScan((1.0,))
-    with pytest.raises(ValueError):
-        LaserScan(())
+    # the laser has SCAN_N_BINS bins, and the sectors read each bin's angle
+    # from its index, so a scan holds exactly one range per bin
+    ranges = tuple(map(float, range(SCAN_N_BINS)))
+    assert LaserScan(ranges).ranges == ranges
+    for n in (0, 1, SCAN_N_BINS - 1, SCAN_N_BINS + 1):
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            LaserScan((1.0,) * n)
+
+
+def test_laser_geometry():
+    """Bin i points at i - 135 deg: bins 90, 135 and 180 lie exactly on
+    -45, 0 and 45 deg, the front sector's edges and its centre, and the
+    angle the sectors compute for each bin is the one the scan casts."""
+    assert SCAN_N_BINS == 271
+    assert [SCAN_ANGLE_MIN + i * SCAN_STEP for i in (90, 135, 180)] == [
+        -math.pi / 4, 0.0, math.pi / 4]
+    cast = np.linspace(SCAN_ANGLE_MIN, SCAN_ANGLE_MAX, SCAN_N_BINS)
+    assert [SCAN_ANGLE_MIN + i * SCAN_STEP
+            for i in range(SCAN_N_BINS)] == cast.tolist()
 
 
 # -- scan ---------------------------------------------------------------------
@@ -158,9 +173,11 @@ def scan_scene():
 def test_scan_matches_marching_oracle(x, y, z, yaw):
     scene = scan_scene()
     state = pose(x, y, z, yaw)
-    got = simulate_scan(scene, state, n_bins=91)
-    ref = march_scan(scene, state, n_bins=91, range_max=15.0)
-    for g, r in zip(got.ranges, ref):
+    # every third bin: 91 bins 3 deg apart
+    bins = range(0, SCAN_N_BINS, 3)
+    got = simulate_scan(scene, state).ranges
+    ref = march_scan(scene, state, bins, range_max=15.0)
+    for g, r in zip([got[i] for i in bins], ref):
         if r >= 15.0:   # the march sees nothing within 15 m
             assert g >= 15.0
         else:
@@ -207,8 +224,6 @@ def test_scan_mirror_symmetry():
 
 def test_scan_validation():
     scene = scan_scene()
-    with pytest.raises(ValueError):
-        simulate_scan(scene, pose(0, 8, 1), n_bins=1)
     # `distance < nan` is False, so a NaN reach would cull every solid
     for reach in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
