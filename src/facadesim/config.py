@@ -1,17 +1,16 @@
 """Scenario configuration: one YAML file describes a full run.
 
 The dataclass annotations are the file schema, checked value by value by the
-reader.  Degrees stay degrees so parse -> serialize -> parse is the identity;
-objects with derived units come from the accessor methods.  Each value has
-one source: `seed` drives every random stream of a run, and the Kalman r is
-the variance of `sensors.accel_noise_std`.  Every validation failure is an
-InvalidScenario naming the offending key.
+reader.  Each value has one source: `seed` drives every random stream of a
+run, and the Kalman r is the variance of `sensors.accel_noise_std`.  A value
+no scenario varies is a constant of its module, not a key.  Every validation
+failure is an InvalidScenario naming the offending key.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -19,22 +18,14 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .attitude import ComplementaryGain
-from .control import D_ENGAGE, KP_YAW, PidGains
+from .control import D_ENGAGE
 from .errors import InvalidScenario
-from .estimation import P0_DIAG, Q_DIAG, KalmanConfig
+from .estimation import KalmanConfig
 from .perception import CAPTURE_INTERVAL_S, MERGE_RADIUS, ClassifierSpec
 from .sensors import SensorParams
 from .planner import PlanParams, plan_size
 from .vehicle import VehicleParams
-from .world import (
-    CAMERA_HFOV_DEG,
-    CAMERA_VFOV_DEG,
-    BuildingSpec,
-    CameraModel,
-    FaultDecal,
-    Obstacle,
-    Scene,
-)
+from .world import BuildingSpec, CameraModel, FaultDecal, Obstacle, Scene
 
 MAX_PLAN_WAYPOINTS = 100_000   # the shipped plans have at most 81
 # [rad] bound on the gyro's turn in one step; the shipped configs turn at
@@ -49,22 +40,19 @@ MAX_LEG_STEPS = 1_000_000
 @dataclass(frozen=True)
 class MissionParams:
     dt: float = 0.01
-    arrival_tol: float = 0.3          # [m] on the estimated position
     hold_s: float = 5.0
     watchdog_s: float = 120.0         # per-waypoint time limit
     capture_interval_s: float = CAPTURE_INTERVAL_S
     merge_radius: float = MERGE_RADIUS
     d_engage: float = D_ENGAGE
-    kp_yaw: float = KP_YAW
 
     def __post_init__(self) -> None:
-        for name in ("dt", "arrival_tol", "hold_s", "watchdog_s",
-                     "capture_interval_s", "d_engage"):
+        for name in ("dt", "hold_s", "watchdog_s", "capture_interval_s",
+                     "d_engage"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("merge_radius", "kp_yaw"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        if self.merge_radius < 0:
+            raise ValueError("merge_radius must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -76,34 +64,28 @@ class ScenarioConfig:
     decals: tuple[FaultDecal, ...] = ()
     obstacles: tuple[Obstacle, ...] = ()
     plan: PlanParams = field(default_factory=PlanParams)
-    gains: PidGains = field(default_factory=PidGains)
     sensors: SensorParams = field(default_factory=SensorParams)
     classifier: ClassifierSpec = field(default_factory=ClassifierSpec)
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     mission: MissionParams = field(default_factory=MissionParams)
     alpha: float = ComplementaryGain.alpha
-    kalman_q_diag: tuple[float, float, float] = Q_DIAG
-    kalman_p0_diag: tuple[float, float, float] = P0_DIAG
-    camera_hfov_deg: float = CAMERA_HFOV_DEG
-    camera_vfov_deg: float = CAMERA_VFOV_DEG
     camera_max_range: float = CameraModel.max_range
 
     def __post_init__(self) -> None:
         try:
-            bad = _non_finite(self, "scenario")
-            if bad is not None:   # the reader's message for the key
-                raise ValueError(f"{bad}: expected a finite number")
+            bad = _bad_number(self, "scenario")
+            if bad is not None:
+                raise ValueError(bad)
             fp = self.scene().building.footprint()
             if self.seed < 0:
                 raise ValueError(f"seed must be non-negative, got {self.seed}")
             if fp.distance_to(self.home[0], self.home[1]) <= 0.0:
                 raise ValueError(
                     "home must lie outside the building footprint")
+            if self.home[2] < 0.0:   # the plant would clamp z to the ground
+                raise ValueError("home must not lie below the ground, "
+                                 f"got z {self.home[2]}")
             ComplementaryGain(self.alpha)
-            if any(q < 0 for q in self.kalman_q_diag):
-                raise ValueError("kalman_q_diag entries must be non-negative")
-            if any(p < 0 for p in self.kalman_p0_diag):
-                raise ValueError("kalman_p0_diag entries must be non-negative")
             if self.plan.first_layer_alt >= self.building.height:
                 raise ValueError("plan.first_layer_alt must be below the roof")
             size = plan_size(self.building, self.plan)
@@ -137,14 +119,10 @@ class ScenarioConfig:
                      obstacles=self.obstacles)
 
     def camera(self) -> CameraModel:
-        return CameraModel(hfov=math.radians(self.camera_hfov_deg),
-                           vfov=math.radians(self.camera_vfov_deg),
-                           max_range=self.camera_max_range)
+        return CameraModel(max_range=self.camera_max_range)
 
     def kalman(self) -> KalmanConfig:
-        return replace(KalmanConfig.for_accel_noise(
-                           self.sensors.accel_noise_std),
-                       q=self.kalman_q_diag, p0=self.kalman_p0_diag)
+        return KalmanConfig.for_accel_noise(self.sensors.accel_noise_std)
 
 
 def _is_number(x) -> bool:
@@ -157,21 +135,26 @@ def _is_number(x) -> bool:
         return False
 
 
-def _non_finite(value, key: str, kind=None) -> str | None:
-    """Key of the first float, or value of a float field, in a config,
-    section or tuple that is not a number by `_is_number`: NaN would pass
-    every range check, and an int no float holds would overflow in use."""
+def _bad_number(value, key: str, kind=None) -> str | None:
+    """The reader's message for the first float, or value of a float field,
+    in a config, section or tuple that is not a number by `_is_number`, or
+    for the first fixed-length tuple of another length: NaN would pass every
+    range check, an int no float holds would overflow in use, and a short
+    tuple would fail where its missing entry is read."""
     if kind is float or isinstance(value, float):
-        return None if _is_number(value) else key
-    if isinstance(value, tuple):   # each tuple of the schema holds one kind
-        items = [(f"{key}[{i}]", v, get_args(kind)[0])
-                 for i, v in enumerate(value)]
+        return (None if _is_number(value)
+                else f"{key}: expected a finite number")
+    args = get_args(kind)
+    if isinstance(value, tuple) and args:   # a schema tuple holds one kind
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            return f"{key}: expected a list of {len(args)} finite numbers"
+        items = [(f"{key}[{i}]", v, args[0]) for i, v in enumerate(value)]
     elif is_dataclass(value):
         items = [(f"{key}.{name}", getattr(value, name), k)
                  for name, k in _kinds(type(value)).items()]
     else:
         return None
-    return next(filter(None, (_non_finite(v, k, t) for k, v, t in items)),
+    return next(filter(None, (_bad_number(v, k, t) for k, v, t in items)),
                 None)
 
 

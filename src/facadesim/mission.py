@@ -21,6 +21,7 @@ from .control import (
     _FRESH_LANES,
     _FRESH_PID,
     I_MAX,
+    KP_YAW,
     PidGains,
     _sectors,
     avoidance_command,
@@ -54,6 +55,8 @@ _RETURNING_HOME = "ReturningHome"
 _DETECTING = "Detecting"
 _HOLDING = "Holding"
 _DONE = "Done"
+
+ARRIVAL_TOL = 0.3   # [m] a waypoint is reached once the estimate is this near
 
 
 @dataclass(frozen=True)
@@ -460,16 +463,16 @@ def run_mission(cfg: ScenarioConfig,
     insets = _mask_insets(mask, fp, scene.obstacles)
     camera = cfg.camera()
     mp = cfg.mission
-    dt, d_engage, arrival_tol = mp.dt, mp.d_engage, mp.arrival_tol
+    dt, d_engage, arrival_tol = mp.dt, mp.d_engage, ARRIVAL_TOL
     watchdog_s, capture_interval_s = mp.watchdog_s, mp.capture_interval_s
-    gains, v_max = cfg.gains, cfg.vehicle.v_max
+    gains, v_max = PidGains(), cfg.vehicle.v_max
     home = cfg.home
     wps = generate_perimeter_path(cfg.building, cfg.plan, home)
     home_yaw = wps[0].yaw   # the entry climb faces the building from home
 
     kernel = _step_kernel(
         cfg.sensors, cfg.seed, cfg.kalman(), cfg.alpha, home, home_yaw, dt,
-        gains, cfg.vehicle, mp.kp_yaw)
+        gains, cfg.vehicle, KP_YAW)
     classifier = Classifier(cfg.classifier, cfg.seed)
 
     phase = _INSPECTING
@@ -630,8 +633,7 @@ def run_hover(duration_s: float = 120.0, seed: int = 0,
     setpoint = (0.0, 0.0, 2.0)
     kernel = _step_kernel(
         sensors, seed, KalmanConfig.for_accel_noise(sensors.accel_noise_std),
-        alpha, setpoint, 0.0, dt, PidGains(), VehicleParams(),
-        MissionParams.kp_yaw)
+        alpha, setpoint, 0.0, dt, PidGains(), VehicleParams(), KP_YAW)
     wp = Waypoint(setpoint, 0.0, 0)
     est_pos, dr_pos, _, _, true_pos, _ = next(kernel)
 

@@ -35,9 +35,6 @@ SCAN_ANGLE_MIN = -0.75 * math.pi
 SCAN_ANGLE_MAX = 0.75 * math.pi
 SCAN_N_BINS = 271
 SCAN_STEP = (SCAN_ANGLE_MAX - SCAN_ANGLE_MIN) / (SCAN_N_BINS - 1)
-# degrees, as the config file gives them: radians would not round-trip
-CAMERA_HFOV_DEG = 90.0
-CAMERA_VFOV_DEG = 60.0
 # [m] A ray never meets a solid nearer than the solid's horizontal distance
 # from the pose, but the computed slab and circle distances can undershoot
 # it by float rounding (under 1e-12 m at scene scale), so the scan's
@@ -99,8 +96,8 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class CameraModel:
-    hfov: float = math.radians(CAMERA_HFOV_DEG)
-    vfov: float = math.radians(CAMERA_VFOV_DEG)
+    hfov: float = math.radians(90.0)
+    vfov: float = math.radians(60.0)
     max_range: float = 15.0
 
     def __post_init__(self) -> None:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from facadesim.cli import _error_stats, main, write_trajectory_csv
 from facadesim.config import MissionParams, ScenarioConfig, config_to_dict
-from facadesim.control import PidGains
 from facadesim.planner import PlanParams
 from facadesim.sensors import SensorParams
 from facadesim.vehicle import VehicleParams
@@ -33,7 +32,6 @@ def tiny_scenario():
         name="tiny", seed=0, home=(6.0, 0.0, 0.0),
         decals=(FaultDecal(0, "east", (0.0, 1.0)),),
         plan=PlanParams(standoff=2.0, first_layer_alt=1.0),
-        gains=PidGains(),
         sensors=SensorParams(gyro_noise_std=2.0e-7, accel_noise_std=5.0e-6,
                              mag_noise_std=5.0e-7,
                              gyro_bias=(0.0, 0.0, 1.0e-6),
@@ -299,9 +297,9 @@ def test_unknown_key_exits_2(tiny_yaml, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", [
-    "seed=abc", "home=[14,-6]", "kalman_q_diag=[1,2]",
+    "seed=abc", "home=[14,-6]", "sensors.accel_bias=[1,2]",
     "sensors.gyro_bias=[1]", "seed=2.5", "alpha=abc", "home=abc",
-    "decals=5", "camera_hfov_deg=abc", "name=5", "name=[1, 2]"])
+    "decals=5", "camera_max_range=abc", "name=5", "name=[1, 2]"])
 def test_wrong_typed_value_exits_2(tiny_yaml, tmp_path, capsys, override):
     rc = main(["plan", "--config", str(tiny_yaml), "--out",
                str(tmp_path / "never"), "--set", override])
@@ -328,6 +326,19 @@ def test_non_finite_or_negative_seed_exits_2(tiny_yaml, tmp_path, capsys,
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("config error: ")
     assert key in line
+    assert not out.exists()
+
+
+def test_home_below_the_ground_exits_2(config_dir, tmp_path, capsys):
+    """The plant clamps z to the ground from the first step, while the
+    estimate starts from the home given: a run from below the ground would
+    log an estimate off by the depth, with no error."""
+    out = tmp_path / "never"
+    rc = main(["mission", "--config", str(config_dir / "default.yaml"),
+               "--out", str(out), "--set", "home=[10, -6, -5]"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: home must not lie below the ground, got z -5"]
     assert not out.exists()
 
 
@@ -373,14 +384,29 @@ def test_kalman_r_that_overflows_exits_2(tiny_yaml, tmp_path, capsys,
      "scenario.classifier: unknown key(s) ['kind']"),
     ("classifier.seed=3", "scenario.classifier: unknown key(s) ['seed']"),
     ("kalman_r_std=0.01", "scenario: unknown key(s) ['kalman_r_std']"),
-    ("scan_n_bins=1" + "0" * 30, "scenario: unknown key(s) ['scan_n_bins']")],
+    ("scan_n_bins=1" + "0" * 30, "scenario: unknown key(s) ['scan_n_bins']"),
+    ("kalman_q_diag=[1,2]", "scenario: unknown key(s) ['kalman_q_diag']"),
+    ("kalman_p0_diag=[0.1, 0.1, 0.1]",
+     "scenario: unknown key(s) ['kalman_p0_diag']"),
+    ("camera_hfov_deg=abc", "scenario: unknown key(s) ['camera_hfov_deg']"),
+    ("camera_vfov_deg=50", "scenario: unknown key(s) ['camera_vfov_deg']"),
+    ("gains.kp=2", "scenario: unknown key(s) ['gains']"),
+    ("gains.ki=0", "scenario: unknown key(s) ['gains']"),
+    ("gains.kd=0.1", "scenario: unknown key(s) ['gains']"),
+    ("mission.arrival_tol=0.5",
+     "scenario.mission: unknown key(s) ['arrival_tol']"),
+    ("mission.kp_yaw=0.8", "scenario.mission: unknown key(s) ['kp_yaw']")],
     ids=["scan_range_max", "classifier_kind", "classifier_seed",
-         "kalman_r_std", "scan_n_bins_1e30"])
+         "kalman_r_std", "scan_n_bins_1e30", "kalman_q_diag",
+         "kalman_p0_diag", "camera_hfov_deg", "camera_vfov_deg", "gains_kp",
+         "gains_ki", "gains_kd", "mission_arrival_tol", "mission_kp_yaw"])
 def test_removed_key_or_too_many_bins_exits_2(tiny_yaml, tmp_path, capsys,
                                               override, line):
     """No maximum range and no classifier kind can change a run, the run
     seed and sensors.accel_noise_std already give the classifier's stream
-    and the Kalman r, and the laser has its one bin count, so none of these
+    and the Kalman r, the laser has its one bin count, and the camera's
+    field of view, the filter's Q and P0, the PID and yaw gains and the
+    arrival tolerance are constants no scenario varies, so none of these
     is a key, whatever its value."""
     out = tmp_path / "never"
     rc = main(["mission", "--config", str(tiny_yaml), "--out", str(out),

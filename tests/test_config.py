@@ -3,6 +3,7 @@ round-trips."""
 
 import dataclasses
 import inspect
+import json
 import math
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from facadesim.config import (
     MAX_LEG_STEPS,
     MissionParams,
     ScenarioConfig,
+    _kinds,
     apply_overrides,
     config_from_dict,
     config_to_dict,
@@ -70,6 +72,33 @@ def test_constructed_round_trip():
 
 # -- structural errors --------------------------------------------------------------
 
+def _keys(cls, prefix=""):
+    """The dotted key of each value a scenario file sets: a tuple, and a
+    list of decals or obstacles, is one value."""
+    for name, kind in _kinds(cls).items():
+        if dataclasses.is_dataclass(kind):
+            yield from _keys(kind, f"{prefix}{name}.")
+        else:
+            yield prefix + name
+
+
+def test_the_scenario_holds_31_values():
+    """A value is a key when some shipped config, script or benchmark
+    workload sets it, or some test flies a run at another value: adding or
+    removing one is an edit here."""
+    assert list(_keys(ScenarioConfig)) == [
+        "building.length", "building.width", "building.height",
+        "building.center_xy", "name", "seed", "home", "decals", "obstacles",
+        "plan.standoff", "plan.buffer", "plan.layer_height",
+        "plan.first_layer_alt", "plan.waypoint_spacing",
+        "sensors.gyro_noise_std", "sensors.accel_noise_std",
+        "sensors.mag_noise_std", "sensors.gyro_bias", "sensors.accel_bias",
+        "classifier.accuracy", "vehicle.v_max", "vehicle.yaw_rate_max",
+        "vehicle.tau", "mission.dt", "mission.hold_s", "mission.watchdog_s",
+        "mission.capture_interval_s", "mission.merge_radius",
+        "mission.d_engage", "alpha", "camera_max_range"]
+
+
 def test_unknown_key_is_named():
     data = config_to_dict(small_config())
     data["vheicle"] = {"v_max": 1.0}
@@ -82,6 +111,35 @@ def test_nested_unknown_key_reports_path():
     data["vehicle"]["vmax"] = 1.0
     with pytest.raises(InvalidScenario, match="vehicle"):
         config_from_dict(data)
+
+
+# values no scenario varies: each is a constant of its module, not a key,
+# so a file that names one fails even at the constant's own value, given here
+_CONSTANTS = [
+    ("kalman_q_diag", [1.0e-6, 1.0e-4, 1.0e-2], "scenario", "kalman_q_diag"),
+    ("kalman_p0_diag", [1.0e-4, 1.0e-4, 1.0e-2], "scenario",
+     "kalman_p0_diag"),
+    ("camera_hfov_deg", 90.0, "scenario", "camera_hfov_deg"),
+    ("camera_vfov_deg", 60.0, "scenario", "camera_vfov_deg"),
+    ("gains", {"kp": 1.0, "ki": 0.0001, "kd": 0.5}, "scenario", "gains"),
+    ("gains.kp", 1.0, "scenario", "gains"),
+    ("gains.ki", 0.0001, "scenario", "gains"),
+    ("gains.kd", 0.5, "scenario", "gains"),
+    ("mission.arrival_tol", 0.3, "scenario.mission", "arrival_tol"),
+    ("mission.kp_yaw", 1.0, "scenario.mission", "kp_yaw")]
+
+
+@pytest.mark.parametrize("key, value, where, unknown", _CONSTANTS,
+                         ids=[f"scenario.{c[0]}" for c in _CONSTANTS])
+def test_a_constant_in_yaml_is_an_unknown_key(key, value, where, unknown,
+                                              tmp_path):
+    data = apply_overrides(config_to_dict(small_config()),
+                           [f"{key}={json.dumps(value)}"])
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data))
+    with pytest.raises(InvalidScenario) as err:
+        load_config(path)
+    assert str(err.value) == f"{where}: unknown key(s) ['{unknown}']"
 
 
 def test_bad_value_reports_where():
@@ -100,7 +158,8 @@ def test_missing_building_rejected():
     "mission.d_engage=.nan", "mission.dt=.nan", "mission.dt=.inf",
     "camera_max_range=-.inf", "sensors.accel_noise_std=.nan", "alpha=.nan",
     "building.length=.inf", "home=[9, 0, .nan]",
-    "kalman_q_diag=[1.0e-4, .inf, 1.0e-4]", "sensors.gyro_bias=[0, .nan, 0]",
+    "sensors.accel_bias=[1.0e-4, .inf, 1.0e-4]",
+    "sensors.gyro_bias=[0, .nan, 0]",
     "obstacles=[{id: 0, center_xy: [8, .inf], radius: 0.3, height: 2}]",
     pytest.param("camera_max_range=1" + "0" * 400,
                  id="camera_max_range=10**400")])
@@ -143,10 +202,9 @@ def test_huge_integers_still_count_as_numbers():
 _HUGE = "9" * 400   # no float holds it
 _HUGE_OVERRIDES = [f"{key}={_HUGE}" for key in (
     "sensors.accel_noise_std", "sensors.gyro_noise_std", "vehicle.tau",
-    "gains.kp",
-    "camera_hfov_deg", "building.length", "mission.watchdog_s",
-    "mission.d_engage")] + [f"kalman_q_diag=[{_HUGE}, 1.0e-4, 1.0e-2]",
-                            f"home=[{_HUGE}, 0.0, 0.0]"]
+    "plan.standoff", "camera_max_range", "building.length",
+    "mission.watchdog_s", "mission.d_engage")] + [
+        f"sensors.gyro_bias=[{_HUGE}, 0.0, 0.01]", f"home=[{_HUGE}, 0.0, 0.0]"]
 
 
 @pytest.mark.parametrize("override", _HUGE_OVERRIDES,
@@ -318,11 +376,7 @@ def test_alpha_range_enforced():
     small_config(alpha=0.0)
 
 
-def test_kalman_diagonals_non_negative():
-    with pytest.raises(ValueError):
-        small_config(kalman_q_diag=(-1e-9, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        small_config(kalman_p0_diag=(0.0, -1.0, 0.0))
+def test_negative_accel_noise_rejected():
     with pytest.raises(ValueError):
         small_config(sensors=SensorParams(accel_noise_std=-0.1))
 
@@ -347,13 +401,19 @@ def test_leg_steps_bounded(limit):
     ({"seed": -1}, "^seed must be non-negative, got -1$"),
     ({"sensors": SensorParams(accel_noise_std=1e200)},
      "with a finite square"),
-    ({"kalman_q_diag": (1e-6, 1e-4)}, "q and p0 must have 3 entries"),
+    # unchecked, the config was built and its run failed to unpack home
+    ({"home": (14.0, 0.0)},
+     r"^scenario.home: expected a list of 3 finite numbers$"),
     ({"sensors": SensorParams(accel_noise_std=int("9" * 400))},
      r"^scenario.sensors.accel_noise_std: expected a finite number$"),
     # unchecked, NaN switched the watchdog off: this mission ran to Done at
     # t = 271.82 s, where watchdog_s=1.0 aborts it at t = 1.01 s
     ({"mission": MissionParams(watchdog_s=math.nan)},
-     r"^scenario.mission.watchdog_s: expected a finite number$")])
+     r"^scenario.mission.watchdog_s: expected a finite number$"),
+    # unchecked, the plant clamped z to the ground at t = 0.01 s while the
+    # estimate stayed at -5
+    ({"home": (14.0, 0.0, -5.0)},
+     r"^home must not lie below the ground, got z -5.0$")])
 def test_replace_checks_like_the_reader(change, match):
     """A config made from a loaded one with dataclasses.replace is checked
     as it is built, and a value the reader rejects by key gets the reader's
@@ -363,10 +423,9 @@ def test_replace_checks_like_the_reader(change, match):
         dataclasses.replace(cfg, **change)
 
 
-def test_camera_degrees_converted():
-    cam = small_config(camera_hfov_deg=80.0, camera_vfov_deg=50.0).camera()
-    assert cam.hfov == pytest.approx(math.radians(80.0))
-    assert cam.vfov == pytest.approx(math.radians(50.0))
+def test_camera_takes_the_scenario_range():
+    cam = small_config(camera_max_range=8.0).camera()
+    assert cam == CameraModel(max_range=8.0)
 
 
 def test_kalman_r_defaults_to_accel_noise():
@@ -439,7 +498,7 @@ def test_mission_params_validation():
     with pytest.raises(ValueError):
         MissionParams(dt=0.0)
     with pytest.raises(ValueError):
-        MissionParams(arrival_tol=-1.0)
+        MissionParams(merge_radius=-1.0)
     with pytest.raises(ValueError):
         MissionParams(capture_interval_s=0.0)
     with pytest.raises(ValueError):
@@ -456,7 +515,6 @@ def test_each_shared_default_has_one_source():
     cfg = small_config()
     assert _default(track_waypoint, "v_max") == vehicle.v_max
     assert _default(track_waypoint, "yaw_rate_max") == vehicle.yaw_rate_max
-    assert _default(track_waypoint, "kp_yaw") == mission.kp_yaw
     assert _default(avoidance_command, "v_max") == vehicle.v_max
     assert CAPTURE_INTERVAL_S == mission.capture_interval_s
     assert (_default(filter_fault_coordinates, "merge_radius")

@@ -5,13 +5,13 @@ as an exception that its own code catches.
 A function, class or module-level name must be used somewhere in `src/`
 (its own module included), be exported in `facadesim.__all__`, or be a name
 that perfbench's traced runs wrap.  A method or property of a class must be
-read somewhere in `src/` or in `perfbench/*.py`, or be a method that
-perfbench's traced runs wrap.  A name that a module imports unused, under
-`# noqa: F401`, must be one that perfbench wraps in that module.  Anything
-else is code that only tests reach, or none.  perfbench is imported
-read-only, as in `test_bench_hooks.py`, and its sources are parsed, not
-run.  A parameter that its function never reads is an input that cannot
-change what the function does.
+read as an attribute somewhere in `src/` or in `perfbench/*.py`, or be a
+method that perfbench's traced runs wrap.  A name that a module imports
+unused, under `# noqa: F401`, must be one that perfbench wraps in that
+module.  Anything else is code that only tests reach, or none.  perfbench
+is imported read-only, as in `test_bench_hooks.py`, and its sources are
+parsed, not run.  A parameter that its function never reads is an input
+that cannot change what the function does.
 """
 
 import ast
@@ -87,22 +87,52 @@ def test_every_kept_import_is_one_perfbench_wraps():
     assert not untraced, f"kept imports perfbench does not wrap: {untraced}"
 
 
+def _read_attributes(tree: ast.Module) -> set:
+    """Names the module reads as an attribute, `x.name`."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _unread_methods(trees: dict, readers: list, traced: set) -> list:
+    """`module.Class.method` for each method in `trees` whose name no tree
+    of `readers` reads as an attribute and that `traced` does not name as
+    (class, method).  A bare name of the same spelling, such as a local,
+    is not a read: a method is reached only through an attribute."""
+    read = set().union(*map(_read_attributes, readers))
+    return [f"{module}.{cls.name}.{node.name}"
+            for module, tree in trees.items() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("__") and node.name not in read
+            and (cls.name, node.name) not in traced]
+
+
 def test_every_src_method_is_read():
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(_SRC.glob("*.py"))}
     bench = [ast.parse(path.read_text())
              for path in sorted(Path(_PERFBENCH).glob("*.py"))]
-    used = set().union(*map(_used_names, [*trees.values(), *bench]))
-    # perfbench names the methods it wraps in strings, which _used_names
-    # does not see
+    # perfbench names the methods it wraps in strings, which no attribute
+    # read shows
     traced = {(cls, attr) for _, cls, attr, _ in workloads._TRACED_METHODS}
-    unread = [f"{module}.{cls.name}.{node.name}"
-              for module, tree in trees.items() for cls in ast.walk(tree)
-              if isinstance(cls, ast.ClassDef) for node in cls.body
-              if isinstance(node, ast.FunctionDef)
-              and not node.name.startswith("__") and node.name not in used
-              and (cls.name, node.name) not in traced]
+    unread = _unread_methods(trees, [*trees.values(), *bench], traced)
     assert not unread, f"methods never read in src or perfbench: {unread}"
+
+
+def test_a_local_named_like_a_method_is_not_a_read():
+    source = ("class Filter:\n"
+              "    def step(self):\n"
+              "        return 0.0\n"
+              "\n"
+              "def run(dt):\n"
+              "    step = dt\n"
+              "    return step\n")
+    tree = ast.parse(source)
+    assert _unread_methods({"m": tree}, [tree], set()) == ["m.Filter.step"]
+    called = ast.parse(source + "\nFilter().step()\n")
+    assert _unread_methods({"m": called}, [called], set()) == []
+    assert _unread_methods({"m": tree}, [tree], {("Filter", "step")}) == []
 
 
 def _unread_parameters(tree: ast.Module, module: str):

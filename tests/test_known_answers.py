@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from facadesim.config import MissionParams, load_config
-from facadesim.control import PidGains
+from facadesim.control import KP_YAW, PidGains
 from facadesim.estimation import KalmanConfig
 from facadesim.mission import _step_kernel, run_mission
 from facadesim.sensors import SensorParams
@@ -44,7 +44,7 @@ def test_open_loop_error_follows_the_random_walk_law():
     for seed in NOISE_LAW_SEEDS:
         kernel = _step_kernel(
             sensors, seed, KalmanConfig.for_accel_noise(SIGMA_A), 1.0, start,
-            0.0, dt, PidGains(), VehicleParams(), MissionParams.kp_yaw)
+            0.0, dt, PidGains(), VehicleParams(), KP_YAW)
         # step 0's estimate, then one more per zero command: the estimate
         # after NOISE_LAW_T / dt filter steps
         est_pos, _, _, _, true_pos, _ = next(kernel)
