@@ -1,10 +1,11 @@
 """Scenario configuration: one YAML file describes a full run.
 
-The dataclass annotations are the file schema, checked value by value by the
-reader.  Each value has one source: `seed` drives every random stream of a
-run, and the Kalman r is the variance of `sensors.accel_noise_std`.  A value
-no scenario varies is a constant of its module, not a key.  Every validation
-failure is an InvalidScenario naming the offending key.
+The dataclass annotations are the file schema; one rule, `_error`, checks
+each value's kind as the reader reads it and as any `ScenarioConfig` is
+built.  Each value has one source: `seed` drives every random stream of a
+run, and the Kalman r is the variance of `sensors.accel_noise_std`.  A
+value no scenario varies is a constant of its module, not a key.  Every
+validation failure is an InvalidScenario naming the offending key.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_type_hints
 
 import yaml
 
@@ -73,7 +74,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         try:
-            bad = _bad_number(self, "scenario")
+            bad = _error(ScenarioConfig, self, "scenario")
             if bad is not None:
                 raise ValueError(bad)
             fp = self.scene().building.footprint()
@@ -135,27 +136,34 @@ def _is_number(x) -> bool:
         return False
 
 
-def _bad_number(value, key: str, kind=None) -> str | None:
-    """The reader's message for the first float, or value of a float field,
-    in a config, section or tuple that is not a number by `_is_number`, or
-    for the first fixed-length tuple of another length: NaN would pass every
-    range check, an int no float holds would overflow in use, and a short
-    tuple would fail where its missing entry is read."""
-    if kind is float or isinstance(value, float):
-        return (None if _is_number(value)
-                else f"{key}: expected a finite number")
+def _error(kind, value, key: str) -> str | None:
+    """The reader's message for the first value in `value`, of schema kind
+    `kind`, that is not of its kind, or None.  A float must pass
+    `_is_number`: NaN would pass every range check, and an int no float
+    holds would overflow in use.  A fixed-length tuple must hold that many
+    numbers, since a short one fails where its missing entry is read."""
     args = get_args(kind)
-    if isinstance(value, tuple) and args:   # a schema tuple holds one kind
-        if args[-1] is not Ellipsis and len(value) != len(args):
-            return f"{key}: expected a list of {len(args)} finite numbers"
-        items = [(f"{key}[{i}]", v, args[0]) for i, v in enumerate(value)]
-    elif is_dataclass(value):
-        items = [(f"{key}.{name}", getattr(value, name), k)
-                 for name, k in _kinds(type(value)).items()]
+    if is_dataclass(kind):
+        if not isinstance(value, kind):
+            return f"{key}: expected a mapping"
+        items = [(k, getattr(value, name), f"{key}.{name}")
+                 for name, k in _kinds(kind).items()]
+    elif args[-1:] == (Ellipsis,):
+        if not isinstance(value, tuple):
+            return f"{key}: expected a list"
+        items = [(args[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
+    elif args:
+        return (None if isinstance(value, tuple) and len(value) == len(args)
+                and all(map(_is_number, value))
+                else f"{key}: expected a list of {len(args)} finite numbers")
+    elif kind is int:
+        return (None if isinstance(value, int) and not isinstance(value, bool)
+                else f"{key}: expected an integer")
+    elif kind is float:
+        return None if _is_number(value) else f"{key}: expected a finite number"
     else:
-        return None
-    return next(filter(None, (_bad_number(v, k, t) for k, v, t in items)),
-                None)
+        return None if isinstance(value, str) else f"{key}: expected a string"
+    return next(filter(None, (_error(*item) for item in items)), None)
 
 
 def config_to_dict(value):
@@ -182,8 +190,12 @@ def _build(cls, data, where: str):
     unknown = set(data) - set(kinds)
     if unknown:
         raise InvalidScenario(f"{where}: unknown key(s) {sorted(unknown)}")
-    kwargs = {name: _convert(kinds[name], raw, f"{where}.{name}")
-              for name, raw in data.items()}
+    kwargs = {}
+    for name, raw in data.items():   # in file order: the first bad key fails
+        kwargs[name] = _convert(kinds[name], raw, f"{where}.{name}")
+        bad = _error(kinds[name], kwargs[name], f"{where}.{name}")
+        if bad is not None:   # before cls(), whose checks assume the kinds
+            raise InvalidScenario(bad)
     try:
         return cls(**kwargs)
     except InvalidScenario:   # a whole-scenario check, worded in full
@@ -193,28 +205,15 @@ def _build(cls, data, where: str):
 
 
 def _convert(kind, raw, where: str):
+    """A mapping as a section, a list as a tuple, and null as an empty
+    variable-length tuple: structure only, for `_error` to check."""
     if is_dataclass(kind):
         return _build(kind, raw, where)
     args = get_args(kind)
-    if get_origin(kind) is tuple and args[-1] is Ellipsis:
-        raw = [] if raw is None else raw
-        if not isinstance(raw, (list, tuple)):
-            raise InvalidScenario(f"{where}: expected a list")
+    if args and isinstance(raw, (list, tuple)):
         return tuple(_convert(args[0], x, f"{where}[{i}]")
                      for i, x in enumerate(raw))
-    if get_origin(kind) is tuple:
-        if not (isinstance(raw, (list, tuple)) and len(raw) == len(args)
-                and all(map(_is_number, raw))):
-            raise InvalidScenario(
-                f"{where}: expected a list of {len(args)} finite numbers")
-        return tuple(raw)
-    if kind is int and (isinstance(raw, bool) or not isinstance(raw, int)):
-        raise InvalidScenario(f"{where}: expected an integer")
-    if kind is float and not _is_number(raw):
-        raise InvalidScenario(f"{where}: expected a finite number")
-    if kind is str and not isinstance(raw, str):
-        raise InvalidScenario(f"{where}: expected a string")
-    return raw
+    return () if raw is None and args[-1:] == (Ellipsis,) else raw
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:

@@ -181,16 +181,25 @@ def _replaced(cfg, override):
     with dataclasses.replace, so no check of the reader's runs."""
     key, _, raw = override.partition("=")
     value = yaml.safe_load(raw)
-    *section, name = key.split(".")
-    if name == "obstacles":
+    if key == "obstacles":
         value = [Obstacle(**{**o, "center_xy": tuple(o["center_xy"])})
                  for o in value]
     if isinstance(value, list):
         value = tuple(value)
-    if section:
-        value = dataclasses.replace(getattr(cfg, section[0]), **{name: value})
-        name = section[0]
-    return dataclasses.replace(cfg, **{name: value})
+    return _replaced_at(cfg, key.split("."), value)
+
+
+def _replaced_at(obj, keys, value):
+    """`obj` with the entry at key path `keys` set to `value`: each section
+    on the way is rebuilt with dataclasses.replace, each tuple by slices."""
+    if not keys:
+        return value
+    head, *rest = keys
+    if isinstance(head, int):
+        return (obj[:head] + (_replaced_at(obj[head], rest, value),)
+                + obj[head + 1:])
+    return dataclasses.replace(
+        obj, **{head: _replaced_at(getattr(obj, head), rest, value)})
 
 
 def test_huge_integers_still_count_as_numbers():
@@ -218,6 +227,27 @@ def test_int_too_large_for_a_float_rejected(override):
     data = apply_overrides(config_to_dict(small_config()), [override])
     with pytest.raises(InvalidScenario, match=f"^scenario.{key}: {message}$"):
         config_from_dict(data)
+    with pytest.raises(InvalidScenario, match=f"^scenario.{key}: {message}$"):
+        _replaced(small_config(), override)
+
+
+def test_the_first_bad_key_in_file_order_is_named():
+    """Each key is checked as it is read, so of two bad keys, or two bad
+    entries of one list, the message names the one the file gives first."""
+    data = apply_overrides(config_to_dict(small_config()),
+                           ["seed=2.5", "plan.standoff=x"])
+    with pytest.raises(InvalidScenario,
+                       match="^scenario.seed: expected an integer$"):
+        config_from_dict(data)
+    data = {"plan": data.pop("plan"), **data}
+    with pytest.raises(InvalidScenario, match="^scenario.plan.standoff: "
+                       "expected a finite number$"):
+        config_from_dict(data)
+    data = apply_overrides(config_to_dict(small_config()),
+                           ["decals=[5, {id: x}]"])
+    with pytest.raises(InvalidScenario,
+                       match=r"^scenario.decals\[0\]: expected a mapping$"):
+        config_from_dict(data)
 
 
 @pytest.mark.parametrize("override", ["seed=-1"])
@@ -244,6 +274,7 @@ def _wrong_leaves(obj, path=()):
             yield here, 5
         elif isinstance(value, (int, float)) and not isinstance(value, bool):
             yield here, "x"
+            yield here, True   # an int to Python, but no number here
         else:   # a field of a kind this walk cannot yet feed a wrong value
             yield here, None
 
@@ -269,14 +300,27 @@ def _walked_with(keys, value):
     return data
 
 
-@pytest.mark.parametrize("keys, wrong", _WRONG,
-                         ids=[_dotted(k) for k, _ in _WRONG])
+@pytest.mark.parametrize("keys, wrong", _WRONG, ids=[
+    _dotted(k) + ("=True" if w is True else "") for k, w in _WRONG])
 def test_every_field_rejects_a_value_of_the_wrong_kind(keys, wrong):
-    """A field the reader lets through unchecked fails here by name."""
+    """A value of the wrong kind fails by name, read from a file or set in
+    Python with dataclasses.replace down its key path, and both give the
+    reader's message."""
     assert wrong is not None, f"no wrong value known for {_dotted(keys)}"
     with pytest.raises(InvalidScenario) as err:
         config_from_dict(_walked_with(keys, wrong))
     assert str(err.value).startswith(_dotted(keys) + ": ")
+    head, *rest = keys
+    try:
+        value = _replaced_at(getattr(_WALKED, head), rest, wrong)
+    except (TypeError, ValueError, IndexError):
+        # the value's own section rejects it as it is built, as
+        # BuildingSpec's `length <= 0` does a length of "x": the section's
+        # business, before any ScenarioConfig is built
+        return
+    with pytest.raises(InvalidScenario) as built:
+        dataclasses.replace(_WALKED, **{head: value})
+    assert str(built.value) == str(err.value)
 
 
 def test_wrong_kind_walk_reaches_list_elements():
@@ -397,7 +441,7 @@ def test_leg_steps_bounded(limit):
     ({"camera_max_range": 10**400},
      r"^scenario.camera_max_range: expected a finite number$"),
     ({"home": (10**400, 0.0, 0.0)},
-     r"^scenario.home\[0\]: expected a finite number$"),
+     r"^scenario.home: expected a list of 3 finite numbers$"),
     ({"seed": -1}, "^seed must be non-negative, got -1$"),
     ({"sensors": SensorParams(accel_noise_std=1e200)},
      "with a finite square"),
@@ -413,7 +457,21 @@ def test_leg_steps_bounded(limit):
     # unchecked, the plant clamped z to the ground at t = 0.01 s while the
     # estimate stayed at -5
     ({"home": (14.0, 0.0, -5.0)},
-     r"^home must not lie below the ground, got z -5.0$")])
+     r"^home must not lie below the ground, got z -5.0$"),
+    # each accepted, where the reader rejects its value by key
+    ({"seed": 2.5}, r"^scenario.seed: expected an integer$"),
+    ({"seed": True}, r"^scenario.seed: expected an integer$"),
+    ({"name": ("a",)}, r"^scenario.name: expected a string$"),
+    ({"home": [10.0, -6.0, 0.0]},
+     r"^scenario.home: expected a list of 3 finite numbers$"),
+    ({"decals": []}, r"^scenario.decals: expected a list$"),
+    ({"vehicle": 5}, r"^scenario.vehicle: expected a mapping$"),
+    ({"classifier": 5}, r"^scenario.classifier: expected a mapping$"),
+    ({"sensors": SensorParams(gyro_bias=[1])},
+     r"^scenario.sensors.gyro_bias: expected a list of 3 finite numbers$"),
+    # each raised AttributeError, where the run read the value
+    ({"plan": {}}, r"^scenario.plan: expected a mapping$"),
+    ({"obstacles": (1, 2)}, r"^scenario.obstacles\[0\]: expected a mapping$")])
 def test_replace_checks_like_the_reader(change, match):
     """A config made from a loaded one with dataclasses.replace is checked
     as it is built, and a value the reader rejects by key gets the reader's
