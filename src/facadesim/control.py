@@ -152,10 +152,16 @@ def avoidance_command(sectors: ObstacleSectors, gains: PidGains, lanes: tuple,
     if not sectors.any_active:
         return None, _FRESH_LANES
 
-    steps = [(0.0, _FRESH_PID) if d == math.inf else
-             _pid(gains, pid, 1.0 / d, dt) for d, pid in zip(sectors, lanes)]
+    (d_left, d_right, d_front), (left, right, front) = sectors, lanes
+    out_left, left = ((0.0, _FRESH_PID) if d_left == math.inf
+                      else _pid(gains, left, 1.0 / d_left, dt))
+    out_right, right = ((0.0, _FRESH_PID) if d_right == math.inf
+                        else _pid(gains, right, 1.0 / d_right, dt))
+    out_front, front = ((0.0, _FRESH_PID) if d_front == math.inf
+                        else _pid(gains, front, 1.0 / d_front, dt))
     # repulsion only; derivative transients must not pull toward the obstacle
-    out_left, out_right, out_front = (max(0.0, out) for out, _ in steps)
+    out_left, out_right, out_front = (max(0.0, out_left), max(0.0, out_right),
+                                      max(0.0, out_front))
 
     if max(sectors) < math.inf:   # all three sectors active
         vx = -max(out_left, out_right, out_front)
@@ -167,4 +173,4 @@ def avoidance_command(sectors: ObstacleSectors, gains: PidGains, lanes: tuple,
     if speed > v_max and speed > 0.0:
         k = v_max / speed
         vx, vy = vx * k, vy * k
-    return (vx, vy, 0.0), tuple(pid for _, pid in steps)
+    return (vx, vy, 0.0), (left, right, front)

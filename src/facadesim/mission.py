@@ -28,7 +28,7 @@ from .control import (
 )
 from .errors import MissionAborted
 from .estimation import KalmanConfig, _filter_start
-from .geometry import TWO_PI, Vec3, v_dist, wrap_angle, yaw_of
+from .geometry import TWO_PI, Vec3, v_dist
 from .perception import CaptureRecord, Classifier, filter_fault_coordinates
 from .planner import (
     Waypoint,
@@ -39,7 +39,7 @@ from .planner import (
 )
 from .sensors import MAG_WORLD, SensorParams, _noise_stream
 from .vehicle import G_VEC, GRAVITY, TrueState, VehicleParams, _lag
-from .world import _in_reach, _scan_hits, visible_decals
+from .world import _in_reach, _reaches, _scan_hits, visible_decals
 
 # The loop does not call these four, but they stay names of this module:
 # perfbench/workloads.py wraps them here in its traced runs.
@@ -95,42 +95,52 @@ def _cylinder_clearance(o, x, y, z):
                              np.sqrt(horiz * horiz + dz * dz)))
 
 
-# [m] Added to the slack of `_hidden`: it covers the 1e-6 m floor of a
+# [m] Added to the slack of `_casts`: it covers the 1e-6 m floor of a
 # scan range and the rounding of the ray and mask arithmetic (under 1e-12 m
 # at scene scale).
 _MASK_MARGIN = 1e-3
 
 
-def _mask_insets(mask, footprint, obstacles) -> dict:
-    """{solid: inset} of the solids lying wholly inside the mask.
+def _mask_insets(mask, scene, footprint) -> list:
+    """(inset, order, solid, height) of the footprint, then each obstacle,
+    least inset first.
 
     The inset is the least distance, along x or along y, from a point of
-    the solid to the mask's edge; the footprint's is the plan's buffer.
+    the solid to the mask's edge; the footprint's is the plan's buffer.  A
+    solid not wholly inside the mask has inset -inf.
     """
-    boxes = [(footprint, *astuple(footprint))]   # (cx, cy, hx, hy)
-    boxes += [(o, *o.center_xy, o.radius, o.radius) for o in obstacles]
-    insets = {solid: min(mask.hx - abs(cx - mask.cx) - hx,
-                         mask.hy - abs(cy - mask.cy) - hy)
-              for solid, cx, cy, hx, hy in boxes}
-    return {solid: d for solid, d in insets.items() if d > 0.0}
+    boxes = [(footprint, *astuple(footprint), scene.building.height)]
+    boxes += [(o, *o.center_xy, o.radius, o.radius, o.height)
+              for o in scene.obstacles]   # (solid, cx, cy, hx, hy, height)
+    ranking = []
+    for order, (solid, cx, cy, hx, hy, height) in enumerate(boxes):
+        d = min(mask.hx - abs(cx - mask.cx) - hx,
+                mask.hy - abs(cy - mask.cy) - hy)
+        ranking.append((d if d > 0.0 else -math.inf, order, solid, height))
+    return sorted(ranking)
 
 
-def _hidden(insets, solids, est_pos, est_yaw: float, true_pos,
-            true_yaw: float, d_engage: float) -> bool:
-    """Whether every return below d_engage of `solids` maps into the mask.
+def _casts(ranking, est_pos, est_yaw: float, true_pos, true_yaw: float,
+           d_engage: float) -> bool:
+    """Whether a step ray-casts: whether a solid in reach is not hidden.
 
     `_sectors` tests the point est + r u(est_yaw + angle) for r < d_engage.
     It lies within the slack (Chebyshev distance) of the true hit point, so
-    a solid whose inset exceeds the slack only hides other solids' returns.
-    The mission skips a scan whose solids are all hidden, and casts every
-    one otherwise, since a hidden solid still shadows the ones behind it.
+    a solid whose inset exceeds the slack is hidden: its returns are all
+    masked.  The ranking is by inset, so the first hidden solid hides every
+    later one; a NaN slack hides none.  A step that casts casts every solid
+    in reach, since a hidden solid still shadows the ones behind it.
     """
-    slack = (max(abs(est_pos[0] - true_pos[0]), abs(est_pos[1] - true_pos[1]))
-             + d_engage * abs(wrap_angle(est_yaw - true_yaw)) + _MASK_MARGIN)
-    for solid in solids:
-        if not slack < insets.get(solid, -math.inf):
+    x, y, z = true_pos
+    slack = (max(abs(est_pos[0] - x), abs(est_pos[1] - y))
+             + d_engage * abs(remainder(est_yaw - true_yaw, TWO_PI))
+             + _MASK_MARGIN)
+    for inset, _, solid, height in ranking:
+        if slack < inset:
             return False
-    return True
+        if _reaches(solid, height, x, y, z, d_engage):
+            return True
+    return False
 
 
 def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
@@ -141,8 +151,8 @@ def _step_kernel(sensors: SensorParams, seed: int, kalman: KalmanConfig,
     next() senses step 0.  send(cmd) tracks cmd when it is a Waypoint, or
     flies the body velocity cmd at yaw rate 0 with a fresh tracking PID,
     then senses the next step.  Both yield (est position, dr position, est
-    quat, est yaw, true position, true attitude).  The arguments are
-    checked here, not at next().
+    quat, est yaw, true position, true attitude, true yaw).  The arguments
+    are checked here, not at next().
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -192,6 +202,15 @@ def _kernel_steps(sensors: SensorParams, seed: int, filter_start,
     kp, ki, kd = gains.kp, gains.ki, gains.kd
 
     while True:
+        # the true step-start angles: the plant step reads them all
+        roll0 = atan2(2.0 * (qw * qx + qy * qz),
+                      1.0 - 2.0 * (qx * qx + qy * qy))
+        s = 2.0 * (qw * qy - qz * qx)
+        s = s if s < 1.0 else 1.0
+        pitch0 = asin(s if s > -1.0 else -1.0)
+        yaw0 = atan2(2.0 * (qw * qz + qx * qy),
+                     1.0 - 2.0 * (qy * qy + qz * qz))
+
         # Imu.measure: specific force and MAG_WORLD rotated to the body by
         # the conjugate attitude (qw, ix, iy, iz), then bias and noise
         ix, iy, iz = -qx, -qy, -qz
@@ -346,7 +365,7 @@ def _kernel_steps(sensors: SensorParams, seed: int, filter_start,
             dvx, dvy, dvz = ux, uy, uz
         dax, day, daz, dr_has_accel = cax, cay, caz, True
         cmd = yield ((kpx, kpy, kpz), (dpx, dpy, dpz), (ew, ex, ey, ez), yaw,
-                     (px, py, pz), (qw, qx, qy, qz))
+                     (px, py, pz), (qw, qx, qy, qz), yaw0)
 
         if cmd.__class__ is Waypoint:
             # track_waypoint: a PID on the distance gives the speed, and
@@ -409,14 +428,6 @@ def _kernel_steps(sensors: SensorParams, seed: int, filter_start,
         ax = (vx - v0x) / dt
         ay = (vy - v0y) / dt
         az = (vz - v0z) / dt
-        # the step-start angles; yaw integrates the rate
-        roll0 = atan2(2.0 * (qw * qx + qy * qz),
-                      1.0 - 2.0 * (qx * qx + qy * qy))
-        s = 2.0 * (qw * qy - qz * qx)
-        s = s if s < 1.0 else 1.0
-        pitch0 = asin(s if s > -1.0 else -1.0)
-        yaw0 = atan2(2.0 * (qw * qz + qx * qy),
-                     1.0 - 2.0 * (qy * qy + qz * qz))
         yaw1 = remainder(yaw0 + yaw_rate * dt, TWO_PI)
         yaw1 = pi if yaw1 <= -pi else yaw1
         # roll/pitch that align body z with the thrust direction accel - g,
@@ -460,7 +471,7 @@ def run_mission(cfg: ScenarioConfig,
     scene = cfg.scene()
     fp = scene.building.footprint()
     mask = avoidance_polygon(cfg.building, cfg.plan)
-    insets = _mask_insets(mask, fp, scene.obstacles)
+    ranking = _mask_insets(mask, scene, fp)
     camera = cfg.camera()
     mp = cfg.mission
     dt, d_engage, arrival_tol = mp.dt, mp.d_engage, ARRIVAL_TOL
@@ -488,7 +499,8 @@ def run_mission(cfg: ScenarioConfig,
     engaged: list[bool] = []
     hold_end_poses: list[tuple[int, float, Vec3, float]] = []
     lanes = _FRESH_LANES
-    est_pos, dr_pos, est_quat, est_yaw, true_pos, true_att = next(kernel)
+    (est_pos, dr_pos, est_quat, est_yaw, true_pos, true_att,
+     true_yaw) = next(kernel)
     steps = 0
 
     while True:
@@ -510,8 +522,7 @@ def run_mission(cfg: ScenarioConfig,
             if phase is _HOLDING:
                 if t < hold_until - 1e-9:
                     break
-                hold_end_poses.append(
-                    (detect_i, t, true_pos, yaw_of(true_att)))
+                hold_end_poses.append((detect_i, t, true_pos, true_yaw))
                 detect_i += 1
                 to = _DETECTING
             elif v_dist(est_pos, wps[idx].position) >= arrival_tol:
@@ -557,14 +568,10 @@ def run_mission(cfg: ScenarioConfig,
                 time=t, phase=phase, waypoint_index=idx,
                 position=true_pos)
 
-        solids = _in_reach(scene, fp, *true_pos, d_engage)
-        hits = []
-        if solids:
-            true_yaw = yaw_of(true_att)
-            if not _hidden(insets, solids, est_pos, est_yaw, true_pos,
-                           true_yaw, d_engage):
-                hits = _scan_hits(solids, true_pos[0], true_pos[1], true_yaw,
-                                  d_engage)
+        hits = ()
+        if _casts(ranking, est_pos, est_yaw, true_pos, true_yaw, d_engage):
+            hits = _scan_hits(_in_reach(scene, fp, *true_pos, d_engage),
+                              true_pos[0], true_pos[1], true_yaw, d_engage)
         if hits:
             sectors = _sectors(hits, mask, est_pos[0], est_pos[1], est_yaw,
                                d_engage)
@@ -572,8 +579,8 @@ def run_mission(cfg: ScenarioConfig,
         else:   # all sectors clear: what avoidance_command returns then
             cmd, lanes = None, _FRESH_LANES
         engaged.append(cmd is not None)
-        (est_pos, dr_pos, est_quat, est_yaw, true_pos,
-         true_att) = kernel.send(wps[idx] if cmd is None else cmd)
+        (est_pos, dr_pos, est_quat, est_yaw, true_pos, true_att,
+         true_yaw) = kernel.send(wps[idx] if cmd is None else cmd)
         steps += 1
 
     trajectory = np.frombuffer(table).reshape(-1, 10)
@@ -635,12 +642,12 @@ def run_hover(duration_s: float = 120.0, seed: int = 0,
         sensors, seed, KalmanConfig.for_accel_noise(sensors.accel_noise_std),
         alpha, setpoint, 0.0, dt, PidGains(), VehicleParams(), KP_YAW)
     wp = Waypoint(setpoint, 0.0, 0)
-    est_pos, dr_pos, _, _, true_pos, _ = next(kernel)
+    est_pos, dr_pos, _, _, true_pos, _, _ = next(kernel)
 
     log = array("d")   # (est xyz, dr xyz, true xyz) per step
     for _ in range(round(steps)):
         log.extend((*est_pos, *dr_pos, *true_pos))
-        est_pos, dr_pos, _, _, true_pos, _ = kernel.send(wp)
+        est_pos, dr_pos, _, _, true_pos, _, _ = kernel.send(wp)
     # each pipeline's distance from the setpoint, as v_dist computes it
     dx, dy, dz = (np.frombuffer(log).reshape(-1, 3, 3) - setpoint).T
     return HoverResult(np.arange(len(log) // 9) * dt,

@@ -93,6 +93,11 @@ class Obstacle:
         if self.height <= 0:
             raise ValueError("obstacle height must be positive")
 
+    def distance_to(self, x: float, y: float) -> float:
+        """Horizontal distance from a point to the surface (negative inside)."""
+        return math.hypot(self.center_xy[0] - x,
+                          self.center_xy[1] - y) - self.radius
+
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -199,17 +204,21 @@ def _slab(lo: float, hi: float, d: float, inside: bool):
     return (-math.inf, math.inf) if inside else (math.inf, -math.inf)
 
 
+def _reaches(solid, height: float, x: float, y: float, z: float,
+             reach: float) -> bool:
+    """Whether `_scan_hits` casts `solid`, `height` tall, from (x, y, z)."""
+    return z <= height and solid.distance_to(x, y) < reach + _REACH_MARGIN
+
+
 def _in_reach(scene: Scene, footprint: Rect, x: float, y: float, z: float,
               reach: float) -> list:
     """The solids `_scan_hits` casts from (x, y, z): the footprint, then the
     obstacles, that reach up to z and lie within reach + 1e-6 m."""
-    cull = reach + _REACH_MARGIN
     solids: list = []
-    if z <= scene.building.height and footprint.distance_to(x, y) < cull:
+    if _reaches(footprint, scene.building.height, x, y, z, reach):
         solids.append(footprint)
     for o in scene.obstacles:
-        if z <= o.height and math.hypot(o.center_xy[0] - x,
-                                        o.center_xy[1] - y) - o.radius < cull:
+        if _reaches(o, o.height, x, y, z, reach):
             solids.append(o)
     return solids
 
@@ -233,6 +242,7 @@ def _scan_hits(solids: list, x: float, y: float, yaw: float,
     # bins rotate with yaw only; scan plane stays horizontal under tilt
     cy, sy = math.cos(yaw), math.sin(yaw)
     best: dict[int, float] = {}
+    get, inf = best.get, math.inf
     for solid in solids:
         rect = isinstance(solid, Rect)
         if rect:
@@ -272,9 +282,9 @@ def _scan_hits(solids: list, x: float, y: float, yaw: float,
                 t = b - root if c > 0.0 else b + root
                 if t <= 0.0:
                     continue
-            if t < best.get(i, math.inf):
-                best[i] = t
-    return [(i, max(t, 1e-6)) for i, t in best.items()]
+            if t < get(i, inf):   # so t is not NaN
+                best[i] = t if t > 1e-6 else 1e-6
+    return list(best.items())
 
 
 def simulate_scan(scene: Scene, pose: TrueState,

@@ -1,13 +1,16 @@
 """Reference implementations that only the tests use.
 
-Each is written independently of the simulator's own arithmetic, so a
-test that compares the two checks one against the other rather than a
-core against itself.
+Each is written independently of the simulator's own arithmetic, or is
+the plainer earlier form of a core that a faster one replaced, so a test
+that compares the two checks one against the other rather than a core
+against itself.
 """
 
 import math
 
-from facadesim.geometry import Rect
+from facadesim.control import _FRESH_LANES, _FRESH_PID, _pid
+from facadesim.geometry import Rect, wrap_angle
+from facadesim.mission import _MASK_MARGIN
 
 _FACE_NORMALS = {
     "north": (0.0, 1.0, 0.0),
@@ -139,3 +142,46 @@ def row_phases(times, transitions):
                 phase = to
         phases.append(phase)
     return phases
+
+
+def slack(est_pos, est_yaw: float, true_pos, true_yaw: float,
+          d_engage: float) -> float:
+    """The estimate's position error (the larger of the x and y errors),
+    plus d_engage times its yaw error taken the short way round, plus the
+    mission's margin."""
+    return (max(abs(est_pos[0] - true_pos[0]), abs(est_pos[1] - true_pos[1]))
+            + d_engage * abs(wrap_angle(est_yaw - true_yaw)) + _MASK_MARGIN)
+
+
+def hidden(insets, solids, est_pos, est_yaw: float, true_pos,
+           true_yaw: float, d_engage: float) -> bool:
+    """Whether every one of `solids` is hidden: whether the slack is below
+    the inset `insets` maps it to (-inf for a solid it does not name).  A
+    NaN slack hides none."""
+    s = slack(est_pos, est_yaw, true_pos, true_yaw, d_engage)
+    for solid in solids:
+        if not s < insets.get(solid, -math.inf):
+            return False
+    return True
+
+
+def avoidance_command(sectors, gains, lanes, dt: float, v_max: float):
+    """The avoidance velocity and next lanes, one (output, lane) pair per
+    sector built by a comprehension: a clear sector's is (0.0, a fresh
+    lane), an active one's a `_pid` step on 1/distance."""
+    if not sectors.any_active:
+        return None, _FRESH_LANES
+    steps = [(0.0, _FRESH_PID) if d == math.inf else
+             _pid(gains, pid, 1.0 / d, dt) for d, pid in zip(sectors, lanes)]
+    out_left, out_right, out_front = (max(0.0, out) for out, _ in steps)
+    if max(sectors) < math.inf:
+        vx = -max(out_left, out_right, out_front)
+        vy = 0.0
+    else:
+        vx = 0.0
+        vy = out_right - out_left + out_front
+    speed = math.sqrt(vx * vx + vy * vy)
+    if speed > v_max and speed > 0.0:
+        k = v_max / speed
+        vx, vy = vx * k, vy * k
+    return (vx, vy, 0.0), tuple(pid for _, pid in steps)

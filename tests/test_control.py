@@ -1,13 +1,17 @@
 """Waypoint PID, sector classification, and the avoidance override."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from facadesim.attitude import AttitudeEstimate
 from facadesim.control import (
     _FRESH_LANES,
     _FRESH_PID,
+    I_MAX,
     ObstacleSectors,
     PidGains,
     PidState,
@@ -22,6 +26,7 @@ from facadesim.geometry import Rect, yaw_of
 from facadesim.planner import Waypoint
 from facadesim.vehicle import TrueState, VehicleParams, step_dynamics
 from facadesim.world import SCAN_N_BINS, LaserScan
+from oracles import avoidance_command as avoidance_oracle
 
 DT = 0.01
 
@@ -309,3 +314,31 @@ def test_avoidance_never_pulls_toward_obstacle():
     _, lanes = avoidance_command(near, PidGains(), _FRESH_LANES, DT)
     v_body, _ = avoidance_command(far, PidGains(), lanes, DT)
     assert v_body[1] == 0.0
+
+
+_LANES = st.tuples(
+    st.one_of(st.sampled_from((math.nan, I_MAX, -I_MAX, 0.0, -0.0)),
+              st.floats(-2.0 * I_MAX, 2.0 * I_MAX)),
+    st.one_of(st.just(-0.0), st.floats(-10.0, 10.0)), st.booleans())
+
+
+# Lanes holding a NaN integral, or one at either clamp, with each sector
+# active at 1 m
+@given(st.tuples(*(st.floats(0.01, 3.0) for _ in range(3))),
+       st.tuples(_LANES, _LANES, _LANES), st.floats(0.05, 5.0))
+@example((1.0, 1.0, 1.0), ((math.nan, 0.0, True), (I_MAX, 0.5, True),
+                           (-I_MAX, -0.0, False)), 2.0)
+@example((1.0, 1.0, 1.0), ((-I_MAX, -0.0, True), (math.nan, 1.0, False),
+                           (I_MAX, 0.0, True)), 2.0)
+@settings(max_examples=60, deadline=None)
+def test_avoidance_matches_its_comprehension_form(dists, lanes, v_max):
+    """Over all eight clear/active sector patterns, the unrolled
+    `avoidance_command` gives the comprehension form's velocity and lanes
+    bit for bit, signed zeros and NaNs included."""
+    gains = PidGains(kp=1.0, ki=0.01, kd=0.5)
+    for active in itertools.product((False, True), repeat=3):
+        sectors = ObstacleSectors(*(d if on else math.inf
+                                    for d, on in zip(dists, active)))
+        got = avoidance_command(sectors, gains, lanes, DT, v_max)
+        want = avoidance_oracle(sectors, gains, lanes, DT, v_max)
+        assert repr(got) == repr(want), (active, got, want)

@@ -8,7 +8,8 @@ that perfbench's traced runs wrap.  A method or property of a class must be
 read as an attribute somewhere in `src/` or in `perfbench/*.py`, or be a
 method that perfbench's traced runs wrap.  A name that a module imports
 unused, under `# noqa: F401`, must be one that perfbench wraps in that
-module.  Anything else is code that only tests reach, or none.  perfbench
+module, and any other imported name must be read in the module that
+imports it.  Anything else is code that only tests reach, or none.  perfbench
 is imported read-only, as in `test_bench_hooks.py`, and its sources are
 parsed, not run.  A parameter that its function never reads is an input
 that cannot change what the function does.
@@ -85,6 +86,50 @@ def test_every_kept_import_is_one_perfbench_wraps():
     untraced = [f"{module}.{name}" for module, name in kept
                 if (module, name) not in traced]
     assert not untraced, f"kept imports perfbench does not wrap: {untraced}"
+
+
+def _unread_imports(tree: ast.Module, lines: list, module: str):
+    """`module.name` for each name the module imports and never reads as a
+    bare name nor lists in its `__all__`.  `__future__` imports and kept
+    imports, under `# noqa: F401`, are left to the perfbench rule above."""
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= {name for node in tree.body if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__"
+                     for t in node.targets)
+             for name in ast.literal_eval(node.value)}
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or isinstance(node, ast.ImportFrom)
+                and node.module == "__future__"
+                or lines[node.end_lineno - 1].endswith("# noqa: F401")):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                yield f"{module}.{name}"
+
+
+def test_every_src_import_is_read():
+    unread = []
+    for path in sorted(_SRC.glob("*.py")):
+        text = path.read_text()
+        unread += _unread_imports(ast.parse(text), text.splitlines(),
+                                  path.stem)
+    assert not unread, f"imported in src/facadesim but never read: {unread}"
+
+
+def test_an_import_read_only_in_a_string_is_unread():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "from .geometry import wrap_angle, yaw_of\n"
+              "from .world import simulate_scan  # noqa: F401\n"
+              "__all__ = ['yaw_of']\n"
+              "def f(a):\n"
+              "    'wrap_angle'\n"
+              "    return math.pi * a\n")
+    assert list(_unread_imports(ast.parse(source), source.splitlines(),
+                                "m")) == ["m.wrap_angle"]
 
 
 def _read_attributes(tree: ast.Module) -> set:

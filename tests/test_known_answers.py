@@ -14,6 +14,7 @@ import pytest
 from facadesim.config import MissionParams, load_config
 from facadesim.control import KP_YAW, PidGains
 from facadesim.estimation import KalmanConfig
+from facadesim.geometry import yaw_of
 from facadesim.mission import _step_kernel, run_mission
 from facadesim.sensors import SensorParams
 from facadesim.vehicle import VehicleParams
@@ -47,9 +48,13 @@ def test_open_loop_error_follows_the_random_walk_law():
             0.0, dt, PidGains(), VehicleParams(), KP_YAW)
         # step 0's estimate, then one more per zero command: the estimate
         # after NOISE_LAW_T / dt filter steps
-        est_pos, _, _, _, true_pos, _ = next(kernel)
+        est_pos, _, _, _, true_pos, true_att, true_yaw = next(kernel)
         for _ in range(round(NOISE_LAW_T / dt) - 1):
-            est_pos, _, _, _, true_pos, _ = kernel.send((0.0, 0.0, 0.0))
+            # the yielded true yaw is `yaw_of` of the true attitude
+            assert true_yaw.hex() == yaw_of(true_att).hex()
+            (est_pos, _, _, _, true_pos, true_att,
+             true_yaw) = kernel.send((0.0, 0.0, 0.0))
+        assert true_yaw.hex() == yaw_of(true_att).hex()
         assert true_pos == start
         squared += [(e - s) ** 2 for e, s in zip(est_pos, start)]
     rms = math.sqrt(3.0 * sum(squared) / len(squared))

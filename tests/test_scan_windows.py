@@ -7,7 +7,7 @@ bit; at or beyond it the windowed scan may only read further.  The mission
 feeds the hits straight into `control._sectors`, which must give the same
 sectors as the public `simulate_scan` -> `classify_sectors` chain, also
 when it skips the scans in which every solid in reach lies deep inside the
-mask (`mission._hidden`).
+mask (`mission._casts`, checked against the reference `oracles.hidden`).
 """
 
 import math
@@ -21,7 +21,7 @@ from facadesim import world
 from facadesim.config import apply_overrides, config_from_dict, load_raw
 from facadesim.control import _sectors, classify_sectors
 from facadesim.geometry import TWO_PI, Rect, quat_from_euler, yaw_of
-from facadesim.mission import _MASK_MARGIN, _hidden, _mask_insets
+from facadesim.mission import _MASK_MARGIN, _casts, _mask_insets
 from facadesim.planner import avoidance_polygon
 from facadesim.vehicle import TrueState
 from facadesim.world import (
@@ -36,6 +36,7 @@ from facadesim.world import (
     _window_bins,
     simulate_scan,
 )
+from oracles import hidden, slack
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -266,31 +267,46 @@ def _in_reach(scene, fp, x, y, z, reach):
                      - o.radius < cull]
 
 
-def mission_hits(scene, insets, state, est, est_yaw, reach, d_engage):
-    """The pairs `run_mission`'s scan gives at a true pose and an estimate
-    (its reach is d_engage): none if no solid is in reach or `_hidden` holds
-    for all of them, else those of every solid in reach."""
+def ranked(scene, insets):
+    """The ranking `_mask_insets` builds, of the insets given: -inf for a
+    solid `insets` does not name."""
+    solids = [(scene.building.footprint(), scene.building.height),
+              *((o, o.height) for o in scene.obstacles)]
+    return sorted((insets.get(s, -math.inf), order, s, height)
+                  for order, (s, height) in enumerate(solids))
+
+
+def insets_of(ranking):
+    return {solid: inset for inset, _, solid, _ in ranking}
+
+
+def mission_hits(scene, ranking, state, est, est_yaw, d_engage):
+    """The pairs `run_mission`'s scan gives at a true pose and an estimate:
+    none unless `_casts` holds, else those of every solid in reach."""
     x, y, z = state.position
-    solids = world._in_reach(scene, scene.building.footprint(), x, y, z,
-                             reach)
-    if not solids or _hidden(insets, solids, est, est_yaw, (x, y),
-                             yaw_of(state.attitude), d_engage):
+    yaw = yaw_of(state.attitude)
+    if not _casts(ranking, est, est_yaw, (x, y, z), yaw, d_engage):
         return []
-    return _scan_hits(solids, x, y, yaw_of(state.attitude), reach)
+    return _scan_hits(world._in_reach(scene, scene.building.footprint(), x,
+                                      y, z, d_engage), x, y, yaw, d_engage)
 
 
 def occluders(insets, *slack_args):
-    """The solids of `insets` that `_hidden` hides, each taken alone."""
-    return [s for s in insets if _hidden(insets, [s], *slack_args)]
+    """The solids of `insets` that the reference `hidden` hides, each taken
+    alone."""
+    return [s for s in insets if hidden(insets, [s], *slack_args)]
 
 
 @given(st.sampled_from(sorted(OCCLUDER_SCENES)), st.floats(-14.0, 14.0),
        st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
        st.floats(-math.pi, math.pi), reaches)
+# 3 m + 1e-6 m from the footprint's north wall, exactly the cull distance:
+# out of reach
+@example("occluded", 0.0, 6.000001, 5.0, 0.0, 3.0)
 @settings(max_examples=100, deadline=None)
 def test_nothing_in_reach_casts_nothing(name, x, y, z, yaw, reach):
     """`world._in_reach` is the cull above, and with no solid in it the scan
-    has no pairs: so `run_mission` may skip `_hidden` and the scan."""
+    has no pairs: so a step with no solid in reach may skip the scan."""
     scene = OCCLUDER_SCENES[name][0]
     fp = scene.building.footprint()
     solids = world._in_reach(scene, fp, x, y, z, reach)
@@ -304,23 +320,25 @@ def test_nothing_in_reach_casts_nothing(name, x, y, z, yaw, reach):
 # the footprint and obstacle 1 are hidden, obstacle 0 ahead is not.
 @given(st.sampled_from(sorted(OCCLUDER_SCENES)), st.floats(-14.0, 14.0),
        st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
-       st.floats(-math.pi, math.pi), reaches, st.sets(st.integers(-1, 1)))
+       st.floats(-math.pi, math.pi), st.floats(0.0, 20.0, exclude_min=True),
+       st.sets(st.integers(-1, 1)))
 @example("occluded", 5.1, 3.1, 1.5, math.pi / 4, 3.0, {-1, 1})
 @settings(max_examples=150, deadline=None)
-def test_hidden_solids_cast_all_or_none(name, x, y, z, yaw, reach, picks):
+def test_hidden_solids_cast_all_or_none(name, x, y, z, yaw, d_engage,
+                                        picks):
     """Hiding a set of solids (-1 picks the footprint, i obstacle i) gives
     no pairs if it holds every solid in reach, else the pairs without it."""
     scene = OCCLUDER_SCENES[name][0]
     fp = scene.building.footprint()
     solids = [fp, *scene.obstacles]
-    hidden = [solids[i + 1] for i in sorted(picks) if i + 1 < len(solids)]
+    hidden_ = [solids[i + 1] for i in sorted(picks) if i + 1 < len(solids)]
     state = pose(x, y, z, yaw)
     # an exact estimate: a 1e-3 m slack, under each hidden solid's 1 m inset
-    got = mission_hits(scene, dict.fromkeys(hidden, 1.0), state, (x, y),
-                       yaw_of(state.attitude), reach, 3.0)
-    args = (world._in_reach(scene, fp, x, y, z, reach), x, y,
-            yaw_of(state.attitude), reach)
-    if all(s in hidden for s in _in_reach(scene, fp, x, y, z, reach)):
+    got = mission_hits(scene, ranked(scene, dict.fromkeys(hidden_, 1.0)),
+                       state, (x, y), yaw_of(state.attitude), d_engage)
+    args = (world._in_reach(scene, fp, x, y, z, d_engage), x, y,
+            yaw_of(state.attitude), d_engage)
+    if all(s in hidden_ for s in _in_reach(scene, fp, x, y, z, d_engage)):
         assert got == []
     else:
         assert sorted(got) == sorted(_scan_hits(*args))
@@ -332,17 +350,16 @@ def test_occluders_leave_a_visible_solid_cast():
     x, y, z, d_engage = 5.1, 3.1, 1.5, 3.0
     state = pose(x, y, z, math.pi / 4)
     yaw = yaw_of(state.attitude)
-    insets = _mask_insets(mask, fp, scene.obstacles)
-    assert occluders(insets, (x, y), yaw, (x, y), yaw, d_engage) == [
-        fp, scene.obstacles[1]]
+    ranking = _mask_insets(mask, scene, fp)
+    assert occluders(insets_of(ranking), (x, y), yaw, (x, y), yaw,
+                     d_engage) == [scene.obstacles[1], fp]
     assert _in_reach(scene, fp, x, y, z, d_engage) == [fp, *scene.obstacles]
-    assert not _hidden(insets, [fp, *scene.obstacles], (x, y), yaw, (x, y),
-                       yaw, d_engage)
+    assert _casts(ranking, (x, y), yaw, (x, y, z), yaw, d_engage)
     args = (world._in_reach(scene, fp, x, y, z, d_engage), x, y, yaw,
             d_engage)
     full = sorted(_scan_hits(*args))
     assert len(full) == 57
-    assert sorted(mission_hits(scene, insets, state, (x, y), yaw, d_engage,
+    assert sorted(mission_hits(scene, ranking, state, (x, y), yaw,
                                d_engage)) == full
 
 
@@ -376,7 +393,7 @@ def test_occluders_leave_a_visible_solid_cast():
 @settings(max_examples=200, deadline=None)
 def test_occluder_only_solids_keep_the_sectors(name, x, y, z, yaw, d_engage,
                                                ex, ey, eyaw):
-    """Skipping the scans `_hidden` names keeps the sectors: a scan is
+    """Skipping the scans `_casts` rules out keeps the sectors: a scan is
     skipped only if every solid in reach is hidden, and a hidden solid cast
     in full gives only returns the mask drops, though it still shadows the
     solids behind it."""
@@ -384,8 +401,8 @@ def test_occluder_only_solids_keep_the_sectors(name, x, y, z, yaw, d_engage,
     state = pose(x, y, z, yaw)
     est, est_yaw = (x + ex, y + ey), yaw + eyaw
     fp = scene.building.footprint()
-    hits = mission_hits(scene, _mask_insets(mask, fp, scene.obstacles), state,
-                        est, est_yaw, d_engage, d_engage)
+    hits = mission_hits(scene, _mask_insets(mask, scene, fp), state, est,
+                        est_yaw, d_engage)
     sparse = _sectors(hits, mask, est[0], est[1], est_yaw, d_engage)
     public = classify_sectors(simulate_scan(scene, state, reach=d_engage),
                               mask, est, est_yaw, d_engage)
@@ -395,20 +412,118 @@ def test_occluder_only_solids_keep_the_sectors(name, x, y, z, yaw, d_engage,
 def test_mask_insets_and_occluders():
     scene, mask = OCCLUDER_SCENES["occluded"]
     fp = scene.building.footprint()
-    insets = _mask_insets(mask, fp, scene.obstacles)
-    assert [(s, round(d, 12)) for s, d in insets.items()] == [
-        (fp, 1.0), (scene.obstacles[1], 0.4)]
+    o0, o1 = scene.obstacles
+    ranking = _mask_insets(mask, scene, fp)
+    # least inset first; obstacle 0 pokes out of the mask
+    assert [(round(d, 12), order, s, height)
+            for d, order, s, height in ranking] == [
+        (-math.inf, 1, o0, 3.0), (0.4, 2, o1, 3.0), (1.0, 0, fp, 5.0)]
     no_buffer, flush = OCCLUDER_SCENES["no_buffer"]
-    assert _mask_insets(flush, no_buffer.building.footprint(),
-                        no_buffer.obstacles) == {}
-    origin = (0.0, 0.0)
+    assert [d for d, *_ in _mask_insets(
+        flush, no_buffer, no_buffer.building.footprint())] == [-math.inf] * 3
+    insets, origin = insets_of(ranking), (0.0, 0.0)
     # slack: position error 0.5 m, or 3 m times a yaw error of 0.1 rad taken
     # the short way round, plus the margin
     assert occluders(insets, (0.0, 0.5), 0.0, origin, 0.0, 3.0) == [fp]
     assert occluders(insets, origin, math.pi - 0.05, origin,
-                     0.05 - math.pi, 3.0) == [fp, scene.obstacles[1]]
+                     0.05 - math.pi, 3.0) == [o1, fp]
     assert occluders(insets, origin, 0.2, origin, 0.0, 3.0) == [fp]
-    assert occluders(insets, origin, 0.0, origin, 0.0, 3.0) == [
-        fp, scene.obstacles[1]]
+    assert occluders(insets, origin, 0.0, origin, 0.0, 3.0) == [o1, fp]
     # a diverged estimate gives a NaN slack: every solid is cast in full
     assert occluders(insets, (math.nan, 0.0), 0.0, origin, 0.0, 3.0) == []
+
+
+# -- the slack-first walk == the cull and the reference `hidden` ---------------
+
+WALK_SCENES = {
+    **{name: scene for name, (scene, _) in OCCLUDER_SCENES.items()},
+    **{f"{name}_reversed": Scene(scene.building,
+                                 obstacles=scene.obstacles[::-1])
+       for name, (scene, _) in OCCLUDER_SCENES.items()},
+}
+# an inset per solid, in scene order: -inf, the step's slack itself, the
+# float below or above it, or a value of its own
+_INSET_PICKS = st.lists(st.one_of(
+    st.sampled_from(("none", "at", "below", "above")),
+    st.floats(0.0, 2.0, exclude_min=True)), min_size=3, max_size=3)
+_ERRORS = st.one_of(st.floats(-1.2, 1.2), st.just(math.nan))
+
+
+def _picked_inset(pick, slack_):
+    if not isinstance(pick, str):
+        return pick
+    if pick == "none":
+        return -math.inf
+    if math.isnan(slack_):   # a ranking holds no NaN
+        return 0.5
+    return {"at": slack_, "below": math.nextafter(slack_, -math.inf),
+            "above": math.nextafter(slack_, math.inf)}[pick]
+
+
+# Examples, in "occluded" at d_engage 3 m, whose footprint is 5 m tall and
+# whose obstacles are 3 m tall: a NaN estimate; the footprint in reach with
+# its inset at the slack itself, which casts (the slack is not below it);
+# a pose exactly at the cull distance of the footprint's north wall,
+# 3 m + 1e-6 m, which is out of reach, and the float nearer, which is in;
+# and a pose 0.2 m from obstacle 0 at z equal to its height, in reach.
+@given(st.sampled_from(sorted(WALK_SCENES)), st.floats(-14.0, 14.0),
+       st.floats(-14.0, 14.0), st.floats(0.2, 6.0),
+       st.floats(-math.pi, math.pi), st.floats(0.5, 6.0), _ERRORS, _ERRORS,
+       st.floats(-0.2, 0.2), _INSET_PICKS)
+@example("occluded", 5.1, 3.1, 1.5, 0.5, 3.0, math.nan, 0.0, 0.0,
+         ["at", "none", "none"])
+@example("occluded", 0.0, 3.5, 1.5, 0.5, 3.0, 0.01, 0.0, 0.0,
+         ["at", "none", "none"])
+@example("occluded", 0.0, 6.000001, 5.0, 0.0, 3.0, 0.0, 0.0, 0.0,
+         ["none", "none", "none"])
+@example("occluded", 0.0, math.nextafter(6.000001, 0.0), 5.0, 0.0, 3.0,
+         0.0, 0.0, 0.0, ["none", "none", "none"])
+@example("occluded", 6.8, 4.3, 3.0, 0.0, 3.0, 0.0, 0.0, 0.0,
+         ["above", "none", "none"])
+@example("occluded_reversed", 6.8, 4.3, 3.0, 0.0, 3.0, 0.0, 0.0, 0.0,
+         [1.0, 1.0, "below"])
+@settings(max_examples=300, deadline=None)
+def test_the_walk_casts_as_the_cull_and_hidden_decide(name, x, y, z, yaw,
+                                                      d_engage, ex, ey, eyaw,
+                                                      picks):
+    """`_casts` holds exactly when `world._in_reach` keeps a solid and the
+    reference `hidden` does not hide all it keeps, with each solid's inset
+    placed at, just below or just above the step's slack."""
+    scene = WALK_SCENES[name]
+    fp = scene.building.footprint()
+    est, est_yaw, true_pos = (x + ex, y + ey), yaw + eyaw, (x, y, z)
+    s = slack(est, est_yaw, true_pos, yaw, d_engage)
+    solids = [fp, *scene.obstacles]
+    ranking = ranked(scene, {solid: _picked_inset(pick, s)
+                             for solid, pick in zip(solids, picks)})
+    in_reach = world._in_reach(scene, fp, x, y, z, d_engage)
+    want = bool(in_reach) and not hidden(insets_of(ranking), in_reach, est,
+                                         est_yaw, true_pos, yaw, d_engage)
+    assert _casts(ranking, est, est_yaw, true_pos, yaw, d_engage) is want
+
+
+# -- a range below the floor ---------------------------------------------------
+
+def test_two_hits_under_the_floor_floor_like_the_full_scan():
+    """Two overlapping cylinders both hit the bin dead ahead nearer than
+    1e-6 m: obstacle 0's surface is 5e-7 m off and obstacle 1's 7e-7 m.
+    The bin reads the floor, 1e-6 m, and every bin below reach reads as in
+    the all-bin cast, with either cylinder cast first."""
+    a = Obstacle(0, (0.0, 0.0), 1.0, 3.0)
+    b = Obstacle(1, (-2e-7, 0.0), 1.0, 3.0)
+    x, y, z = 1.0 + 5e-7, 0.0, 1.0
+    state = pose(x, y, z, math.pi)   # bin 135, dead ahead, points along -x
+    for obstacles in ((a, b), (b, a)):
+        scene = Scene(BuildingSpec(2.0, 2.0, 5.0, center_xy=(20.0, 0.0)),
+                      obstacles=obstacles)
+        solids = world._in_reach(scene, scene.building.footprint(), x, y, z,
+                                 3.0)
+        assert solids == list(obstacles)
+        for o in obstacles:
+            assert 0.0 < _circle_ray_distances(
+                *o.center_xy, o.radius, x, y, -1.0, 0.0) < 1e-6
+        hits = dict(_scan_hits(solids, x, y, yaw_of(state.attitude), 3.0))
+        ref = oracle_scan(scene, state)
+        assert hits[135] == ref[135] == 1e-6
+        assert ({i: r for i, r in hits.items() if r < 3.0}
+                == {i: r for i, r in enumerate(ref) if r < 3.0})

@@ -12,17 +12,18 @@ match it bit for bit, sign of zero included.
 import ast
 import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facadesim import mission, world
+from facadesim import control, mission, world
 from facadesim.attitude import ComplementaryGain
 from facadesim.control import PidGains, PidState, track_waypoint
 from facadesim.estimation import DeadReckoner, InertialEstimator, KalmanConfig
-from facadesim.geometry import quat_from_euler
+from facadesim.geometry import Rect, quat_from_euler, yaw_of
 from facadesim.mission import _step_kernel
 from facadesim.planner import Waypoint
 from facadesim.sensors import Imu, SensorParams
@@ -64,13 +65,14 @@ def kernel_traces(run: dict) -> np.ndarray:
     """Each step reads the true state it senses from the generator's frame,
     then sends the waypoint or the override.  The command a step flew is
     read back from the frame too, whose locals `v_body` and `yaw_rate`
-    hold it."""
+    hold it.  The true yaw yielded at each step is `yaw_of` of the true
+    attitude yielded with it, bit for bit."""
     kernel = _step_kernel(
         run["sensors"], run["seed"], run["kalman"], run["alpha"],
         run["start"], run["yaw"], run["dt"], run["gains"], run["vehicle"],
         run["kp_yaw"])
     wp = Waypoint(run["setpoint"], 0.0, 0)
-    est_pos, dr_pos, quat, yaw, _, _ = next(kernel)
+    est_pos, dr_pos, quat, yaw, _, true_att, true_yaw = next(kernel)
     rows = []
     for k in range(STEPS):
         state = kernel.gi_frame.f_locals
@@ -80,7 +82,8 @@ def kernel_traces(run: dict) -> np.ndarray:
         flown = kernel.gi_frame.f_locals
         rows.append(_row(true, est_pos, quat, yaw, dr_pos, flown["v_body"],
                          flown["yaw_rate"]))
-        est_pos, dr_pos, quat, yaw, _, _ = sensed
+        assert true_yaw.hex() == yaw_of(true_att).hex(), k
+        est_pos, dr_pos, quat, yaw, _, true_att, true_yaw = sensed
     return np.array(rows, dtype=np.float64)
 
 
@@ -287,11 +290,19 @@ def test_bad_arguments_raise_at_the_call(bad):
 _FRAMES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
+# what a step of `run_mission` calls on the obstacle path: the cast
+# decision, the cull, the scan, the sectors and avoidance
+_STEP_HELPERS = (mission._casts, world._reaches, world.Obstacle.distance_to,
+                 Rect.distance_to, world._in_reach, world._scan_hits,
+                 world._window_bins, world._slab, control._sectors,
+                 control.avoidance_command, control._pid)
+
+
 def test_mission_loop_reads_no_enum_member_and_builds_no_frame():
-    """The body of `run_mission`'s `while True:` loop, and the `_hidden` and
-    `_in_reach` culls it calls each step, read no `MissionPhase.<member>`
-    and build no comprehension or generator.  The exception of the
-    watchdog's `raise` is built once and is exempt."""
+    """The body of `run_mission`'s `while True:` loop, and the helpers it
+    calls on a step's obstacle path, read no `MissionPhase.<member>` and
+    build no comprehension or generator.  The exception of the watchdog's
+    `raise` is built once and is exempt."""
     tree = ast.parse(inspect.getsource(mission.run_mission))
     loops = [w for w in ast.walk(tree) if isinstance(w, ast.While)
              and isinstance(w.test, ast.Constant) and w.test.value is True]
@@ -305,9 +316,9 @@ def test_mission_loop_reads_no_enum_member_and_builds_no_frame():
            and isinstance(n.value, ast.Name)
            and n.value.id == "MissionPhase"]
     bad += [ast.unparse(n) for n in body if isinstance(n, _FRAMES)]
-    for fn in (mission._hidden, world._in_reach):
+    for fn in _STEP_HELPERS:
         bad += [ast.unparse(n) for n in ast.walk(ast.parse(
-            inspect.getsource(fn))) if isinstance(n, _FRAMES)]
+            textwrap.dedent(inspect.getsource(fn)))) if isinstance(n, _FRAMES)]
     assert not bad, f"the mission step runs {bad}"
 
 
