@@ -188,8 +188,9 @@ def _build(cls, data, where: str):
         raise InvalidScenario(f"{where}: expected a mapping")
     kinds = _kinds(cls)
     unknown = set(data) - set(kinds)
-    if unknown:
-        raise InvalidScenario(f"{where}: unknown key(s) {sorted(unknown)}")
+    if unknown:   # YAML keys of any kind; str keys sort as `sorted` does
+        keys = sorted(unknown, key=lambda k: (type(k).__name__, str(k)))
+        raise InvalidScenario(f"{where}: unknown key(s) {keys}")
     kwargs = {}
     for name, raw in data.items():   # in file order: the first bad key fails
         kwargs[name] = _convert(kinds[name], raw, f"{where}.{name}")
@@ -223,12 +224,12 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 def load_raw(path: str | Path) -> dict:
     p = Path(path)
     try:
-        text = p.read_text()
+        raw = p.read_bytes()
     except OSError as e:
         raise FileNotFoundError(f"cannot read config {p}: {e}") from e
-    try:
-        data = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError) as e:   # ValueError: over 4300 digits
+    try:   # ValueError: a byte UTF-8 has not, or an int of over 4300 digits
+        data = yaml.safe_load(raw.decode("utf-8"))
+    except (yaml.YAMLError, ValueError) as e:
         raise InvalidScenario(f"config {p} is not valid YAML: {e}") from e
     if not isinstance(data, dict):
         raise InvalidScenario(f"config {p} must be a YAML mapping")

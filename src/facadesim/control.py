@@ -139,15 +139,15 @@ def classify_sectors(scan: LaserScan, mask: Rect | None, position,
 
 
 def avoidance_command(sectors: ObstacleSectors, gains: PidGains, lanes: tuple,
-                      dt: float, v_max: float = VehicleParams.v_max,
-                      ) -> tuple[Vec3 | None, tuple]:
+                      dt: float) -> tuple[Vec3 | None, tuple]:
     """Repulsive body-frame velocity (None when clear) and the next lanes.
 
     `lanes` holds one `_pid` state per sector, (left, right, front); a clear
     sector's lane restarts from `_FRESH_PID`.  Error is 1/distance, so
     closer obstacles push harder.  Right obstacles push left (+y), left
     obstacles push right (-y), a front obstacle drifts the drone left, and
-    all three together back it straight out (-x).  Avoidance never yaws.
+    all three together back it straight out (-x).  Avoidance never yaws,
+    and its speed is the plant's to clamp, as for every command it flies.
     """
     if not sectors.any_active:
         return None, _FRESH_LANES
@@ -169,8 +169,4 @@ def avoidance_command(sectors: ObstacleSectors, gains: PidGains, lanes: tuple,
     else:
         vx = 0.0
         vy = out_right - out_left + out_front
-    speed = math.sqrt(vx * vx + vy * vy)
-    if speed > v_max and speed > 0.0:
-        k = v_max / speed
-        vx, vy = vx * k, vy * k
     return (vx, vy, 0.0), (left, right, front)

@@ -404,8 +404,8 @@ def _kernel_steps(sensors: SensorParams, seed: int, filter_start,
             integral, prev_error, initialized = _FRESH_PID
             v_body, yaw_rate = cmd, 0.0
 
-        # step_dynamics: clamp the speed; v_max > 0, so speed > 0 here.
-        # track already clamped yaw_rate, and 0.0 needs no clamp
+        # step_dynamics: the one speed clamp on an override; v_max > 0, so
+        # speed > 0 here. track already clamped yaw_rate; 0.0 needs no clamp
         bx, by, bz = v_body
         speed = sqrt(bx * bx + by * by + bz * bz)
         if speed > v_max:
@@ -476,7 +476,7 @@ def run_mission(cfg: ScenarioConfig,
     mp = cfg.mission
     dt, d_engage, arrival_tol = mp.dt, mp.d_engage, ARRIVAL_TOL
     watchdog_s, capture_interval_s = mp.watchdog_s, mp.capture_interval_s
-    gains, v_max = PidGains(), cfg.vehicle.v_max
+    gains = PidGains()
     home = cfg.home
     wps = generate_perimeter_path(cfg.building, cfg.plan, home)
     home_yaw = wps[0].yaw   # the entry climb faces the building from home
@@ -575,7 +575,7 @@ def run_mission(cfg: ScenarioConfig,
         if hits:
             sectors = _sectors(hits, mask, est_pos[0], est_pos[1], est_yaw,
                                d_engage)
-            cmd, lanes = avoidance_command(sectors, gains, lanes, dt, v_max)
+            cmd, lanes = avoidance_command(sectors, gains, lanes, dt)
         else:   # all sectors clear: what avoidance_command returns then
             cmd, lanes = None, _FRESH_LANES
         engaged.append(cmd is not None)

@@ -165,7 +165,7 @@ def hidden(insets, solids, est_pos, est_yaw: float, true_pos,
     return True
 
 
-def avoidance_command(sectors, gains, lanes, dt: float, v_max: float):
+def avoidance_command(sectors, gains, lanes, dt: float):
     """The avoidance velocity and next lanes, one (output, lane) pair per
     sector built by a comprehension: a clear sector's is (0.0, a fresh
     lane), an active one's a `_pid` step on 1/distance."""
@@ -180,8 +180,4 @@ def avoidance_command(sectors, gains, lanes, dt: float, v_max: float):
     else:
         vx = 0.0
         vy = out_right - out_left + out_front
-    speed = math.sqrt(vx * vx + vy * vy)
-    if speed > v_max and speed > 0.0:
-        k = v_max / speed
-        vx, vy = vx * k, vy * k
     return (vx, vy, 0.0), tuple(pid for _, pid in steps)

@@ -296,6 +296,31 @@ def test_unknown_key_exits_2(tiny_yaml, tmp_path, capsys):
     assert "turbo_mode" in capsys.readouterr().err
 
 
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"name: \xff\xfe\n")
+    rc = main(["plan", "--config", str(bad), "--out",
+               str(tmp_path / "never")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: config {bad} is not valid YAML: 'utf-8' codec can't"
+        " decode byte 0xff in position 6: invalid start byte"]
+
+
+@pytest.mark.parametrize("args, line", [
+    (["--set", "plan={1: 2, x: 3}"], "scenario.plan: unknown key(s) [1, 'x']"),
+    ([], "scenario: unknown key(s) [1, 'foo']")], ids=["set", "file"])
+def test_unknown_keys_of_two_kinds_exit_2(tiny_yaml, tmp_path, capsys, args,
+                                          line):
+    config = tmp_path / "two_kinds.yaml"
+    config.write_text(tiny_yaml.read_text()
+                      + ("" if args else "\n1: 2\nfoo: 3\n"))
+    rc = main(["plan", "--config", str(config), "--out",
+               str(tmp_path / "never"), *args])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
+
+
 @pytest.mark.parametrize("override", [
     "seed=abc", "home=[14,-6]", "sensors.accel_bias=[1,2]",
     "sensors.gyro_bias=[1]", "seed=2.5", "alpha=abc", "home=abc",

@@ -21,7 +21,7 @@ from facadesim.config import (
     load_config,
     load_raw,
 )
-from facadesim.control import avoidance_command, track_waypoint
+from facadesim.control import track_waypoint
 from facadesim.errors import InvalidScenario
 from facadesim.estimation import KalmanConfig
 from facadesim.mission import run_hover
@@ -140,6 +140,23 @@ def test_a_constant_in_yaml_is_an_unknown_key(key, value, where, unknown,
     with pytest.raises(InvalidScenario) as err:
         load_config(path)
     assert str(err.value) == f"{where}: unknown key(s) ['{unknown}']"
+
+
+@pytest.mark.parametrize("section, extra, where, line", [
+    (None, {1: 2, "foo": 3}, "scenario", "[1, 'foo']"),
+    ("plan", {1: 2, "x": 3}, "scenario.plan", "[1, 'x']"),
+    (None, {None: 0, True: 1, 2.5: 2, "b": 3, "a": 4}, "scenario",
+     "[None, True, 2.5, 'a', 'b']")],
+    ids=["top", "plan", "five_kinds"])
+def test_unknown_keys_of_mixed_kinds_are_all_named(section, extra, where,
+                                                   line):
+    """YAML keys need not be strings, and keys of two kinds do not
+    sort; each unknown key is named all the same."""
+    data = config_to_dict(small_config())
+    (data if section is None else data[section]).update(extra)
+    with pytest.raises(InvalidScenario) as err:
+        config_from_dict(data)
+    assert str(err.value) == f"{where}: unknown key(s) {line}"
 
 
 def test_bad_value_reports_where():
@@ -511,6 +528,28 @@ def test_load_raw_rejects_bad_yaml(tmp_path):
         load_raw(p)
 
 
+def test_load_raw_rejects_a_file_not_utf8(tmp_path):
+    """A byte no UTF-8 text holds is a config error that names the file,
+    not a UnicodeDecodeError."""
+    p = tmp_path / "latin1.yaml"
+    p.write_bytes(b"name: \xff\xfe\n")
+    with pytest.raises(InvalidScenario) as err:
+        load_raw(p)
+    assert str(err.value).startswith(f"config {p} is not valid YAML: ")
+
+
+@pytest.mark.parametrize("name", ["default", "obstacle_course",
+                                  "coverage_4decals"])
+def test_shipped_scenarios_read_as_their_utf8_text(name):
+    """The reader decodes the file's bytes as UTF-8 itself, and each
+    shipped scenario reads as its UTF-8 text does."""
+    path = CONFIG_DIR / f"{name}.yaml"
+    data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    assert load_raw(path) == data
+    assert (config_to_dict(load_config(path))
+            == config_to_dict(config_from_dict(data)))
+
+
 def test_load_raw_rejects_non_mapping(tmp_path):
     p = tmp_path / "list.yaml"
     p.write_text("- 1\n- 2\n")
@@ -573,7 +612,6 @@ def test_each_shared_default_has_one_source():
     cfg = small_config()
     assert _default(track_waypoint, "v_max") == vehicle.v_max
     assert _default(track_waypoint, "yaw_rate_max") == vehicle.yaw_rate_max
-    assert _default(avoidance_command, "v_max") == vehicle.v_max
     assert CAPTURE_INTERVAL_S == mission.capture_interval_s
     assert (_default(filter_fault_coordinates, "merge_radius")
             == mission.merge_radius)

@@ -288,11 +288,15 @@ def test_avoidance_opposing_sectors_combine():
     assert v_body[1] == pytest.approx(first_out(2.0) - first_out(1.0))
 
 
-def test_avoidance_speed_clamped():
+def test_avoidance_returns_the_raw_repulsion():
+    """A front return at 0.1 m pushes at about 10 m/s, above `v_max`: the
+    override leaves its speed to the plant, which clamps every command it
+    flies (`tests/test_step_kernel.py` pins that clamp on an override)."""
     sectors = ObstacleSectors(dist_front=0.1)
-    v_body, _ = avoidance_command(sectors, PidGains(), _FRESH_LANES, DT,
-                                  v_max=3.0)
-    assert v_body[1] == pytest.approx(3.0)
+    v_body, _ = avoidance_command(sectors, PidGains(), _FRESH_LANES, DT)
+    assert v_body == (0.0, first_out(0.1), 0.0)
+    assert v_body[1] == pytest.approx(10.00001)
+    assert v_body[1] > VehicleParams().v_max
 
 
 def test_avoidance_threads_state_and_resets_idle_lanes():
@@ -325,13 +329,13 @@ _LANES = st.tuples(
 # Lanes holding a NaN integral, or one at either clamp, with each sector
 # active at 1 m
 @given(st.tuples(*(st.floats(0.01, 3.0) for _ in range(3))),
-       st.tuples(_LANES, _LANES, _LANES), st.floats(0.05, 5.0))
+       st.tuples(_LANES, _LANES, _LANES))
 @example((1.0, 1.0, 1.0), ((math.nan, 0.0, True), (I_MAX, 0.5, True),
-                           (-I_MAX, -0.0, False)), 2.0)
+                           (-I_MAX, -0.0, False)))
 @example((1.0, 1.0, 1.0), ((-I_MAX, -0.0, True), (math.nan, 1.0, False),
-                           (I_MAX, 0.0, True)), 2.0)
+                           (I_MAX, 0.0, True)))
 @settings(max_examples=60, deadline=None)
-def test_avoidance_matches_its_comprehension_form(dists, lanes, v_max):
+def test_avoidance_matches_its_comprehension_form(dists, lanes):
     """Over all eight clear/active sector patterns, the unrolled
     `avoidance_command` gives the comprehension form's velocity and lanes
     bit for bit, signed zeros and NaNs included."""
@@ -339,6 +343,6 @@ def test_avoidance_matches_its_comprehension_form(dists, lanes, v_max):
     for active in itertools.product((False, True), repeat=3):
         sectors = ObstacleSectors(*(d if on else math.inf
                                     for d, on in zip(dists, active)))
-        got = avoidance_command(sectors, gains, lanes, DT, v_max)
-        want = avoidance_oracle(sectors, gains, lanes, DT, v_max)
+        got = avoidance_command(sectors, gains, lanes, DT)
+        want = avoidance_oracle(sectors, gains, lanes, DT)
         assert repr(got) == repr(want), (active, got, want)

@@ -136,14 +136,18 @@ def test_default_dead_reckoning_diverges(default_run):
     assert dr > 10.0 * est
 
 
-def test_default_trajectory_is_continuous(default_run):
-    cfg, result = default_run
+def assert_continuous(cfg, result):
+    """Each step lasts dt and moves the truth at most v_max * dt."""
     dt = cfg.mission.dt
     step_cap = cfg.vehicle.v_max * dt + 1e-9
     rows = result.trajectory.tolist()
     for a, b in zip(rows, rows[1:]):
         assert b[0] - a[0] == pytest.approx(dt, abs=1e-9)
         assert v_dist(a[1:4], b[1:4]) <= step_cap
+
+
+def test_default_trajectory_is_continuous(default_run):
+    assert_continuous(*default_run)
 
 
 def test_default_true_path_keeps_out_of_the_building(default_run):
@@ -173,6 +177,18 @@ def test_obstacle_run_completes_with_clearance(obstacle_run):
     assert len(result.report.faults) == 1
     assert result.report.min_obstacle_clearance is not None
     assert result.report.min_obstacle_clearance > 0.5
+
+
+def test_obstacle_trajectory_is_continuous(obstacle_run):
+    """The avoidance override flies thousands of steps here, and the
+    plant's clamp alone keeps each within the step cap.  Seed 1 is flown
+    too: its repulsion, unclamped, would carry the truth up to 5.0023 mm in a
+    step."""
+    cfg, result = obstacle_run
+    seed1 = dataclasses.replace(cfg, seed=1)
+    for cfg, result in ((cfg, result), (seed1, run_mission(seed1))):
+        assert sum(result.engaged) > 1000
+        assert_continuous(cfg, result)
 
 
 def test_obstacle_avoidance_engages_only_near_cylinders(obstacle_run):

@@ -162,6 +162,15 @@ reaches = st.one_of(st.floats(0.0, 20.0, exclude_min=True),
 # surface, so its window is within 0.26 deg of a half turn, and at yaw
 # 0.5 deg the padding casts bin 224, 90.5 deg off the bearing: its ray
 # meets the obstacle only behind the pose.
+# The last six read `_slab`'s inside flag, which only a ray parallel to a
+# slab reaches.  At yaw 0, bin 135's dy is 0.0: from (-7.0, 3.5), 0.5 m
+# north of the north wall's line, it misses, and from (-7.0, 2.5), inside
+# the y-slab, it reads 2.0 m.  At yaw 0.01745329251994316 (about 1 deg,
+# and the yaw the pose's quaternion gives back), bin 224's dx is 0.0: the
+# x-slab twins look north from 0.5 m east of the east wall's line, from
+# inside the x-slab, and, as (-7.0, 3.0) does for y, from the line itself.
+# The off-centre footprint's twin stands inside its x-slab (x 4.0 is 2.6 m
+# from its centre) but 5.4 m from x 0, so its flag must read `x - cx`.
 @given(st.sampled_from(sorted(SCENES)), st.floats(-14.0, 14.0),
        st.floats(-14.0, 14.0), st.floats(0.2, 4.5),
        st.floats(-math.pi, math.pi), reaches)
@@ -175,6 +184,12 @@ reaches = st.one_of(st.floats(0.0, 20.0, exclude_min=True),
 @example("off_centre", 4.4, 0.0, 1.0, math.pi, math.inf)
 @example("scan", -7.0, -4.0, 1.0, 0.0, math.inf)
 @example("scan", 9.400004, 2.0, 1.0, math.radians(0.5), math.inf)
+@example("scan", -7.0, 3.5, 1.0, 0.0, 3.0)
+@example("scan", -7.0, 2.5, 1.0, 0.0, 3.0)
+@example("scan", 5.5, -5.0, 1.0, 0.01745329251994316, 3.0)
+@example("scan", 4.5, -5.0, 1.0, 0.01745329251994316, 3.0)
+@example("scan", 5.0, -5.0, 1.0, 0.01745329251994316, 3.0)
+@example("off_centre", 4.0, -5.0, 1.0, 0.01745329251994316, 3.0)
 @settings(max_examples=150, deadline=None)
 def test_windowed_scan_matches_all_bin_oracle(name, x, y, z, yaw, reach):
     scene = SCENES[name][0]
